@@ -20,8 +20,7 @@ from kripkebench.frames import load_frame
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--frame", help="frame JSON path")
-    ap.add_argument("--family", choices=["tack", "match", "rect", "lintgrz",
-                                         "univchain", "singleton"])
+    ap.add_argument("--family", choices=list(C.FAMILIES))
     ap.add_argument("--kind", default="both")
     ap.add_argument("--axis", type=int, default=1)
     ap.add_argument("-m", type=int, default=2)
@@ -32,18 +31,8 @@ def main() -> int:
 
     if args.frame:
         frame = load_frame(Path(args.frame).read_bytes())
-    elif args.family == "tack":
-        frame = C.tack(args.kind, args.m)
-    elif args.family == "match":
-        frame = C.match_frame(args.axis, args.kind, args.m)
-    elif args.family == "rect":
-        frame = C.rect(args.a, args.b)
-    elif args.family == "lintgrz":
-        frame = C.lintgrz(args.m)
-    elif args.family == "univchain":
-        frame = C.univ_chain(args.m)
-    elif args.family == "singleton":
-        frame = C.singleton()
+    elif args.family:
+        frame = C.FAMILIES[args.family](args)
     else:
         ap.error("need --frame or --family")
 

@@ -17,14 +17,6 @@ from kripkebench import constructions as C
 from kripkebench.algebra import free_algebra_count
 
 
-def build(family: str, kind: str, m: int):
-    if family == "tack":
-        return C.tack(kind, m)
-    if family == "match":
-        return C.match_frame(1, kind, m)
-    return C.univ_chain(m)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--family", default="tack",
@@ -36,7 +28,8 @@ def main() -> int:
 
     prev = None
     for m in range(1, args.max_m + 1):
-        frame = build(args.family, args.kind, m)
+        family_args = argparse.Namespace(kind=args.kind, axis=1, m=m)
+        frame = C.FAMILIES[args.family](family_args)
         t0 = time.monotonic()
         count = free_algebra_count([frame], 1, cap=1 << 4096, budget=args.budget)
         note = "" if prev is None else ("  (grew)" if count > prev else "  (did not grow)")

@@ -24,11 +24,10 @@ from .formulas import (Formula, modal_depth, named_formula, parse,
                        print_formula, substitute, variables)
 from .frames import (Frame, FrameSpec, GeneralFrame, SkeletonInfo, UniFrame,
                      analyze, as_general, bitstring, frame_property,
-                     generated_subframe, lift_unimodal, load_frame,
-                     restriction, store_frame)
+                     generated_subframe, load_frame, load_valuation,
+                     restriction, store_frame, uniframe)
 from .morphisms import (Violation, check_pmorphism, find_pmorphism,
                         tack_collapse, union_pmorphism)
-from .semantics import (Model, Witness, eval_formula, reach_modality_eval,
-                        refutes_witness, valid)
+from .semantics import Model, Witness, eval_formula, refutes_witness, valid
 
 __version__ = "0.1.0"

@@ -10,33 +10,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import constructions as C
 from .algebra import beta_formula, block_system, free_algebra_count
 from .checks import DEFAULT_SEED, report_json, run_all, run_check
 from .errors import BudgetExceeded, CapExceeded, KripkebenchError
 from .formulas import parse, print_formula
-from .frames import (Frame, bitstring, bits_of, kripke_of, load_frame,
-                     store_frame)
+from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
+                     load_valuation, store_frame)
 from .morphisms import (check_pmorphism, find_pmorphism, load_worldmap,
                         store_worldmap)
 from .semantics import DEFAULT_BUDGET, Model, refutes_witness
 
 
 def _read_frame(path: str):
-    with open(path, "rb") as fh:
-        return load_frame(fh.read())
-
-
-def _read_valuation(path: str, n: int) -> dict[int, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    out = {}
-    for key, bstr in doc.items():
-        if not key.startswith("p"):
-            raise KripkebenchError(f"valuation key {key!r} is not a variable")
-        out[int(key[1:])] = bits_of(bstr)
-    return out
+    return load_frame(Path(path).read_bytes())
 
 
 def _emit(data: bytes, out_path: str | None):
@@ -51,41 +40,22 @@ def _emit(data: bytes, out_path: str | None):
 
 def _cmd_build(args) -> int:
     name = args.family
-    if name == "tack":
-        frame = C.tack(args.kind, args.m)
-    elif name == "match":
-        frame = C.match_frame(args.axis, args.kind, args.m)
-    elif name == "rect":
-        frame = C.rect(args.a, args.b)
-    elif name == "lintgrz":
-        frame = C.lintgrz(args.m)
-    elif name == "univchain":
-        frame = C.univ_chain(args.m)
-    elif name == "singleton":
-        frame = C.singleton()
-    elif name == "chain":
-        frame = C.lift(C.chain(args.m))
-    elif name == "cluster":
-        frame = C.lift(C.cluster(args.m))
-    elif name == "tackpre":
-        frame = C.lift(C.tack_pre(args.m))
+    if name in C.FAMILIES:
+        frame = C.FAMILIES[name](args)
+    elif args.left is None or args.right is None:
+        raise KripkebenchError(f"{name} needs --left and --right")
     elif name == "product":
         left, right = _read_frame(args.left), _read_frame(args.right)
         for f in (left, right):
             if not isinstance(f, Frame):
                 raise KripkebenchError("product factors must be Kripke frames")
-        from .frames import UniFrame
-        u1 = UniFrame(left.n, left.r1)
-        u2 = UniFrame(right.n, right.r1)
-        frame = C.product(u1, u2)
+        frame = C.product(UniFrame(left.n, left.r1), UniFrame(right.n, right.r1))
     elif name == "sum":
         frame = C.ordered_sum(kripke_of(_read_frame(args.left)),
                               kripke_of(_read_frame(args.right)), args.kind)
-    elif name == "tensesum":
+    else:
         frame = C.tense_sum(kripke_of(_read_frame(args.left)),
                             kripke_of(_read_frame(args.right)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise KripkebenchError(f"unknown family {name}")
     _emit(store_frame(frame), args.output)
     return 0
 
@@ -153,7 +123,7 @@ def _cmd_freealg(args) -> int:
 def _cmd_blocks(args) -> int:
     g = _read_frame(args.frame)
     frame = kripke_of(g)
-    model = Model(g, _read_valuation(args.valuation, frame.n))
+    model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
     system = block_system(model, args.max_layers)
     doc = {
         "n": frame.n,
@@ -168,7 +138,7 @@ def _cmd_blocks(args) -> int:
 def _cmd_beta(args) -> int:
     g = _read_frame(args.frame)
     frame = kripke_of(g)
-    model = Model(g, _read_valuation(args.valuation, frame.n))
+    model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
     cert = beta_formula(model, args.r)
     doc = {
         "world": cert.world,
@@ -205,10 +175,7 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a frame and write its JSON")
-    b.add_argument("family", choices=["tack", "match", "rect", "lintgrz",
-                                      "univchain", "singleton", "chain",
-                                      "cluster", "tackpre", "product", "sum",
-                                      "tensesum"])
+    b.add_argument("family", choices=[*C.FAMILIES, "product", "sum", "tensesum"])
     b.add_argument("--kind", default="both", choices=["both", "1", "2"])
     b.add_argument("--axis", type=int, default=1, choices=[1, 2])
     b.add_argument("-m", type=int, default=1)
@@ -266,7 +233,7 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.fn(args)
-    except KripkebenchError as e:
+    except (KripkebenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

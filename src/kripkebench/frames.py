@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyRestriction, FormatError, UnknownProperty
@@ -181,12 +183,6 @@ def _parse_rows(rows, n: int, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def lift_unimodal(n: int, rows) -> Frame:
-    """Embed a unimodal frame as (X, R, diagonal)."""
-    return Frame(n, _parse_rows(rows, n, "r1"), diagonal(n),
-                 spec=FrameSpec("lift_unimodal", (n,)))
-
-
 @dataclass(frozen=True, slots=True)
 class GeneralFrame:
     """Frame plus an admissible set algebra, verified at construction."""
@@ -235,14 +231,19 @@ class GeneralFrame:
         return self.frame.n
 
 
+@lru_cache(maxsize=32)
 def full_algebra(n: int) -> tuple[int, ...]:
-    if n > 16:
-        raise FormatError("full powerset algebra only materialised for n <= 16")
-    return tuple(sorted(range(1 << n), key=lambda m: bitstring_key(m, n)))
+    """Every subset of n worlds, in bitstring order."""
+    masks = [0]
+    for i in reversed(range(n)):
+        masks += [m | 1 << i for m in masks]
+    return tuple(masks)
 
 
 def as_general(f: Frame) -> GeneralFrame:
     """A Kripke frame seen as the general frame over its full powerset."""
+    if f.n > 16:
+        raise FormatError("full powerset algebra only materialised for n <= 16")
     return GeneralFrame(f, full_algebra(f.n))
 
 
@@ -252,19 +253,22 @@ def kripke_of(g: Frame | GeneralFrame) -> Frame:
 
 # --- serialization ------------------------------------------------------
 
+def _json_object(data, what: str) -> dict:
+    if isinstance(data, (str, bytes, bytearray)):
+        try:
+            data = json.loads(data)
+        except ValueError as e:  # also undecodable bytes
+            raise FormatError(f"invalid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} JSON must be an object")
+    return data
+
+
 def load_frame(data) -> Frame | GeneralFrame:
     """Frame JSON: {"n": int, "r1": [row-bitstrings], "r2": [...],
     "algebra": optional [set-bitstrings]}.  Absent algebra means the full
     powerset (a plain Kripke frame is returned)."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise FormatError("frame JSON must be an object")
+    data = _json_object(data, "frame")
     try:
         n = int(data["n"])
     except (KeyError, TypeError, ValueError):
@@ -289,6 +293,19 @@ def load_frame(data) -> Frame | GeneralFrame:
         else:
             sets.append(int(s))
     return GeneralFrame(frame, tuple(sets))
+
+
+def load_valuation(data, n: int) -> dict[int, int]:
+    """Valuation JSON over n worlds: {"p<index>": set-bitstring, ...}."""
+    out = {}
+    for key, bstr in _json_object(data, "valuation").items():
+        if not re.fullmatch(r"p[0-9]+", key):
+            raise FormatError(f"valuation key {key!r} is not a variable")
+        if not isinstance(bstr, str) or len(bstr) != n:
+            raise FormatError(f"valuation of {key} must be a bitstring of "
+                              f"length {n}, got {bstr!r}")
+        out[int(key[1:])] = bits_of(bstr)
+    return out
 
 
 def store_frame(f: Frame | GeneralFrame) -> bytes:

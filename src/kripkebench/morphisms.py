@@ -153,13 +153,10 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
     return extend(0)
 
 
-def union_pmorphism(f1: WorldMap, f2: WorldMap, kind="both") -> WorldMap:
+def union_pmorphism(f1: WorldMap, f2: WorldMap) -> WorldMap:
     """Combine p-morphisms of the summands into a map on the renumbered sum.
     The combined map is the same for every sum kind (both, 1, 2) and for the
-    tense sum; ``kind`` is accepted for documentation of the intended sum.
-    Inputs are assumed surjective, so target sizes are max + 1."""
-    if kind not in ("both", "1", "2", 1, 2, "tense"):
-        raise FormatError(f"unknown sum kind {kind!r}")
+    tense sum.  Inputs are assumed surjective, so target sizes are max + 1."""
     offset = max(f1) + 1
     return tuple(f1) + tuple(offset + d for d in f2)
 

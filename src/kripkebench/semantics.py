@@ -1,14 +1,19 @@
 """Formula evaluation on models, validity over (general) frames, and
 refutation-witness search.
 
+One recursive walk evaluates every formula.  It only combines values with
+``^``, ``&``, ``|`` and a preimage function, so the same walk runs on a
+single model (int world masks) and on the search (numpy arrays of masks).
+
 Validity is brute force over valuations, enumerated only over the
-variables occurring in the formula.  Candidate sets are every subset of
-the worlds for a Kripke frame and the admissible algebra for a general
-frame, always in bitstring order; assignments are ordered with the
-lowest variable index as the most significant position.  This fixes the
-witness returned by ``refutes_witness`` as the lexicographically least
-one.  Large enumerations run through a vectorised (numpy) evaluator in
-chunks; the order, and hence every answer, is the same on both paths.
+variables occurring in the formula; a variable-free formula is decided by
+one evaluation.  Candidate sets are every subset of the worlds for a Kripke
+frame and the admissible algebra for a general frame, always in bitstring
+order.  In the search, occurring variable j is broadcast axis j, so a
+subformula is only materialised over the axes of the variables it mentions.
+The assignment space is walked block by block in C order, which puts the
+lowest variable in the most significant position; the first falsifying
+cell is therefore the lexicographically least witness.
 """
 
 from __future__ import annotations
@@ -16,21 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import BudgetExceeded, FormatError
 from .formulas import (And, Bot, Box, Dia, Formula, Iff, Imp, Not, Or,
                        ReachDia, Top, Var, variables)
-from .frames import (Frame, GeneralFrame, bitstring_key, kripke_of, preimage,
+from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
                      rt_closure)
 
 DEFAULT_BUDGET = 1 << 20
 
-_VEC_MIN_ASSIGNMENTS = 512
-_VEC_MAX_WORLDS = 16
-_CHUNK = 1 << 15
+# cells per evaluated block of the assignment space
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,19 +65,20 @@ class Model:
         return kripke_of(self.frame)
 
 
-def _eval_mask(frame: Frame, valuation: Mapping[int, int], f: Formula) -> int:
-    full = frame.full
-    closure = None
-    memo: dict[int, int] = {}
+def _walk(f: Formula, leaves: Mapping, full, pre: Callable):
+    """Extension of ``f``: variable v is ``leaves.get(v, 0)`` and
+    ``pre(mod, x)`` is the set of worlds with a ``mod``-successor in x,
+    where mod 0 is the reflexive-transitive closure of r1 | r2."""
+    memo: dict[int, object] = {}
 
-    def go(g: Formula) -> int:
+    def go(g: Formula):
         r = memo.get(id(g))
         if r is not None:
             return r
         if isinstance(g, Var):
-            r = valuation.get(g.index, 0)
+            r = leaves.get(g.index, 0)
         elif isinstance(g, Bot):
-            r = 0
+            r = full ^ full  # zero of the same kind as full
         elif isinstance(g, Top):
             r = full
         elif isinstance(g, Not):
@@ -87,34 +92,42 @@ def _eval_mask(frame: Frame, valuation: Mapping[int, int], f: Formula) -> int:
         elif isinstance(g, Iff):
             r = full ^ (go(g.left) ^ go(g.right))
         elif isinstance(g, Dia):
-            r = preimage(frame.relation(g.mod), go(g.child))
+            r = pre(g.mod, go(g.child))
         elif isinstance(g, Box):
-            r = full ^ preimage(frame.relation(g.mod), full ^ go(g.child))
+            r = full ^ pre(g.mod, full ^ go(g.child))
+        elif isinstance(g, ReachDia):
+            r = pre(0, go(g.child))
         else:
-            nonlocal closure
-            if closure is None:
-                closure = rt_closure(frame.union(), frame.n)
-            if isinstance(g, ReachDia):
-                r = preimage(closure, go(g.child))
-            else:
-                r = full ^ preimage(closure, full ^ go(g.child))
+            r = full ^ pre(0, full ^ go(g.child))
         memo[id(g)] = r
         return r
 
-    return go(f)
+    try:
+        return go(f)
+    finally:
+        memo.clear()  # go is a reference cycle; free the values now, not at gc
+
+
+def _preimage_fn(frame: Frame, image: Callable) -> Callable:
+    """``pre`` for the walk, applying ``image(rows, x)`` to the relation of
+    a modality; the closure for mod 0 is computed on first use."""
+    relations = {1: frame.r1, 2: frame.r2}
+
+    def pre(mod: int, x):
+        rows = relations.get(mod)
+        if rows is None:
+            rows = relations[0] = rt_closure(frame.union(), frame.n)
+        return image(rows, x)
+
+    return pre
 
 
 def eval_formula(m: Model, f: Formula) -> int:
     """Extension of ``f`` in the model, as a world mask.  Variables absent
-    from the valuation evaluate to the empty set."""
-    return _eval_mask(m.kripke, m.valuation, f)
-
-
-def reach_modality_eval(m: Model, f: Formula) -> int:
-    """Like ``eval_formula`` for formulas carrying the frame-level
-    reachability operators ReachDia/ReachBox, which are read through the
-    reflexive-transitive closure of r1 | r2."""
-    return _eval_mask(m.kripke, m.valuation, f)
+    from the valuation evaluate to the empty set; ReachDia/ReachBox are read
+    through the reflexive-transitive closure of r1 | r2."""
+    frame = m.kripke
+    return _walk(f, m.valuation, frame.full, _preimage_fn(frame, preimage))
 
 
 @dataclass(frozen=True)
@@ -128,70 +141,31 @@ class Witness:
         return dict(self.valuation)
 
 
-@lru_cache(maxsize=64)
-def _powerset_candidates(n: int) -> tuple[int, ...]:
-    return tuple(sorted(range(1 << n), key=lambda m: bitstring_key(m, n)))
-
-
-def _candidates(g: Frame | GeneralFrame) -> tuple[int, ...]:
-    if isinstance(g, GeneralFrame):
-        return g.algebra  # already in bitstring order
-    if g.n > 24:
-        raise FormatError("powerset valuation space only supported for n <= 24")
-    return _powerset_candidates(g.n)
-
-
 @lru_cache(maxsize=256)
-def _np_preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
-    table = np.zeros(1 << n, dtype=np.uint32)
-    masks = np.arange(1 << n, dtype=np.uint32)
+def _preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Preimage of every mask over n <= 16 worlds, indexed by the mask."""
+    table = np.zeros(1 << n, dtype=np.uint64)
+    masks = np.arange(1 << n, dtype=np.uint64)
     for i, row in enumerate(rows):
-        table |= np.where(masks & np.uint32(row), np.uint32(1 << i), np.uint32(0))
+        table |= ((masks & row) != 0).astype(np.uint64) << i
     return table
 
 
-def _vec_eval(f: Formula, arrs: dict[int, np.ndarray], frame: Frame,
-              length: int, memo: dict[int, np.ndarray]) -> np.ndarray:
-    r = memo.get(id(f))
-    if r is not None:
-        return r
-    full = np.uint32(frame.full)
-    if isinstance(f, Var):
-        r = arrs.get(f.index)
-        if r is None:
-            r = np.zeros(length, dtype=np.uint32)
-    elif isinstance(f, Bot):
-        r = np.zeros(length, dtype=np.uint32)
-    elif isinstance(f, Top):
-        r = np.full(length, full, dtype=np.uint32)
-    elif isinstance(f, Not):
-        r = full ^ _vec_eval(f.child, arrs, frame, length, memo)
-    elif isinstance(f, And):
-        r = (_vec_eval(f.left, arrs, frame, length, memo)
-             & _vec_eval(f.right, arrs, frame, length, memo))
-    elif isinstance(f, Or):
-        r = (_vec_eval(f.left, arrs, frame, length, memo)
-             | _vec_eval(f.right, arrs, frame, length, memo))
-    elif isinstance(f, Imp):
-        r = ((full ^ _vec_eval(f.left, arrs, frame, length, memo))
-             | _vec_eval(f.right, arrs, frame, length, memo))
-    elif isinstance(f, Iff):
-        r = full ^ (_vec_eval(f.left, arrs, frame, length, memo)
-                    ^ _vec_eval(f.right, arrs, frame, length, memo))
-    elif isinstance(f, Dia):
-        table = _np_preimage_table(frame.relation(f.mod), frame.n)
-        r = table[_vec_eval(f.child, arrs, frame, length, memo)]
-    elif isinstance(f, Box):
-        table = _np_preimage_table(frame.relation(f.mod), frame.n)
-        r = full ^ table[full ^ _vec_eval(f.child, arrs, frame, length, memo)]
-    elif isinstance(f, ReachDia):
-        table = _np_preimage_table(rt_closure(frame.union(), frame.n), frame.n)
-        r = table[_vec_eval(f.child, arrs, frame, length, memo)]
-    else:
-        table = _np_preimage_table(rt_closure(frame.union(), frame.n), frame.n)
-        r = full ^ table[full ^ _vec_eval(f.child, arrs, frame, length, memo)]
-    memo[id(f)] = r
-    return r
+def _array_image(n: int, dtype: np.dtype) -> Callable:
+    """Preimage of arrays of masks: a table gather up to 16 worlds, a
+    row-wise OR over world rows above that."""
+    if n <= 16:
+        return lambda rows, x: _preimage_table(rows, n)[x]
+    cell = dtype.type
+
+    def image(rows, x):
+        x = np.asarray(x, dtype)
+        out = np.zeros(x.shape, dtype)
+        for i, row in enumerate(rows):
+            out |= ((x & cell(row)) != 0).astype(dtype) << cell(i)
+        return out
+
+    return image
 
 
 def _least_missing_world(mask: int, full: int) -> int:
@@ -202,43 +176,47 @@ def _least_missing_world(mask: int, full: int) -> int:
 def _search_refutation(g: Frame | GeneralFrame, f: Formula,
                        budget: int) -> Witness | None:
     frame = kripke_of(g)
-    if frame.n == 0:
+    n, full = frame.n, frame.full
+    if n == 0:
         return None  # everything holds vacuously on the empty frame
     occurring = sorted(variables(f))
     k = len(occurring)
-    cands = _candidates(g)
-    total = len(cands) ** k
-    if total * max(frame.n, 1) > budget:
+    general = isinstance(g, GeneralFrame)
+    if k and not general and n > 24:
+        raise FormatError("powerset valuation space only supported for n <= 24")
+    total = (len(g.algebra) if general else 1 << n) ** k
+    if total * n > budget:
         raise BudgetExceeded(total, budget)
-    full = frame.full
+    if not k:  # no valuation to choose: one evaluation decides
+        ext = eval_formula(Model(frame, {}), f)
+        return None if ext == full else Witness((), _least_missing_world(ext, full))
 
-    if total >= _VEC_MIN_ASSIGNMENTS and frame.n <= _VEC_MAX_WORLDS:
-        cand_arr = np.array(cands, dtype=np.uint32)
-        c = len(cands)
-        weights = [c ** (k - 1 - j) for j in range(k)]
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
-            t = np.arange(lo, hi, dtype=np.int64)
-            arrs = {v: cand_arr[(t // weights[j]) % c]
-                    for j, v in enumerate(occurring)}
-            res = _vec_eval(f, arrs, frame, hi - lo, {})
-            bad = np.nonzero(res != np.uint32(full))[0]
+    cands = g.algebra if general else full_algebra(n)
+    c = len(cands)
+    dtype = np.dtype(np.uint64 if n <= 64 else object)
+    cand_arr = np.array(cands, dtype=dtype)
+    cell_full = dtype.type(full)
+    pre = _preimage_fn(frame, _array_image(n, dtype))
+    # Axes before `a` are fixed per block, axis `a` is cut into ranges of
+    # `step` candidates and the later axes are whole.
+    a = next(j for j in range(k) if c ** (k - 1 - j) <= _BLOCK)
+    step = max(1, _BLOCK // c ** (k - 1 - a))
+    whole = {v: cand_arr.reshape((c,) + (1,) * (k - 1 - j))
+             for j, v in enumerate(occurring) if j > a}
+    for head in iproduct(range(c), repeat=a):
+        for lo in range(0, c, step):
+            leaves = dict(whole)
+            leaves.update((v, cand_arr[i]) for v, i in zip(occurring, head))
+            leaves[occurring[a]] = cand_arr[lo:lo + step].reshape(
+                (-1,) + (1,) * (k - 1 - a))
+            res = _walk(f, leaves, cell_full, pre)
+            bad = np.flatnonzero(res != cell_full)
             if bad.size:
-                b = int(bad[0])
-                index = lo + b
-                assignment = tuple(
-                    (v, cands[(index // weights[j]) % c])
-                    for j, v in enumerate(occurring))
-                world = _least_missing_world(int(res[b]), full)
-                return Witness(assignment, world)
-        return None
-
-    for combo in iproduct(cands, repeat=k):
-        valuation = dict(zip(occurring, combo))
-        res = _eval_mask(frame, valuation, f)
-        if res != full:
-            return Witness(tuple(sorted(valuation.items())),
-                           _least_missing_world(res, full))
+                cell = np.unravel_index(bad[0], res.shape)
+                index = head + (lo + int(cell[0]),) + tuple(map(int, cell[1:]))
+                return Witness(
+                    tuple((v, cands[i]) for v, i in zip(occurring, index)),
+                    _least_missing_world(int(res.flat[bad[0]]), full))
     return None
 
 

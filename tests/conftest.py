@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 
-from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or, Top,
-                                  Var)
+from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
+                                  ReachBox, ReachDia, Top, Var)
 from kripkebench.frames import Frame
 
 
-def formulas(max_depth: int = 8, max_vars: int = 4):
+def formulas(max_depth: int = 8, max_vars: int = 4, reach: bool = False):
+    """Random formulas; ``reach`` adds the ReachDia/ReachBox operators."""
     leaves = st.one_of(
         st.integers(0, max_vars - 1).map(Var),
         st.just(Bot()),
@@ -17,7 +18,9 @@ def formulas(max_depth: int = 8, max_vars: int = 4):
     )
 
     def extend(children):
+        unary = [children.map(ReachDia), children.map(ReachBox)] if reach else []
         return st.one_of(
+            *unary,
             children.map(Not),
             st.tuples(st.sampled_from((1, 2)), children).map(lambda t: Dia(*t)),
             st.tuples(st.sampled_from((1, 2)), children).map(lambda t: Box(*t)),

@@ -1,0 +1,83 @@
+"""Independent test oracle for formula evaluation and refutation search.
+
+Truth is decided world by world with the Kripke clauses, and assignments
+are enumerated one at a time in bitstring order with the lowest variable
+most significant.  Nothing here calls the library's evaluator, its
+preimage helpers or its candidate enumeration.
+"""
+
+from __future__ import annotations
+
+from itertools import product as iproduct
+
+from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
+                                  ReachBox, ReachDia, Top, Var, variables)
+from kripkebench.frames import GeneralFrame
+
+
+def _successors(rows, w):
+    return [v for v in range(len(rows)) if rows[w] >> v & 1]
+
+
+def _reachable(frame, w):
+    """Worlds reachable from w in zero or more r1/r2 steps."""
+    seen, todo = {w}, [w]
+    while todo:
+        u = todo.pop()
+        for v in _successors(frame.r1, u) + _successors(frame.r2, u):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return sorted(seen)
+
+
+def holds(frame, valuation, f, w) -> bool:
+    """Truth of ``f`` at world ``w``; absent variables are false."""
+    if isinstance(f, Var):
+        return bool(valuation.get(f.index, 0) >> w & 1)
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Not):
+        return not holds(frame, valuation, f.child, w)
+    if isinstance(f, And):
+        return holds(frame, valuation, f.left, w) and holds(frame, valuation, f.right, w)
+    if isinstance(f, Or):
+        return holds(frame, valuation, f.left, w) or holds(frame, valuation, f.right, w)
+    if isinstance(f, Imp):
+        return not holds(frame, valuation, f.left, w) or holds(frame, valuation, f.right, w)
+    if isinstance(f, Iff):
+        return holds(frame, valuation, f.left, w) == holds(frame, valuation, f.right, w)
+    if isinstance(f, (Dia, Box)):
+        succ = _successors(frame.r1 if f.mod == 1 else frame.r2, w)
+    elif isinstance(f, (ReachDia, ReachBox)):
+        succ = _reachable(frame, w)
+    else:
+        raise TypeError(f"unknown formula node {f!r}")
+    truth = (holds(frame, valuation, f.child, v) for v in succ)
+    return any(truth) if isinstance(f, (Dia, ReachDia)) else all(truth)
+
+
+def extension(frame, valuation, f) -> int:
+    return sum(1 << w for w in range(frame.n) if holds(frame, valuation, f, w))
+
+
+def candidates(g) -> list[int]:
+    """Admissible sets in bitstring order (world 0 is the leftmost digit)."""
+    frame = g.frame if isinstance(g, GeneralFrame) else g
+    sets = g.algebra if isinstance(g, GeneralFrame) else range(1 << frame.n)
+    return sorted(sets, key=lambda m: [m >> i & 1 for i in range(frame.n)])
+
+
+def least_witness(g, f):
+    """(valuation pairs, world) of the first falsified world under the first
+    falsifying assignment, or None when ``f`` is valid."""
+    frame = g.frame if isinstance(g, GeneralFrame) else g
+    occurring = sorted(variables(f))
+    for combo in iproduct(candidates(g), repeat=len(occurring)):
+        valuation = dict(zip(occurring, combo))
+        for w in range(frame.n):
+            if not holds(frame, valuation, f, w):
+                return tuple(zip(occurring, combo)), w
+    return None

@@ -8,6 +8,7 @@ as stated and is marked strict xfail, and a companion test pins the
 attainable remainder green.
 """
 
+import hashlib
 import time
 from itertools import product as iproduct
 from random import Random
@@ -160,9 +161,14 @@ def test_criterion_6_finder_soundness_completeness():
             time.monotonic() - t0, 120)
 
 
+# sha256 of the 75,892-byte `kripkebench check --all --json` report
+REPORT_SHA256 = "1f96bd5333fa311f7db89be91708df7b08c0a023ae49a412fc61717805d33b46"
+
+
 def test_criterion_7_determinism():
     t0 = time.monotonic()
     first = report_json(run_all())
     second = report_json(run_all())
-    ok = first == second
+    ok = (first == second and len(first) == 75892
+          and hashlib.sha256(first).hexdigest() == REPORT_SHA256)
     _report(7, "deterministic check reports", ok, time.monotonic() - t0, 600)

@@ -124,3 +124,48 @@ def test_cli_error_handling(tmp_path, capsys):
     code, _, err = run(capsys, "valid", "--frame", str(missing),
                        "--formula", "p0")
     assert code == 2 and "error" in err
+
+
+def test_build_families_match_constructors(capsys):
+    from kripkebench import constructions as C
+    expected = {
+        "tack": C.tack("1", 2), "match": C.match_frame(2, "1", 2),
+        "rect": C.rect(2, 3), "lintgrz": C.lintgrz(2),
+        "univchain": C.univ_chain(2), "singleton": C.singleton(),
+        "chain": C.lift(C.chain(2)), "cluster": C.lift(C.cluster(2)),
+        "tackpre": C.lift(C.tack_pre(2)),
+    }
+    assert set(expected) == set(C.FAMILIES)
+    for name, frame in expected.items():
+        code, text, _ = run(capsys, "build", name, "--kind", "1", "--axis",
+                            "2", "-m", "2", "-a", "2", "-b", "3")
+        assert code == 0
+        assert text == store_frame(frame).decode("utf-8") + "\n"
+
+
+def test_build_operands_required(capsys):
+    code, _, err = run(capsys, "build", "sum", "--left", "x.json")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_missing_files_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(univ_chain(2)))
+    missing = str(tmp_path / "absent.json")
+    for argv in (("valid", "--frame", missing, "--formula", "p0"),
+                 ("blocks", "--frame", str(frame), "--valuation", missing),
+                 ("beta", "--frame", str(frame), "--valuation", missing,
+                  "-r", "1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), argv
+
+
+def test_bad_valuations_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(univ_chain(2)))
+    val = tmp_path / "v.json"
+    for text in ('{"p0": "1"}', '{"p0": "101"}', '{"pX": "10"}', '{"p0": '):
+        val.write_text(text)
+        code, out, err = run(capsys, "blocks", "--frame", str(frame),
+                             "--valuation", str(val))
+        assert code == 2 and out == "" and err.startswith("error:"), text

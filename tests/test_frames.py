@@ -10,9 +10,9 @@ from kripkebench.errors import (EmptyRestriction, FormatError,
                                 UnknownProperty)
 from kripkebench.frames import (Frame, GeneralFrame, analyze, as_general,
                                 bits_of, bitstring, frame_property,
-                                generated_subframe, lift_unimodal, load_frame,
+                                generated_subframe, load_frame, load_valuation,
                                 mask_of, restriction, rt_closure, store_frame,
-                                worlds_of)
+                                uniframe, worlds_of)
 
 from conftest import frames
 
@@ -43,6 +43,33 @@ def test_load_errors():
                      (0b000, 0b001, 0b110, 0b111))
     with pytest.raises(FormatError):
         load_frame(b"not json")
+
+
+def test_load_valuation():
+    assert load_valuation(b'{"p0": "01", "p3": "11"}', 2) == {0: 0b10, 3: 0b11}
+    assert load_valuation({}, 2) == {}
+
+
+def test_load_valuation_rejects_short_bitstring():
+    with pytest.raises(FormatError, match="length 3"):
+        load_valuation('{"p0": "1"}', 3)
+
+
+def test_load_valuation_rejects_long_bitstring():
+    with pytest.raises(FormatError, match="length 3"):
+        load_valuation('{"p0": "1010"}', 3)
+
+
+def test_load_valuation_rejects_non_variable_key():
+    for key in ("pX", "q0", "p", "p-1", "p 1"):
+        with pytest.raises(FormatError, match="not a variable"):
+            load_valuation({key: "10"}, 2)
+
+
+def test_load_valuation_rejects_malformed_json():
+    for data in (b'{"p0": "10"', b"\xff", "[]", '"10"'):
+        with pytest.raises(FormatError):
+            load_valuation(data, 2)
 
 
 def test_analyze_examples():
@@ -142,11 +169,11 @@ def test_generated_subframe_idempotent_and_least():
 
 
 def test_lift_unimodal_examples():
-    assert lift_unimodal(2, ["11", "01"]) == lift(chain(2))
-    assert lift_unimodal(1, ["1"]) == singleton()
-    assert lift_unimodal(3, ["111", "111", "111"]) == lift(cluster(3))
+    assert lift(uniframe(2, ["11", "01"])) == lift(chain(2))
+    assert lift(uniframe(1, ["1"])) == singleton()
+    assert lift(uniframe(3, ["111", "111", "111"])) == lift(cluster(3))
     with pytest.raises(FormatError):
-        lift_unimodal(2, ["11"])
+        uniframe(2, ["11"])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

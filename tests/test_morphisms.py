@@ -124,7 +124,7 @@ def test_found_maps_transfer_validity():
 def test_union_examples():
     f1 = (0, 0, 0, 0)
     assert check_pmorphism(rect(2, 2), rect(1, 1), f1) is None
-    u = union_pmorphism(f1, (0,), "both")
+    u = union_pmorphism(f1, (0,))
     assert u == (0, 0, 0, 0, 1)
     assert check_pmorphism(tack("both", 2), tack("both", 1), u) is None
     for kind in ("1", "2"):
@@ -133,11 +133,11 @@ def test_union_examples():
                                u) is None
 
     collapse = find_pmorphism(lintgrz(3), lintgrz(2))
-    ut = union_pmorphism(collapse, (0,), "tense")
+    ut = union_pmorphism(collapse, (0,))
     assert check_pmorphism(tense_sum(lintgrz(3), singleton()),
                            tense_sum(lintgrz(2), singleton()), ut) is None
 
-    ids = union_pmorphism((0, 1), (0,), "both")
+    ids = union_pmorphism((0, 1), (0,))
     assert ids == (0, 1, 2)
 
 
@@ -151,7 +151,7 @@ def test_union_of_blowup_collapses(h1, h2, sizes1, sizes2, kind):
     g2, f2 = blow_up(h2, tuple(sizes2[:h2.n]) + (1,) * max(0, h2.n - 2))
     assert check_pmorphism(g1, h1, f1) is None
     assert check_pmorphism(g2, h2, f2) is None
-    u = union_pmorphism(f1, f2, kind)
+    u = union_pmorphism(f1, f2)
     assert check_pmorphism(ordered_sum(g1, g2, kind),
                            ordered_sum(h1, h2, kind), u) is None
 

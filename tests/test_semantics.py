@@ -1,17 +1,21 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from kripkebench.constructions import (chain, cluster, lift, product, rect,
-                                       singleton, univ_chain)
+import kripkebench.semantics as S
+
+from kripkebench.algebra import generated_subalgebra
+from kripkebench.constructions import (chain, cluster, lift, lintgrz, product,
+                                       rect, singleton, univ_chain)
 from kripkebench.enumeration import all_bimodal_frames
 from kripkebench.errors import BudgetExceeded, FormatError
-from kripkebench.formulas import (Bot, Dia, Or, ReachDia, Var, dia_star,
-                                  named_formula, parse, variables)
+from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachDia, Var,
+                                  dia_star, named_formula, parse, variables)
 from kripkebench.frames import (Frame, GeneralFrame, frame_property,
                                 generated_subframe)
-from kripkebench.semantics import (Model, eval_formula, reach_modality_eval,
-                                   refutes_witness, valid)
+from kripkebench.semantics import Model, eval_formula, refutes_witness, valid
 
+import oracle
 from conftest import formulas, frames
 
 
@@ -90,42 +94,84 @@ def test_witness_is_lexicographically_least():
     assert w.as_dict() == best[0] and w.world == best[1]
 
 
-def test_vectorized_and_scalar_paths_agree():
-    # same frame and formula, budgets chosen so both paths run
-    f = named_formula("presym", [1])
-    g = univ_chain(3)
-    w = refutes_witness(g, f, budget=1 << 22)
-    import kripkebench.semantics as S
-    old = S._VEC_MIN_ASSIGNMENTS
-    S._VEC_MIN_ASSIGNMENTS = 1 << 60  # force the scalar path
-    try:
-        w2 = refutes_witness(g, f, budget=1 << 22)
-    finally:
-        S._VEC_MIN_ASSIGNMENTS = old
-    assert w == w2
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frames(max_n=4), formulas(max_depth=3, max_vars=3, reach=True),
+       st.integers(0, 15), st.booleans())
+def test_search_matches_oracle(f, phi, gen, general):
+    g = GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements) \
+        if general else f
+    w = refutes_witness(g, phi, budget=1 << 22)
+    expected = oracle.least_witness(g, phi)
+    assert (w is None) == (expected is None)
+    if w is not None:
+        assert (w.valuation, w.world) == expected
 
 
-def test_witness_beyond_first_chunk():
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(frames(max_n=4), formulas(max_depth=4, max_vars=3, reach=True),
+       st.lists(st.integers(0, 15), min_size=3, max_size=3))
+def test_eval_matches_oracle(f, phi, masks):
+    val = {v: mask & f.full for v, mask in enumerate(masks)}
+    assert eval_formula(Model(f, val), phi) == oracle.extension(f, val, phi)
+
+
+def test_witness_beyond_first_block():
+    # 4 variables over 32 candidate sets: with 2^14-cell blocks p0 is fixed
+    # per block and p1 is cut into two ranges; the least witness (p0 = {4},
+    # p1 = everything) lies in the fourth block, deep in p1's second range
+    f = parse("~(p0 & [1]p1 & (p2 | ~p2) & (p3 | ~p3))")
+    g = lift(cluster(5))
+    w = refutes_witness(g, f, budget=1 << 23)
+    assert (w.valuation, w.world) == oracle.least_witness(g, f)
+    assert w.valuation == ((0, 0b10000), (1, 0b11111), (2, 0), (3, 0))
+    assert w.world == 4
+
+
+def test_witness_beyond_first_range_of_one_axis():
+    # 2^16 candidates for one variable: the first set containing world 0 is
+    # {0}, at index 2^15 in bitstring order, two ranges past the first
+    w = refutes_witness(lintgrz(16), parse("~[2]p0"), budget=1 << 20)
+    assert w.valuation == ((0, 1),) and w.world == 0
+
+
+def test_witness_sixteen_variables_on_singleton():
     # 16 variables on the reflexive singleton give 2^16 assignments; the only
-    # refutation is the very last one in enumeration order, past the chunk
-    # boundary of the vectorized path
-    from kripkebench.formulas import And, Not, Var
+    # refutation is the very last one in enumeration order
     f = Var(0)
     for v in range(1, 16):
         f = And(f, Var(v))
     f = Not(f)
     g = singleton()
     w = refutes_witness(g, f, budget=1 << 20)
-    assert w is not None
     assert w.valuation == tuple((v, 1) for v in range(16))
     assert w.world == 0
-    import kripkebench.semantics as S
-    old = S._VEC_MIN_ASSIGNMENTS
-    S._VEC_MIN_ASSIGNMENTS = 1 << 60
-    try:
-        assert refutes_witness(g, f, budget=1 << 20) == w
-    finally:
-        S._VEC_MIN_ASSIGNMENTS = old
+    assert (w.valuation, w.world) == oracle.least_witness(g, f)
+
+
+def test_pinned_witnesses_on_large_frames():
+    # 17 worlds: past the preimage table, a row-wise preimage
+    w = refutes_witness(lintgrz(17), parse("p0 -> [1]p0"), budget=1 << 23)
+    assert w.valuation == ((0, 32768),) and w.world == 15
+    # 70 worlds: masks wider than 64 bits
+    big = lintgrz(70)
+    g = GeneralFrame(big, generated_subalgebra(big, [1 << 35]).elements)
+    w = refutes_witness(g, parse("p0 -> [1]p0"))
+    assert w.valuation == ((0, 1 << 35),) and w.world == 35
+    assert valid(g, parse("p0 -> [1]<2>p0"))
+
+
+def test_variable_free_formulas_need_no_candidates(monkeypatch):
+    def no_candidates(n):
+        raise AssertionError("candidate sets built for a variable-free formula")
+
+    monkeypatch.setattr(S, "full_algebra", no_candidates)
+    assert valid(lintgrz(20), parse("[1]true"))
+    assert valid(lintgrz(30), parse("[1]true & <2>true"))
+    w = refutes_witness(lintgrz(30), parse("<2>[1]false | [1]<1>false"))
+    assert w.valuation == () and w.world == 0
+    assert refutes_witness(lintgrz(30), parse("<1>~<2>true")).world == 0
+    assert refutes_witness(lift(chain(30)), parse("<2>(false)")) is not None
+    assert valid(lift(chain(30)), parse("<2>true"))
 
 
 def test_reach_modality():
@@ -133,17 +179,17 @@ def test_reach_modality():
     for mask in range(1 << 4):
         m = Model(pr, {0: mask})
         assert eval_formula(m, dia_star(Var(0))) == \
-            reach_modality_eval(m, ReachDia(Var(0)))
+            eval_formula(m, ReachDia(Var(0)))
 
     chain4 = lift(chain(4))
     m = Model(chain4, {0: 0b1000})
-    assert reach_modality_eval(m, ReachDia(Var(0))) == \
+    assert eval_formula(m, ReachDia(Var(0))) == \
         eval_formula(m, dia_star(Var(0))) == 0b1111
 
     cover4 = Frame(4, (0b0010, 0b0100, 0b1000, 0b0000), (0, 0, 0, 0))
     m = Model(cover4, {0: 0b1000})
     assert eval_formula(m, dia_star(Var(0))) != \
-        reach_modality_eval(m, ReachDia(Var(0)))
+        eval_formula(m, ReachDia(Var(0)))
 
 
 def test_reach_vs_star_separation_needs_four_worlds():
@@ -155,7 +201,7 @@ def test_reach_vs_star_separation_needs_four_worlds():
             for mask in range(1 << n):
                 m = Model(F, {0: mask})
                 assert eval_formula(m, dia_star(Var(0))) == \
-                    reach_modality_eval(m, ReachDia(Var(0)))
+                    eval_formula(m, ReachDia(Var(0)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
