@@ -3,26 +3,29 @@ counting, layered block systems, and point-definability certificates.
 
 A set algebra over n worlds is a family of masks containing the empty
 and the full set and closed under complement, intersection, and the two
-diamond preimages.  The layered block system of a model refines the
-one-block partition by variable agreement and then, layer by layer, by
-the sets of predecessor-layer blocks met by each world's successors;
-its stabilised partition is the coarsest valuation-respecting
-auto-bisimulation and coincides with the atom partition of the model's
-generated subalgebra.
+diamond preimages.  One partition refinement serves all three
+computations: worlds are split by their variable profile and then, step
+by step, by the sets of current blocks met through r1 and through r2,
+until a step splits nothing.  The stable partition is the coarsest
+valuation-respecting auto-bisimulation.  On a finite model its blocks
+are the atoms of the subalgebra generated by the valuation, so that
+subalgebra consists of all unions of them; a block system keeps each
+step as a layer; and a free algebra is 2 to the number of blocks of the
+disjoint union of all its valued coordinate models.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj, modal_depth)
-from .frames import (Frame, bitstring, bitstring_key, compose_rows,
-                     diagonal, generated_subframe, preimage, rt_closure,
-                     union_rows, worlds_of)
+from .frames import (Frame, all_unions, bitstring, compose_rows, diagonal,
+                     generated_subframe, preimage, rt_closure, union_rows,
+                     worlds_of)
 from .semantics import DEFAULT_BUDGET, Model, eval_formula
 
 
@@ -44,48 +47,74 @@ class SetAlgebra:
         return len(self.elements)
 
 
-def _close(frame: Frame, seeds: Sequence[int], cap: int) -> list[int]:
-    """Least family containing the seeds and the full set, closed under
-    complement, intersection, and both diamond preimages."""
-    full = frame.full
-    elements: list[int] = []
-    seen: set[int] = set()
+# --- partition refinement ---------------------------------------------------
 
-    def add(mask: int):
-        if mask not in seen:
-            seen.add(mask)
-            elements.append(mask)
-            if len(elements) > cap:
-                raise CapExceeded(len(elements), cap)
+def _refinements(adj1: Sequence[Sequence[int]], adj2: Sequence[Sequence[int]],
+                 profiles: Sequence[tuple]) -> Iterator[list[int]]:
+    """Successive type lists (world -> block id, ids numbered in order of
+    first world) of the model given by successor lists and per-world
+    variable profiles.
 
-    add(full)
-    for s in seeds:
-        add(s)
-    queue = list(elements)
-    while queue:
-        u = queue.pop(0)
-        before = len(elements)
-        add(full ^ u)
-        add(preimage(frame.r1, u))
-        add(preimage(frame.r2, u))
-        for v in list(elements):
-            add(u & v)
-        queue.extend(elements[before:])
-    return elements
+    The first list splits by profile; each later one also by the sets of
+    current types met through r1 and through r2.  A step keeps the current
+    type in its key, so it only refines, and the lists end after the first
+    step that splits nothing: the last list is the coarsest
+    profile-respecting bisimulation.
+    """
+    ids: dict[tuple, int] = {}
+    types = [ids.setdefault(p, len(ids)) for p in profiles]
+    yield types
+    while True:
+        count = len(ids)
+        ids = {}
+        types = [ids.setdefault((t, frozenset(types[x] for x in s1),
+                                 frozenset(types[x] for x in s2)), len(ids))
+                 for t, s1, s2 in zip(types, adj1, adj2)]
+        yield types
+        if len(ids) == count:
+            return
+
+
+def _model_refinements(frame: Frame, masks: Sequence[int]) -> Iterator[list[int]]:
+    """Type lists of the model on ``frame`` valuing variable i by masks[i]."""
+    return _refinements([worlds_of(row) for row in frame.r1],
+                        [worlds_of(row) for row in frame.r2],
+                        [tuple(m >> w & 1 for m in masks) for w in range(frame.n)])
+
+
+def _blocks(types: list[int]) -> tuple[int, ...]:
+    """Block masks of a type list in id order, which is least-world order."""
+    blocks = [0] * (max(types, default=-1) + 1)
+    for w, t in enumerate(types):
+        blocks[t] |= 1 << w
+    return tuple(blocks)
 
 
 def generated_subalgebra(frame: Frame, gens: Sequence[int],
                          cap: int = 1_000_000) -> SetAlgebra:
-    """Subalgebra of the frame's powerset algebra generated by ``gens``."""
+    """Subalgebra of the frame's powerset algebra generated by ``gens``.
+
+    Built from its atoms, the coarsest-bisimulation blocks of the model
+    valuing variable i by gens[i]: the elements are all unions of atoms,
+    listed directly in bitstring order.  Raises CapExceeded carrying the
+    exact size when it is larger than ``cap``.
+    """
     full = frame.full
     gens = [int(g) for g in gens]
     for g in gens:
         if g < 0 or g & ~full:
             raise FormatError("generator out of range")
-    elements = _close(frame, gens, cap)
-    ordered = sorted(elements, key=lambda m: bitstring_key(m, frame.n))
-    pos = {m: i for i, m in enumerate(ordered)}
-    return SetAlgebra(frame.n, tuple(ordered), tuple(pos[g] for g in gens))
+    for types in _model_refinements(frame, gens):
+        pass
+    atoms = _blocks(types)
+    size = 1 << len(atoms)
+    if size > cap:
+        raise CapExceeded(size, cap)
+    # element index bits name atoms, the first atom most significant
+    top = len(atoms) - 1
+    positions = tuple(sum(1 << top - j for j, a in enumerate(atoms) if a & g)
+                      for g in gens)
+    return SetAlgebra(frame.n, all_unions(atoms), positions)
 
 
 def atoms_of(alg: SetAlgebra) -> tuple[int, ...]:
@@ -116,58 +145,28 @@ class BlockSystem:
         return self.layers[self.stabilization]
 
 
-def _sorted_blocks(blocks) -> tuple[int, ...]:
-    return tuple(sorted(blocks, key=lambda m: (m & -m).bit_length()))
-
-
-def _refine(frame: Frame, valuation, blocks: tuple[int, ...] | None) -> tuple[int, ...]:
-    """One layer step: split by variables and, when a previous layer is given,
-    by the per-modality sets of its blocks met by each world's successors.
-    The first step (blocks=None) uses variables alone: depth-0 formulas
-    cannot see successors."""
-    block_of = {}
-    if blocks is not None:
-        for i, b in enumerate(blocks):
-            for w in worlds_of(b):
-                block_of[w] = i
-    groups: dict[tuple, int] = {}
-    out: list[int] = []
-    for w in range(frame.n):
-        profile = tuple(valuation.get(v, 0) >> w & 1 for v in sorted(valuation))
-        if blocks is None:
-            key = (profile,)
-        else:
-            succ1 = frozenset(block_of[x] for x in worlds_of(frame.r1[w]))
-            succ2 = frozenset(block_of[x] for x in worlds_of(frame.r2[w]))
-            key = (profile, succ1, succ2)
-        if key in groups:
-            out[groups[key]] |= 1 << w
-        else:
-            groups[key] = len(out)
-            out.append(1 << w)
-    return _sorted_blocks(out)
-
-
 def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
     """Layered block system, stopping at stabilization or ``max_layers``.
 
-    Stationarity only follows from a fixpoint of the successor step, not
-    from the variables-only first step: with no variables, layer 1 equals
-    layer 0 even when layer 2 still splits successor-free worlds.
+    Layer 0 is the one-block partition and layer i + 1 the i-th type list
+    of the refinement.  Stationarity only follows from a fixpoint of the
+    successor step, not from the variables-only first step: with no
+    variables, layer 1 equals layer 0 even when layer 2 still splits
+    successor-free worlds.
     """
     frame = m.kripke
     if frame.n < 1:
         raise FormatError("block systems need at least one world")
     layers: list[tuple[int, ...]] = [(frame.full,)]
     stabilization = None
-    while max_layers is None or len(layers) <= max_layers:
-        prev = layers[-1] if len(layers) > 1 else None
-        nxt = _refine(frame, m.valuation, prev)
+    for types in _model_refinements(frame, list(m.valuation.values())):
+        if max_layers is not None and len(layers) > max_layers:
+            break
+        nxt = _blocks(types)
         if len(layers) > 1 and nxt == layers[-1]:
             # fixpoint of the successor step; earliest equal layer is the index
-            stabilization = min(i for i, layer in enumerate(layers)
-                                if layer == nxt)
-            layers = layers[:stabilization + 1]
+            stabilization = layers.index(nxt)
+            del layers[stabilization + 1:]
             break
         layers.append(nxt)
     depth_index: dict[int, int] = {}
@@ -187,28 +186,6 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
 
 
 # --- free-algebra counting -------------------------------------------------
-
-def _type_count(adj1: list[list[int]], adj2: list[list[int]],
-                profiles: list[tuple]) -> int:
-    """Number of classes of the coarsest profile-respecting bisimulation on a
-    disjoint-union model given by adjacency lists."""
-    n = len(profiles)
-    seen: dict[tuple, int] = {}
-    types = [0] * n
-    for i, p in enumerate(profiles):
-        types[i] = seen.setdefault(p, len(seen))
-    while True:
-        seen2: dict[tuple, int] = {}
-        nxt = [0] * n
-        for i in range(n):
-            key = (types[i],
-                   frozenset(types[j] for j in adj1[i]),
-                   frozenset(types[j] for j in adj2[i]))
-            nxt[i] = seen2.setdefault(key, len(seen2))
-        if len(seen2) == len(set(types)):
-            return len(seen2)
-        types = nxt
-
 
 def free_algebra_count(frames: Sequence[Frame], k: int,
                        cap: int = 1_000_000,
@@ -241,7 +218,9 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
                 profiles.append(tuple(mask >> w & 1 for mask in theta))
     if not profiles:
         return 1  # the degenerate one-element algebra over no coordinates
-    count = 1 << _type_count(adj1, adj2, profiles)
+    for types in _refinements(adj1, adj2, profiles):
+        pass
+    count = 1 << max(types) + 1
     if count > cap:
         raise CapExceeded(count, cap)
     return count

@@ -103,8 +103,6 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
     isomorphism type, each with the identity as a linear extension."""
     if k == 0:
         return ((),)
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple] = set()
 
     def down_closed(rows: tuple[int, ...], subset: int) -> bool:
         for w in worlds_of(subset):
@@ -119,20 +117,17 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
     def extend(rows: tuple[int, ...]):
         i = len(rows)
         if i == k:
-            key = canonical_key((rows,), k)
-            if key not in seen:
-                seen.add(key)
-                out.append(rows)
+            yield rows
             return
         for subset in range(1 << i):
             if not down_closed(rows, subset):
                 continue
             new_rows = tuple(row | (1 << i if subset >> j & 1 else 0)
                              for j, row in enumerate(rows))
-            extend(new_rows + (1 << i,))
+            yield from extend(new_rows + (1 << i,))
 
-    extend(())
-    return tuple(out)
+    return tuple(iso_distinct(extend(()),
+                              key=lambda rows: canonical_key((rows,), k)))
 
 
 def _preorder_from(poset: tuple[int, ...], sizes: tuple[int, ...]) -> UniFrame:
@@ -168,17 +163,11 @@ def all_preorders(n: int) -> tuple[UniFrame, ...]:
     """All preorders on n worlds, one per isomorphism class."""
     if n < 1:
         raise ValueError("need at least one world")
-    seen: set[tuple] = set()
-    out: list[UniFrame] = []
-    for k in range(1, n + 1):
-        for poset in _posets(k):
-            for sizes in _compositions(n, k):
-                u = _preorder_from(poset, sizes)
-                key = uniframe_key(u)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(u)
-    return tuple(out)
+    return tuple(iso_distinct((_preorder_from(poset, sizes)
+                               for k in range(1, n + 1)
+                               for poset in _posets(k)
+                               for sizes in _compositions(n, k)),
+                              key=uniframe_key))
 
 
 @lru_cache(maxsize=None)
@@ -199,17 +188,10 @@ def all_bimodal_frames(n: int) -> tuple[Frame, ...]:
     labelled space grows as 2^(2 n^2))."""
     if not 1 <= n <= 2:
         raise ValueError("exhaustive bimodal enumeration is provided for n <= 2")
-    seen: set[tuple] = set()
-    out: list[Frame] = []
-    for bits1 in range(1 << (n * n)):
-        r1 = tuple((bits1 >> (i * n)) & ((1 << n) - 1) for i in range(n))
-        for bits2 in range(1 << (n * n)):
-            r2 = tuple((bits2 >> (i * n)) & ((1 << n) - 1) for i in range(n))
-            key = canonical_key((r1, r2), n)
-            if key not in seen:
-                seen.add(key)
-                out.append(Frame(n, r1, r2))
-    return tuple(out)
+    relations = [tuple(bits >> (i * n) & ((1 << n) - 1) for i in range(n))
+                 for bits in range(1 << (n * n))]
+    return tuple(iso_distinct(Frame(n, r1, r2)
+                              for r1 in relations for r2 in relations))
 
 
 # --- seeded samplers -------------------------------------------------------

@@ -166,21 +166,23 @@ def uniframe(n: int, rows) -> UniFrame:
     return UniFrame(n, _parse_rows(rows, n, "rows"))
 
 
+def _parse_set(s, n: int, what: str) -> int:
+    """A world-set given as a bitstring of length n or as an integer mask."""
+    if isinstance(s, str):
+        if len(s) != n:
+            raise FormatError(f"{what} has length {len(s)}, expected {n}")
+        return bits_of(s)
+    if not isinstance(s, int) or isinstance(s, bool):
+        raise FormatError(f"{what} must be a bitstring or an integer, got {s!r}")
+    if s < 0 or s >> n:
+        raise FormatError(f"{what} out of range for {n} worlds")
+    return s
+
+
 def _parse_rows(rows, n: int, what: str) -> tuple[int, ...]:
-    out = []
     if len(rows) != n:
         raise FormatError(f"{what} has {len(rows)} rows, expected {n}")
-    for i, row in enumerate(rows):
-        if isinstance(row, str):
-            if len(row) != n:
-                raise FormatError(f"{what} row {i} has length {len(row)}, expected {n}")
-            out.append(bits_of(row))
-        else:
-            mask = int(row)
-            if mask < 0 or mask >> n:
-                raise FormatError(f"{what} row {i} out of range for {n} worlds")
-            out.append(mask)
-    return tuple(out)
+    return tuple(_parse_set(row, n, f"{what} row {i}") for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,13 +233,20 @@ class GeneralFrame:
         return self.frame.n
 
 
+def all_unions(atoms: tuple[int, ...]) -> tuple[int, ...]:
+    """Every union of the disjoint nonempty ``atoms``.  When they are sorted
+    by least world the unions come in bitstring order: the first atom
+    decides the first differing world, so it is the most significant."""
+    masks = [0]
+    for a in reversed(atoms):
+        masks += [m | a for m in masks]
+    return tuple(masks)
+
+
 @lru_cache(maxsize=32)
 def full_algebra(n: int) -> tuple[int, ...]:
     """Every subset of n worlds, in bitstring order."""
-    masks = [0]
-    for i in reversed(range(n)):
-        masks += [m | 1 << i for m in masks]
-    return tuple(masks)
+    return all_unions(diagonal(n))
 
 
 def as_general(f: Frame) -> GeneralFrame:
@@ -253,12 +262,19 @@ def kripke_of(g: Frame | GeneralFrame) -> Frame:
 
 # --- serialization ------------------------------------------------------
 
-def _json_object(data, what: str) -> dict:
+def decode_json(data):
+    """The document of JSON text or bytes; any other value is taken as
+    already decoded.  Malformed JSON raises FormatError."""
     if isinstance(data, (str, bytes, bytearray)):
         try:
-            data = json.loads(data)
+            return json.loads(data)
         except ValueError as e:  # also undecodable bytes
             raise FormatError(f"invalid JSON: {e}") from None
+    return data
+
+
+def _json_object(data, what: str) -> dict:
+    data = decode_json(data)
     if not isinstance(data, dict):
         raise FormatError(f"{what} JSON must be an object")
     return data
@@ -284,15 +300,8 @@ def load_frame(data) -> Frame | GeneralFrame:
     alg = data["algebra"]
     if not isinstance(alg, list):
         raise FormatError("algebra must be a list of set-bitstrings")
-    sets = []
-    for s in alg:
-        if isinstance(s, str):
-            if len(s) != n:
-                raise FormatError(f"algebra set {s!r} has length {len(s)}, expected {n}")
-            sets.append(bits_of(s))
-        else:
-            sets.append(int(s))
-    return GeneralFrame(frame, tuple(sets))
+    return GeneralFrame(frame, tuple(_parse_set(s, n, f"algebra set {s!r}")
+                                     for s in alg))
 
 
 def load_valuation(data, n: int) -> dict[int, int]:

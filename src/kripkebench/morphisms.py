@@ -8,12 +8,13 @@ algebra (preimages must be admissible in the source).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .constructions import cluster, product, tack, tack_pre
 from .errors import BudgetExceeded, FormatError
-from .frames import (Frame, GeneralFrame, analyze, bitstring, kripke_of,
-                     worlds_of)
+from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
+                     kripke_of, worlds_of)
 
 WorldMap = tuple[int, ...]
 
@@ -201,23 +202,14 @@ def tack_collapse(kind, m: int, mprime: int | None = None
 
 def load_worldmap(data) -> WorldMap:
     """Map JSON: an integer array indexed by source world."""
-    import json
-
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"invalid JSON: {e}") from None
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    data = decode_json(data)
+    if not isinstance(data, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in data):
         raise FormatError("world map JSON must be an array of integers")
     return tuple(data)
 
 
 def store_worldmap(f: WorldMap) -> bytes:
-    import json
-
     return json.dumps(list(f)).encode("utf-8")
 
 

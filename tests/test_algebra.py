@@ -45,8 +45,9 @@ def test_generated_subalgebra_examples():
 
 
 def test_generated_subalgebra_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as e:
         generated_subalgebra(rect(2, 2), [0b0001, 0b0110], cap=3)
+    assert e.value.last_size == 16
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -102,6 +103,26 @@ def test_block_system_examples():
 
     bs = block_system(Model(lift(chain(2)), {0: 0b10}), max_layers=0)
     assert bs.layers == ((0b11,),) and bs.stabilization is None
+
+
+@pytest.mark.parametrize("model, expected", [
+    # stabilises at layer 1
+    (Model(lift(chain(2)), {0: 0b10}),
+     [(((0b11,),), None),
+      (((0b11,), (0b01, 0b10)), None),
+      (((0b11,), (0b01, 0b10)), 1),
+      (((0b11,), (0b01, 0b10)), 1)]),
+    # stabilises at layer 2: layer 1 cannot see the dead end
+    (Model(Frame(2, (0b10, 0b00), (0b00, 0b00)), {}),
+     [(((0b11,),), None),
+      (((0b11,), (0b11,)), None),
+      (((0b11,), (0b11,), (0b01, 0b10)), None),
+      (((0b11,), (0b11,), (0b01, 0b10)), 2)]),
+])
+def test_block_system_max_layers(model, expected):
+    for k, (layers, stabilization) in enumerate(expected):
+        bs = block_system(model, max_layers=k)
+        assert (bs.layers, bs.stabilization) == (layers, stabilization), k
 
 
 def test_block_layer_one_ignores_successors():

@@ -169,3 +169,26 @@ def test_bad_valuations_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, "blocks", "--frame", str(frame),
                              "--valuation", str(val))
         assert code == 2 and out == "" and err.startswith("error:"), text
+
+
+def test_bad_world_maps_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(univ_chain(2)))
+    bad = tmp_path / "m.json"
+    for data in (b"[0, 1]\xff", b"[true, false]"):
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "pmorph", "check", "--from", str(frame),
+                             "--to", str(frame), "--map", str(bad))
+        assert code == 2 and out == "" and err.startswith("error:"), data
+
+
+def test_bad_frame_entries_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    for field, value in (("r1", [[1], "01"]), ("r1", [None, "01"]),
+                         ("algebra", [[1], "00", "10", "01", "11"]),
+                         ("algebra", [None, "00", "10", "01", "11"])):
+        doc = {"n": 2, "r1": ["11", "01"], "r2": ["11", "11"], field: value}
+        frame.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "valid", "--frame", str(frame),
+                             "--formula", "p0")
+        assert code == 2 and out == "" and err.startswith("error:"), doc

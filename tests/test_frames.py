@@ -45,6 +45,17 @@ def test_load_errors():
         load_frame(b"not json")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r1", [[1], "01"]), ("r1", [None, "01"]), ("r1", [True, "01"]),
+    ("algebra", [[1], "00", "10", "01", "11"]),
+    ("algebra", [None, "00", "10", "01", "11"]),
+])
+def test_load_frame_rejects_non_set_entries(field, value):
+    doc = {"n": 2, "r1": ["11", "01"], "r2": ["11", "11"], field: value}
+    with pytest.raises(FormatError, match="bitstring or an integer"):
+        load_frame(json.dumps(doc))
+
+
 def test_load_valuation():
     assert load_valuation(b'{"p0": "01", "p3": "11"}', 2) == {0: 0b10, 3: 0b11}
     assert load_valuation({}, 2) == {}

@@ -173,3 +173,9 @@ def test_worldmap_json_round_trip():
     assert load_worldmap(store_worldmap(f)) == f
     with pytest.raises(FormatError):
         load_worldmap(b'{"not": "a list"}')
+
+
+@pytest.mark.parametrize("data", [b"[0, 1]\xff", b"[true, false]"])
+def test_worldmap_rejects_undecodable_and_boolean(data):
+    with pytest.raises(FormatError):
+        load_worldmap(data)
