@@ -24,8 +24,8 @@ from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotP
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj, modal_depth)
 from .frames import (Frame, all_unions, bitstring, compose_rows, diagonal,
-                     generated_subframe, preimage, rt_closure, union_rows,
-                     worlds_of)
+                     fibers, generated_subframe, preimage, pull, rt_closure,
+                     union_rows, worlds_of)
 from .semantics import DEFAULT_BUDGET, Model, eval_formula
 
 
@@ -84,10 +84,7 @@ def _model_refinements(frame: Frame, masks: Sequence[int]) -> Iterator[list[int]
 
 def _blocks(types: list[int]) -> tuple[int, ...]:
     """Block masks of a type list in id order, which is least-world order."""
-    blocks = [0] * (max(types, default=-1) + 1)
-    for w, t in enumerate(types):
-        blocks[t] |= 1 << w
-    return tuple(blocks)
+    return tuple(fibers(types, max(types, default=-1) + 1))
 
 
 def generated_subalgebra(frame: Frame, gens: Sequence[int],
@@ -300,21 +297,14 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
         raise NotPretransitive(
             "frame is not 2-transitive for the union relation")
     sub, reach = generated_subframe(frame, 1 << r)
-    keep = worlds_of(reach)
-    back = {i: w for i, w in enumerate(keep)}
-    local_val = {}
-    for v, mask in m.valuation.items():
-        acc = 0
-        for i, w in enumerate(keep):
-            if mask >> w & 1:
-                acc |= 1 << i
-        local_val[v] = acc
+    keep = worlds_of(reach)   # subframe world -> source world
+    local_val = {v: pull(mask, keep) for v, mask in m.valuation.items()}
     sub_model = Model(sub, local_val)
     system = block_system(sub_model)
     stable = system.stabilized
     for b in stable:
         if b & (b - 1):
-            raise NotDefinable(back[(b & -b).bit_length() - 1],
+            raise NotDefinable(keep[(b & -b).bit_length() - 1],
                                "block system does not stabilise at singletons")
 
     variables_sorted = sorted(m.valuation)
@@ -377,12 +367,12 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
         stray = worlds_of(extension ^ (1 << r))
         raise NotDefinable(stray[0],
                            f"worlds {stray} are indistinguishable from {r}")
-    alpha_source = {back[w]: f for w, f in alpha_local.items()}
+    alpha_source = {keep[w]: f for w, f in alpha_local.items()}
+    depth = modal_depth(beta)
     transcript = (
         f"generated subframe has {sub.n} worlds: {keep}",
         f"block system stabilises at layer {system.stabilization}",
-        f"beta({r}) has modal depth {modal_depth(beta)}",
+        f"beta({r}) has modal depth {depth}",
         f"extension {bitstring(extension, frame.n)} equals {{{r}}}",
     )
-    return DefinabilityCertificate(r, alpha_source, gamma, beta,
-                                   modal_depth(beta), transcript)
+    return DefinabilityCertificate(r, alpha_source, gamma, beta, depth, transcript)

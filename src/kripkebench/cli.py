@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import constructions as C
 from .algebra import beta_formula, block_system, free_algebra_count
-from .checks import DEFAULT_SEED, report_json, run_all, run_check
+from .checks import CHECKS, DEFAULT_SEED, report_json, run_all, run_check
 from .errors import BudgetExceeded, CapExceeded, KripkebenchError
 from .formulas import parse, print_formula
 from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
@@ -153,8 +153,8 @@ def _cmd_beta(args) -> int:
 def _cmd_check(args) -> int:
     overrides = {}
     if args.budget is not None:
-        overrides = {cid: {"budget": args.budget} for cid in ("C1", "C2", "C3",
-                     "C4", "C5", "C7", "C8", "C11", "C12")}
+        overrides = {cid: {"budget": args.budget}
+                     for cid, check in CHECKS.items() if "budget" in check.params}
     if args.all:
         records = run_all(seed=args.seed, params=overrides)
     else:

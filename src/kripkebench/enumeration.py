@@ -14,20 +14,8 @@ from functools import lru_cache
 from itertools import permutations, product as iproduct
 from random import Random
 
-from .frames import Frame, UniFrame, rt_closure, transpose_rows, worlds_of
-
-
-def _apply_perm(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(rows)
-    out = [0] * n
-    for i in range(n):
-        acc = 0
-        row = rows[i]
-        for j in range(n):
-            if row >> j & 1:
-                acc |= 1 << perm[j]
-        out[perm[i]] = acc
-    return tuple(out)
+from .frames import (Frame, UniFrame, pull_rows, rt_closure, transpose_rows,
+                     worlds_of)
 
 
 def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
@@ -60,19 +48,10 @@ def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[
 
 def canonical_key(relations: tuple[tuple[int, ...], ...], n: int) -> tuple:
     """Minimum relabelling of the relation tuple; equal keys mean isomorphic."""
-    classes = _color_classes(relations, n)
-    starts = []
-    total = 0
-    for c in classes:
-        starts.append(total)
-        total += len(c)
     best = None
-    for parts in iproduct(*(permutations(range(len(c))) for c in classes)):
-        perm = [0] * n
-        for cls, start, part in zip(classes, starts, parts):
-            for member, slot in zip(cls, part):
-                perm[member] = start + slot
-        candidate = tuple(_apply_perm(rows, tuple(perm)) for rows in relations)
+    for parts in iproduct(*(permutations(c) for c in _color_classes(relations, n))):
+        order = [w for part in parts for w in part]   # new world -> old world
+        candidate = tuple(pull_rows(rows, order) for rows in relations)
         if best is None or candidate < best:
             best = candidate
     return (n, best)
@@ -131,21 +110,9 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _preorder_from(poset: tuple[int, ...], sizes: tuple[int, ...]) -> UniFrame:
-    k = len(poset)
-    offsets = [0] * k
-    total = 0
-    for i in range(k):
-        offsets[i] = total
-        total += sizes[i]
-    block = [(( (1 << sizes[i]) - 1) << offsets[i]) for i in range(k)]
-    rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if poset[i] >> j & 1:
-                row |= block[j]
-        rows.extend([row] * sizes[i])
-    return UniFrame(total, tuple(rows))
+    """Point i of the poset blown up into a cluster of sizes[i] worlds."""
+    index = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return UniFrame(len(index), pull_rows(poset, index))
 
 
 def _compositions(n: int, k: int):

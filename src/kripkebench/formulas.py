@@ -266,7 +266,9 @@ def swap_modalities(f: Formula) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical fully-parenthesised text; parse(print(f)) == f."""
+    """Canonical fully-parenthesised text.  parse(print(f)) == f for
+    formulas of the grammar; ReachDia and ReachBox print as <+> and [+],
+    which parse rejects."""
     if isinstance(f, Var):
         return f"p{f.index}"
     if isinstance(f, Bot):
@@ -444,8 +446,6 @@ def parse(text: str) -> Formula:
 
 P = Var(0)
 Q = Var(1)
-
-MODALITY_TOKENS = (1, 2, "v", "*")
 
 
 def _token(value) -> int | str:

@@ -112,6 +112,32 @@ def preimage(rows: tuple[int, ...], mask: int) -> int:
     return out
 
 
+def pull(mask: int, f) -> int:
+    """Worlds i with ``f[i]`` in ``mask``: a world-set pulled back along a
+    world map."""
+    out = 0
+    for i, d in enumerate(f):
+        if mask >> d & 1:
+            out |= 1 << i
+    return out
+
+
+def fibers(f, n: int) -> list[int]:
+    """The preimage of each world 0..n-1 along the world map ``f``."""
+    out = [0] * n
+    for i, d in enumerate(f):
+        out[d] |= 1 << i
+    return out
+
+
+def pull_rows(rows: tuple[int, ...], f) -> tuple[int, ...]:
+    """A relation pulled back along a world map: i relates to j iff ``f[i]``
+    relates to ``f[j]``.  Relabelling, restriction to a subset and blowing
+    worlds up into copies are all this, for a permutation, an injection and
+    a surjection ``f``."""
+    return compose_rows(tuple(rows[d] for d in f), fibers(f, len(rows)))
+
+
 def is_subrelation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x & ~y == 0 for x, y in zip(a, b))
 
@@ -285,10 +311,9 @@ def load_frame(data) -> Frame | GeneralFrame:
     "algebra": optional [set-bitstrings]}.  Absent algebra means the full
     powerset (a plain Kripke frame is returned)."""
     data = _json_object(data, "frame")
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("frame JSON needs an integer field 'n'") from None
+    n = data.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise FormatError(f"frame JSON needs an integer field 'n', got {n!r}")
     if n < 0:
         raise FormatError("world count must be nonnegative")
     for key in ("r1", "r2"):
@@ -364,15 +389,8 @@ def analyze(f: Frame) -> SkeletonInfo:
         clusters.append(members)
         for v in worlds_of(members):
             cluster_index[v] = cid
-    reps = [worlds_of(m)[0] for m in clusters]
     k = len(clusters)
-    order = []
-    for c in range(k):
-        above = 0
-        for d in range(k):
-            if reach[reps[c]] >> reps[d] & 1:
-                above |= 1 << d
-        order.append(above)
+    order = pull_rows(reach, [worlds_of(m)[0] for m in clusters])
     chain_len = [0] * k
     def up_len(c: int) -> int:
         if chain_len[c]:
@@ -386,7 +404,7 @@ def analyze(f: Frame) -> SkeletonInfo:
     for c in range(k):
         up_len(c)
     depth = tuple(chain_len[cluster_index[w]] for w in range(f.n))
-    return SkeletonInfo(tuple(cluster_index), tuple(clusters), tuple(order),
+    return SkeletonInfo(tuple(cluster_index), tuple(clusters), order,
                         max(chain_len), depth)
 
 
@@ -480,33 +498,12 @@ def restrict_frame(f: Frame, mask: int) -> tuple[Frame, list[int]]:
     """Frame induced on ``mask``, worlds renumbered ascending.  Also returns
     the old-world list (new index -> old index)."""
     keep = worlds_of(mask)
-    pos = {w: i for i, w in enumerate(keep)}
-
-    def shrink(rows):
-        out = []
-        for w in keep:
-            acc = 0
-            for v in worlds_of(rows[w] & mask):
-                acc |= 1 << pos[v]
-            out.append(acc)
-        return tuple(out)
-
-    return Frame(len(keep), shrink(f.r1), shrink(f.r2)), keep
+    return Frame(len(keep), pull_rows(f.r1, keep), pull_rows(f.r2, keep)), keep
 
 
 def _restrict_general(g: GeneralFrame, mask: int) -> GeneralFrame:
     sub, keep = restrict_frame(g.frame, mask)
-    pos = {w: i for i, w in enumerate(keep)}
-    seen = set()
-    sets = []
-    for u in g.algebra:
-        acc = 0
-        for v in worlds_of(u & mask):
-            acc |= 1 << pos[v]
-        if acc not in seen:
-            seen.add(acc)
-            sets.append(acc)
-    return GeneralFrame(sub, tuple(sets))
+    return GeneralFrame(sub, tuple(dict.fromkeys(pull(u, keep) for u in g.algebra)))
 
 
 def restriction(g: GeneralFrame, Y) -> GeneralFrame:

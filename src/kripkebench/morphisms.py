@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .constructions import cluster, product, tack, tack_pre
 from .errors import BudgetExceeded, FormatError
 from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
-                     kripke_of, worlds_of)
+                     fibers, kripke_of, pull_rows, worlds_of)
 
 WorldMap = tuple[int, ...]
 
@@ -34,13 +34,6 @@ class Violation:
         return f"{self.clause}{mod}: {self.detail}"
 
 
-def _fibers(f: WorldMap, nt: int) -> list[int]:
-    out = [0] * nt
-    for a, d in enumerate(f):
-        out[d] |= 1 << a
-    return out
-
-
 def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
                     f: WorldMap) -> Violation | None:
     """None when ``f`` is a p-morphism from g onto h; otherwise the first
@@ -52,9 +45,9 @@ def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
     for a, d in enumerate(f):
         if not 0 <= d < tgt.n:
             raise FormatError(f"map sends world {a} to {d}, outside the target")
-    fibers = _fibers(f, tgt.n)
+    fiber = fibers(f, tgt.n)
     for d in range(tgt.n):
-        if not fibers[d]:
+        if not fiber[d]:
             return Violation("surjective", None, (d,),
                              f"target world {d} has no preimage")
     for mod in (1, 2):
@@ -67,7 +60,7 @@ def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
                         f"{a}->{b} in source but {f[a]}->{f[b]} not in target")
         for a in range(src.n):
             for d in worlds_of(tr[f[a]]):
-                if not sr[a] & fibers[d]:
+                if not sr[a] & fiber[d]:
                     return Violation(
                         "back", mod, (a, d),
                         f"target sees {d} from {f[a]} = f({a}), "
@@ -80,7 +73,7 @@ def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
         for u in wanted:
             pre = 0
             for d in worlds_of(u):
-                pre |= fibers[d]
+                pre |= fiber[d]
             if pre not in admissible:
                 return Violation(
                     "admissibility", None, tuple(worlds_of(u)),
@@ -219,22 +212,5 @@ def blow_up(h: Frame, sizes: tuple[int, ...]) -> tuple[Frame, WorldMap]:
     p-morphism inputs in tests and examples."""
     if len(sizes) != h.n or any(s < 1 for s in sizes):
         raise FormatError("need a positive multiplicity per world")
-    index = []
-    mapping = []
-    for w in range(h.n):
-        for _ in range(sizes[w]):
-            index.append(w)
-            mapping.append(w)
-    n = len(index)
-
-    def expand(rows):
-        out = []
-        for a in range(n):
-            acc = 0
-            for b in range(n):
-                if rows[index[a]] >> index[b] & 1:
-                    acc |= 1 << b
-            out.append(acc)
-        return tuple(out)
-
-    return Frame(n, expand(h.r1), expand(h.r2)), tuple(mapping)
+    index = tuple(w for w in range(h.n) for _ in range(sizes[w]))
+    return Frame(len(index), pull_rows(h.r1, index), pull_rows(h.r2, index)), index

@@ -100,6 +100,13 @@ def test_check_single_and_exit_code(capsys):
     assert code == 1 and text.startswith("C12: fail")
 
 
+def test_check_budget_reaches_every_budgeted_check(capsys):
+    # every check with a budget parameter takes --budget, C9, C10 and C15 too
+    for cid in ("C5", "C9", "C10", "C15"):
+        code, out, err = run(capsys, "check", "--id", cid, "--budget", "1")
+        assert code == 2 and out == "" and err.startswith("error:"), cid
+
+
 def test_check_json_shape(capsys):
     code, text, _ = run(capsys, "check", "--id", "C5", "--json")
     assert code == 0
@@ -192,3 +199,12 @@ def test_bad_frame_entries_exit_2(tmp_path, capsys):
         code, out, err = run(capsys, "valid", "--frame", str(frame),
                              "--formula", "p0")
         assert code == 2 and out == "" and err.startswith("error:"), doc
+
+
+def test_bad_world_counts_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    for n, rows in ((2.9, ["11", "01"]), (True, ["1"]), ("2", ["11", "01"])):
+        frame.write_text(json.dumps({"n": n, "r1": rows, "r2": rows}))
+        code, out, err = run(capsys, "valid", "--frame", str(frame),
+                             "--formula", "p0")
+        assert code == 2 and out == "" and err.startswith("error:"), n

@@ -1,0 +1,117 @@
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from kripkebench.enumeration import (_posets, all_bimodal_frames,
+                                     all_preorders, frame_key,
+                                     linear_preorders, random_frame)
+from kripkebench.frames import Frame, fibers, frame_property, pull, pull_rows
+
+from conftest import frames
+
+
+def relabel(rows, perm):
+    """Rows of the relation carried along ``perm`` (old world -> new world),
+    written out bit by bit."""
+    n = len(rows)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if rows[i] >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 9), (4, 33),
+                                      (5, 139), (6, 718)])
+def test_preorder_counts(n, count):
+    # OEIS A001930: preorders on n points up to isomorphism
+    preorders = all_preorders(n)
+    assert len(preorders) == count
+    for u in preorders:
+        assert frame_property(Frame(n, u.rows, u.rows), "preorder", (1,))
+
+
+@pytest.mark.parametrize("k, count", [(0, 1), (1, 1), (2, 2), (3, 5),
+                                      (4, 16), (5, 63)])
+def test_poset_counts(k, count):
+    # OEIS A000112: posets on k points up to isomorphism
+    posets = _posets(k)
+    assert len(posets) == count
+    for rows in posets:
+        assert frame_property(Frame(k, rows, rows), "poset", (1,))
+        # the identity is a linear extension
+        assert all(rows[i] >> j & 1 == 0 for i in range(k) for j in range(i))
+
+
+def test_linear_preorder_and_bimodal_counts():
+    for n in range(1, 7):
+        chains = linear_preorders(n)
+        assert len(chains) == 2 ** (n - 1)
+        assert all(frame_property(Frame(n, u.rows, u.rows), "linear", (1,))
+                   for u in chains)
+    assert len(all_bimodal_frames(1)) == 4
+    two = all_bimodal_frames(2)
+    assert len(two) == 136
+    assert len({frame_key(f) for f in two}) == 136
+
+
+def test_frame_key_invariant_under_relabelling():
+    rng = Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        f = random_frame(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = Frame(n, relabel(f.r1, perm), relabel(f.r2, perm))
+        assert frame_key(g) == frame_key(f)
+
+
+def test_frame_key_separates_non_isomorphic():
+    # same degree sequence, different shape: a 3-cycle against a loop
+    # plus a 2-cycle
+    cycle = Frame(3, (0b010, 0b100, 0b001), (0, 0, 0))
+    split = Frame(3, (0b001, 0b100, 0b010), (0, 0, 0))
+    assert frame_key(cycle) != frame_key(split)
+
+
+@st.composite
+def world_maps(draw, max_n: int = 6):
+    """A map from some m worlds into n worlds."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_n))
+    return tuple(draw(st.integers(0, n - 1)) for _ in range(m)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_maps(), st.data())
+def test_pull_composes(fn, data):
+    f, n = fn
+    k = data.draw(st.integers(1, 6))
+    g = tuple(data.draw(st.integers(0, k - 1)) for _ in range(n))
+    mask = data.draw(st.integers(0, (1 << k) - 1))
+    assert pull(pull(mask, g), f) == pull(mask, [g[i] for i in f])
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_maps())
+def test_fibers_are_pulled_singletons(fn):
+    f, n = fn
+    fib = fibers(f, n)
+    assert len(fib) == n
+    for d in range(n):
+        assert fib[d] == pull(1 << d, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(max_n=5), st.data())
+def test_pull_rows_relates_images(frame, data):
+    m = data.draw(st.integers(0, 6))
+    f = tuple(data.draw(st.integers(0, frame.n - 1)) for _ in range(m))
+    pulled = pull_rows(frame.r1, f)
+    assert len(pulled) == m
+    for i in range(m):
+        for j in range(m):
+            assert pulled[i] >> j & 1 == frame.r1[f[i]] >> f[j] & 1

@@ -56,6 +56,18 @@ def test_load_frame_rejects_non_set_entries(field, value):
         load_frame(json.dumps(doc))
 
 
+@pytest.mark.parametrize("n, rows", [
+    (2.9, ["11", "01"]), (2.0, ["11", "01"]), ("2", ["11", "01"]),
+    (True, ["1"]), (None, ["1"]), ([1], ["1"]),
+])
+def test_load_frame_rejects_non_integer_world_count(n, rows):
+    doc = {"n": n, "r1": rows, "r2": rows}
+    with pytest.raises(FormatError, match="integer field 'n'"):
+        load_frame(json.dumps(doc))
+    with pytest.raises(FormatError, match="integer field 'n'"):
+        load_frame(json.dumps({"r1": rows, "r2": rows}))
+
+
 def test_load_valuation():
     assert load_valuation(b'{"p0": "01", "p3": "11"}', 2) == {0: 0b10, 3: 0b11}
     assert load_valuation({}, 2) == {}
