@@ -12,6 +12,11 @@ are the atoms of the subalgebra generated by the valuation, so that
 subalgebra consists of all unions of them; a block system keeps each
 step as a layer; and a free algebra is 2 to the number of blocks of the
 disjoint union of all its valued coordinate models.
+
+A single model is refined in pure Python (``_refinements``), which is
+cheaper than numpy's per-call cost on a few dozen worlds.  A free count
+refines every coordinate of every frame at once on numpy arrays
+(``_coordinate_classes``), since it runs on up to millions of worlds.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
@@ -184,6 +191,84 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
 
 # --- free-algebra counting -------------------------------------------------
 
+def _successor_table(rows: Sequence[int], n: int) -> np.ndarray:
+    """n x D successor worlds of each world, D the largest out-degree,
+    padded with n (the column of the sentinel type)."""
+    succ = [worlds_of(row) for row in rows]
+    width = max(map(len, succ), default=0)
+    return np.array([s + [n] * (width - len(s)) for s in succ],
+                    dtype=np.intp).reshape(n, width)
+
+
+def _coordinate_profiles(n: int, k: int) -> np.ndarray:
+    """Variable profile of every world of every k-valuation coordinate
+    (coordinates x n), bit i set when variable i holds.
+
+    Coordinate c is the c-th valuation in ``iproduct`` order, so variable
+    i's mask is bits n(k-1-i) .. n(k-i)-1 of c.
+    """
+    coords = np.arange(1 << n * k, dtype=np.int64)[:, None]
+    shifts = np.arange(n)
+    profiles = np.zeros((coords.size, n), dtype=np.int64)
+    for i in range(k):
+        profiles |= (coords >> n * (k - 1 - i) + shifts & 1) << i
+    return profiles
+
+
+def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
+    """Bisimulation classes of the disjoint union of every k-valued
+    coordinate model of ``frames`` (frames with worlds only).
+
+    Each step keys every world of every coordinate by its current type
+    and the canonical sets of types met through r1 and through r2, and
+    gives the keys dense ids with one lexsort; the ids are not in
+    first-world order, only their number is used.  Types are shared
+    across frames, so equal valued models count once.
+    """
+    tables = [(f.n, 1 << f.n * k, _successor_table(f.r1, f.n),
+               _successor_table(f.r2, f.n)) for f in frames]
+    width1 = max(s1.shape[1] for _, _, s1, _ in tables)
+    width2 = max(s2.shape[1] for _, _, _, s2 in tables)
+    total = sum(n * coords for n, coords, _, _ in tables)
+    dtype = np.int32 if total < np.iinfo(np.int32).max else np.int64
+    sentinel = np.iinfo(dtype).max
+    keys = np.empty((1 + width1 + width2, total), dtype)
+    types = keys[0]
+    _, types[:] = np.unique(np.concatenate(
+        [_coordinate_profiles(n, k).ravel() for n, *_ in tables]),
+        return_inverse=True)
+    count = int(types.max()) + 1
+    while True:
+        base = 0
+        for n, coords, s1, s2 in tables:
+            size = n * coords
+            block = np.full((coords, n + 1), sentinel, dtype)
+            block[:, :n] = types[base:base + size].reshape(coords, n)
+            row = 1
+            for succ, width in ((s1, width1), (s2, width2)):
+                sets = np.take(block, succ, axis=1)  # C order, unlike block[:, succ]
+                # sorted, with repeats turned into sentinels that sort last,
+                # rows holding the same set of types are equal
+                sets.sort(axis=-1)
+                sets[..., 1:][sets[..., 1:] == sets[..., :-1]] = sentinel
+                sets.sort(axis=-1)
+                used = succ.shape[1]
+                keys[row:row + used, base:base + size] = sets.reshape(size, used).T
+                keys[row + used:row + width, base:base + size] = sentinel
+                row += width
+            base += size
+        order = np.lexsort(keys[::-1])
+        ordered = keys[:, order]
+        ids = np.zeros(total, dtype)
+        np.cumsum(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0),
+                  out=ids[1:])
+        types[order] = ids
+        refined = int(ids[-1]) + 1
+        if refined == count:
+            return count
+        count = refined
+
+
 def free_algebra_count(frames: Sequence[Frame], k: int,
                        cap: int = 1_000_000,
                        budget: int = DEFAULT_BUDGET) -> int:
@@ -193,31 +278,19 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
     (frame, k-valuation) coordinates generated by the variable tuples.  That
     subalgebra is a finite Boolean algebra, so its size is 2 to the number
     of its atoms, and the atoms are exactly the bisimulation types of the
-    disjoint union of all the valued models.  Raises CapExceeded carrying
-    the exact count when it is larger than ``cap``.
+    disjoint union of all the valued models, refined for all coordinates
+    at once on numpy arrays.  Raises CapExceeded carrying the exact count
+    when it is larger than ``cap``.
     """
     if k < 0:
         raise FormatError("k must be nonnegative")
     total_coords = sum((1 << f.n) ** k for f in frames)
     if total_coords > budget:
         raise BudgetExceeded(total_coords, budget)
-    adj1: list[list[int]] = []
-    adj2: list[list[int]] = []
-    profiles: list[tuple] = []
-    for f in frames:
-        succ1 = [worlds_of(row) for row in f.r1]
-        succ2 = [worlds_of(row) for row in f.r2]
-        for theta in iproduct(range(1 << f.n), repeat=k):
-            base = len(profiles)
-            for w in range(f.n):
-                adj1.append([base + x for x in succ1[w]])
-                adj2.append([base + x for x in succ2[w]])
-                profiles.append(tuple(mask >> w & 1 for mask in theta))
-    if not profiles:
-        return 1  # the degenerate one-element algebra over no coordinates
-    for types in _refinements(adj1, adj2, profiles):
-        pass
-    count = 1 << max(types) + 1
+    frames = [f for f in frames if f.n]
+    if not frames:
+        return 1  # the degenerate one-element algebra: no coordinate has a world
+    count = 1 << _coordinate_classes(frames, k)
     if count > cap:
         raise CapExceeded(count, cap)
     return count

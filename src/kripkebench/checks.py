@@ -207,6 +207,9 @@ def _c6(params, rng, out):
     for m in range(1, params["max_m"] + 1):
         for kind in ("both", "1", "2"):
             src, tgt, f = tack_collapse(kind, m)
+            need = 2 * src.n ** 2  # world pairs the forth and back clauses visit
+            if need > params["budget"]:
+                raise BudgetExceeded(need, params["budget"])
             violation = check_pmorphism(src, tgt, f)
             if violation is None:
                 out.append(f"m={m} kind={kind}: {src.n}-world product collapses onto "

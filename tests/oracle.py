@@ -1,18 +1,23 @@
-"""Independent test oracle for formula evaluation and refutation search.
+"""Independent test oracles for formula evaluation, refutation search and
+free-algebra counts.
 
 Truth is decided world by world with the Kripke clauses, and assignments
 are enumerated one at a time in bitstring order with the lowest variable
 most significant.  Nothing here calls the library's evaluator, its
-preimage helpers or its candidate enumeration.
+preimage helpers or its candidate enumeration.  Free-algebra counts past
+the cap of ``naive_free_algebra_count`` are checked against the library's
+single-model refinement run on the explicit disjoint union of the valued
+coordinate models, which shares no code with the vectorised count.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
+from kripkebench.algebra import _refinements
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
                                   ReachBox, ReachDia, Top, Var, variables)
-from kripkebench.frames import GeneralFrame
+from kripkebench.frames import GeneralFrame, worlds_of
 
 
 def _successors(rows, w):
@@ -81,3 +86,23 @@ def least_witness(g, f):
             if not holds(frame, valuation, f, w):
                 return tuple(zip(occurring, combo)), w
     return None
+
+
+def free_count_by_refinement(frames, k) -> int:
+    """2 to the number of bisimulation classes of the disjoint union of
+    every (frame, k-valuation) coordinate model, built world by world."""
+    adj1, adj2, profiles = [], [], []
+    for f in frames:
+        succ1 = [worlds_of(row) for row in f.r1]
+        succ2 = [worlds_of(row) for row in f.r2]
+        for theta in iproduct(range(1 << f.n), repeat=k):
+            base = len(profiles)
+            for w in range(f.n):
+                adj1.append([base + x for x in succ1[w]])
+                adj2.append([base + x for x in succ2[w]])
+                profiles.append(tuple(mask >> w & 1 for mask in theta))
+    if not profiles:
+        return 1
+    for types in _refinements(adj1, adj2, profiles):
+        pass
+    return 1 << max(types) + 1

@@ -18,6 +18,7 @@ from kripkebench.frames import Frame, preimage, worlds_of
 from kripkebench.semantics import Model, eval_formula
 
 from conftest import frames
+from oracle import free_count_by_refinement
 
 
 def naive_closure(frame, gens):
@@ -74,6 +75,47 @@ def test_free_algebra_count_against_naive_oracle():
              ([singleton(), lift(chain(2))], 1), ([lintgrz(2)], 1)]
     for fs, k in cases:
         assert free_algebra_count(fs, k) == naive_free_algebra_count(fs, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.lists(frames(min_n=0, max_n=3), max_size=3), st.integers(0, 1)),
+    st.tuples(st.lists(frames(min_n=0, max_n=2), max_size=3), st.integers(0, 2))))
+def test_free_algebra_count_matches_oracles_on_frame_lists(case):
+    fs, k = case
+    try:
+        expected = naive_free_algebra_count(fs, k, cap=256)
+    except CapExceeded:
+        expected = free_count_by_refinement(fs, k)
+    assert free_algebra_count(fs, k, cap=1 << 100) == expected
+    # one type space for all frames: a repeated frame adds no atom
+    assert free_algebra_count(fs + fs, k, cap=1 << 100) == expected
+
+
+def test_free_algebra_count_without_worlds():
+    empty = Frame(0, (), ())
+    for k in (0, 1, 2):
+        assert free_algebra_count([], k) == 1
+        assert free_algebra_count([empty], k) == 1
+    assert free_algebra_count([empty, singleton()], 1) == 4
+
+
+def test_free_algebra_count_past_the_naive_cap():
+    for fs, k in (([tack("both", 2)], 2), ([tack("1", 2), rect(2, 2)], 2),
+                  ([rect(3, 3)], 1)):
+        assert free_algebra_count(fs, k, cap=1 << 4096) == \
+            free_count_by_refinement(fs, k)
+
+
+@pytest.mark.parametrize("fs, k, atoms", [
+    ([tack("both", 2)], 3, 32768),
+    ([rect(3, 4)], 1, 146),
+    ([tack("both", 3)], 1, 176),
+    ([tack("1", 3)], 1, 176),
+    ([tack("2", 3)], 1, 176),
+])
+def test_free_algebra_count_pinned_large(fs, k, atoms):
+    assert free_algebra_count(fs, k, cap=1 << 40000) == 1 << atoms
 
 
 def test_free_algebra_count_monotone():

@@ -88,6 +88,18 @@ def test_freealg_blocks_beta(tmp_path, capsys):
     assert doc["world"] == 1 and doc["depth"] >= 1
 
 
+def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(tack("both", 2)))
+    code, text, err = run(capsys, "freealg", "--frames", str(frame), "-k", "1",
+                          "--cap", "100")
+    assert code == 2 and text == ""
+    assert "cap exceeded: exact count 4294967296" in err
+    code, text, err = run(capsys, "freealg", "--frames", str(frame), "-k", "1",
+                          "--budget", "1")
+    assert code == 2 and text == "" and "budget exceeded" in err
+
+
 def test_check_single_and_exit_code(capsys):
     code, text, _ = run(capsys, "check", "--id", "C5")
     assert code == 0 and text.startswith("C5: pass")
@@ -101,8 +113,8 @@ def test_check_single_and_exit_code(capsys):
 
 
 def test_check_budget_reaches_every_budgeted_check(capsys):
-    # every check with a budget parameter takes --budget, C9, C10 and C15 too
-    for cid in ("C5", "C9", "C10", "C15"):
+    # every check with a budget parameter takes --budget, C6, C9, C10 and C15 too
+    for cid in ("C5", "C6", "C9", "C10", "C15"):
         code, out, err = run(capsys, "check", "--id", cid, "--budget", "1")
         assert code == 2 and out == "" and err.startswith("error:"), cid
 
