@@ -51,12 +51,13 @@ class NotTense(KripkebenchError, ValueError):
 class BudgetExceeded(KripkebenchError):
     """An enumeration would exceed the configured budget.
 
-    ``needed`` is the number of valuations (or candidate maps) the
-    exhaustive run would have required.
+    ``needed`` is the quantity compared against the budget, counted in
+    ``unit``.  A validity search counts valuation x world cells, summed
+    over the parts it would search.
     """
 
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} candidates, budget is {budget}")
+    def __init__(self, needed: int, budget: int, unit: str = "candidates"):
+        super().__init__(f"enumeration needs {needed} {unit}, budget is {budget}")
         self.needed = needed
         self.budget = budget
 

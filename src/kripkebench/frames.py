@@ -501,7 +501,7 @@ def restrict_frame(f: Frame, mask: int) -> tuple[Frame, list[int]]:
     return Frame(len(keep), pull_rows(f.r1, keep), pull_rows(f.r2, keep)), keep
 
 
-def _restrict_general(g: GeneralFrame, mask: int) -> GeneralFrame:
+def restrict_general(g: GeneralFrame, mask: int) -> GeneralFrame:
     sub, keep = restrict_frame(g.frame, mask)
     return GeneralFrame(sub, tuple(dict.fromkeys(pull(u, keep) for u in g.algebra)))
 
@@ -516,7 +516,7 @@ def restriction(g: GeneralFrame, Y) -> GeneralFrame:
     if mask not in set(g.algebra):
         log.warning("restriction set %s is not admissible; re-verifying closure",
                     bitstring(mask, g.n))
-    return _restrict_general(g, mask)
+    return restrict_general(g, mask)
 
 
 def generated_subframe(g: Frame | GeneralFrame, Y):
@@ -534,6 +534,6 @@ def generated_subframe(g: Frame | GeneralFrame, Y):
     if isinstance(g, GeneralFrame):
         # A reachability-closed restriction is always a general frame, so no
         # admissibility warning applies; closure is still re-verified.
-        return _restrict_general(g, reach), reach
+        return restrict_general(g, reach), reach
     sub, _ = restrict_frame(frame, reach)
     return sub, reach

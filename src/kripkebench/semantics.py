@@ -14,6 +14,17 @@ subformula is only materialised over the axes of the variables it mentions.
 The assignment space is walked block by block in C order, which puts the
 lowest variable in the most significant position; the first falsifying
 cell is therefore the lexicographically least witness.
+
+A formula is valid on a frame iff it is valid on every point-generated
+subframe, and for a general frame on every such subframe with the
+restricted algebra.  Above one block, ``valid`` therefore searches each
+distinct maximal subframe generated by a single world, stopping at the
+first refuted one; below that one walk covers the whole frame and the
+split would only add cost.  ``refutes_witness`` always searches the whole
+frame: its lexicographically least witness is not the least witness of
+any one part.  The budget and the 24-world limit of the powerset apply
+before any search, to the sum of valuation x world cells over all parts
+searched and to each part's world count.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .errors import BudgetExceeded, FormatError
 from .formulas import (And, Bot, Box, Dia, Formula, Iff, Imp, Not, Or,
                        ReachDia, Top, Var, variables)
 from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
-                     rt_closure)
+                     restrict_frame, restrict_general, rt_closure)
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -173,25 +184,51 @@ def _least_missing_world(mask: int, full: int) -> int:
     return (missing & -missing).bit_length() - 1
 
 
+def _space(g: Frame | GeneralFrame) -> int:
+    """Number of candidate sets one variable ranges over."""
+    return len(g.algebra) if isinstance(g, GeneralFrame) else 1 << kripke_of(g).n
+
+
+def _check_size(parts: list, k: int, budget: int) -> None:
+    """Refuse a search over ``parts`` before it starts: past 24 worlds for a
+    powerset, or when its valuation x world cells, summed over the parts,
+    exceed the budget."""
+    needed = 0
+    for g in parts:
+        n = kripke_of(g).n
+        if k and not isinstance(g, GeneralFrame) and n > 24:
+            raise FormatError("powerset valuation space only supported for n <= 24")
+        needed += _space(g) ** k * n
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, unit="cells (valuations times worlds)")
+
+
+def _maximal_parts(g: Frame | GeneralFrame) -> list:
+    """The subframes generated by single worlds that no other one contains,
+    in order of their least generating world; ``[g]`` when ``g`` is rooted."""
+    frame = kripke_of(g)
+    cones = list(dict.fromkeys(rt_closure(frame.union(), frame.n)))
+    tops = [m for m in cones if not any(m != o and m & o == m for o in cones)]
+    if len(tops) == 1:
+        return [g]
+    if isinstance(g, GeneralFrame):
+        return [restrict_general(g, m) for m in tops]
+    return [restrict_frame(g, m)[0] for m in tops]
+
+
 def _search_refutation(g: Frame | GeneralFrame, f: Formula,
-                       budget: int) -> Witness | None:
+                       occurring: list[int]) -> Witness | None:
+    """The least witness over the whole of ``g``; the caller checks size."""
     frame = kripke_of(g)
     n, full = frame.n, frame.full
     if n == 0:
         return None  # everything holds vacuously on the empty frame
-    occurring = sorted(variables(f))
     k = len(occurring)
-    general = isinstance(g, GeneralFrame)
-    if k and not general and n > 24:
-        raise FormatError("powerset valuation space only supported for n <= 24")
-    total = (len(g.algebra) if general else 1 << n) ** k
-    if total * n > budget:
-        raise BudgetExceeded(total, budget)
     if not k:  # no valuation to choose: one evaluation decides
         ext = eval_formula(Model(frame, {}), f)
         return None if ext == full else Witness((), _least_missing_world(ext, full))
 
-    cands = g.algebra if general else full_algebra(n)
+    cands = g.algebra if isinstance(g, GeneralFrame) else full_algebra(n)
     c = len(cands)
     dtype = np.dtype(np.uint64 if n <= 64 else object)
     cand_arr = np.array(cands, dtype=dtype)
@@ -222,12 +259,21 @@ def _search_refutation(g: Frame | GeneralFrame, f: Formula,
 
 def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff ``f`` evaluates to the full set under every valuation drawing
-    values from the frame's algebra (full powerset for Kripke frames)."""
-    return _search_refutation(g, f, budget) is None
+    values from the frame's algebra (full powerset for Kripke frames).
+
+    Above one block of the assignment space each maximal point-generated
+    subframe is searched on its own, up to the first refuted one."""
+    occurring = sorted(variables(f))
+    k = len(occurring)
+    parts = _maximal_parts(g) if _space(g) ** k > _BLOCK else [g]
+    _check_size(parts, k, budget)
+    return all(_search_refutation(p, f, occurring) is None for p in parts)
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,
                     budget: int = DEFAULT_BUDGET) -> Witness | None:
     """The lexicographically least falsifying (valuation, world) pair, or
-    None when the formula is valid."""
-    return _search_refutation(g, f, budget)
+    None when the formula is valid.  Always a search of the whole frame."""
+    occurring = sorted(variables(f))
+    _check_size([g], len(occurring), budget)
+    return _search_refutation(g, f, occurring)

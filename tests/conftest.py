@@ -45,3 +45,14 @@ def frames(draw, min_n: int = 1, max_n: int = 4):
 def valuations(draw, n: int, max_vars: int = 2):
     k = draw(st.integers(0, max_vars))
     return {v: draw(st.integers(0, (1 << n) - 1)) for v in range(k)}
+
+
+def disjoint_union(*parts: Frame) -> Frame:
+    """The parts side by side, worlds numbered in order, with no edge
+    between two parts."""
+    r1, r2, shift = [], [], 0
+    for f in parts:
+        r1 += [row << shift for row in f.r1]
+        r2 += [row << shift for row in f.r2]
+        shift += f.n
+    return Frame(shift, tuple(r1), tuple(r2))

@@ -1,6 +1,6 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import kripkebench.semantics as S
 
@@ -11,12 +11,12 @@ from kripkebench.enumeration import all_bimodal_frames
 from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachDia, Var,
                                   dia_star, named_formula, parse, variables)
-from kripkebench.frames import (Frame, GeneralFrame, frame_property,
-                                generated_subframe)
+from kripkebench.frames import (Frame, GeneralFrame, UniFrame, frame_property,
+                                generated_subframe, rt_closure)
 from kripkebench.semantics import Model, eval_formula, refutes_witness, valid
 
 import oracle
-from conftest import formulas, frames
+from conftest import disjoint_union, formulas, frames
 
 
 def test_eval_examples():
@@ -59,9 +59,16 @@ def test_valid_on_general_frame_uses_algebra():
 
 
 def test_budget_exceeded():
+    # the need is what the guard compares: valuations times worlds
     with pytest.raises(BudgetExceeded) as e:
         valid(rect(3, 3), named_formula("presym"), budget=100)
-    assert e.value.needed == (1 << 9) ** 2
+    assert e.value.needed == (1 << 9) ** 2 * 9
+    assert e.value.needed > e.value.budget == 100
+    # 16 valuations fit a budget of 20, their 16 x 4 cells do not
+    for search in (valid, refutes_witness):
+        with pytest.raises(BudgetExceeded) as e:
+            search(product(chain(2), chain(2)), parse("p0 -> [1]p0"), budget=20)
+        assert e.value.needed == 64 > e.value.budget == 20
 
 
 def test_refutes_witness_examples():
@@ -240,3 +247,174 @@ def test_correspondence_small_exhaustive():
         for m in (0, 1):
             assert valid(F, named_formula("rp", [m, "v"]), budget=1 << 22) == \
                 frame_property(F, "rp", (m,))
+
+
+# --- validity on maximal point-generated subframes ------------------------
+
+SPLIT_FORMULAS = [named_formula(name) for name in
+                  ("com", "chr", "conv", "presym", "dd", "u_incl", "sym2",
+                   "match2_ax", "match12_ax")] + \
+    [parse(text) for text in ("p0 -> <1>p0", "<1><1>p0 -> <1>p0",
+                              "p0 -> <2>p0", "<2><2>p0 -> <2>p0")]
+
+
+def _space(g):
+    return len(g.algebra) if isinstance(g, GeneralFrame) else 1 << g.n
+
+
+def _mentioning(phi, k):
+    """``phi`` conjoined with tautologies in p0..p(k-1), so that at least k
+    variables occur and the verdict stays the same."""
+    for v in range(k):
+        phi = And(phi, Or(Var(v), Not(Var(v))))
+    return phi
+
+
+@st.composite
+def preorders(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    return UniFrame(n, rt_closure(rows, n))
+
+
+def _side_by_side(a, b):
+    return UniFrame(a.n + b.n, a.rows + tuple(row << a.n for row in b.rows))
+
+
+def _parts():
+    """Random frames, lifted preorders and products of preorders."""
+    return st.one_of(frames(max_n=4), preorders(3).map(lift),
+                     st.tuples(preorders(2), preorders(2)).map(
+                         lambda ab: product(*ab)))
+
+
+@st.composite
+def non_rooted_frames(draw):
+    """Disjoint unions, products with a non-rooted factor, and general frames
+    on disjoint unions."""
+    kind = draw(st.sampled_from(("union", "product", "general")))
+    if kind == "union":
+        return disjoint_union(*draw(st.lists(_parts(), min_size=2, max_size=3)))
+    if kind == "product":
+        a = _side_by_side(draw(preorders(2)), draw(preorders(2)))
+        return product(a, draw(preorders(3)))
+    F = disjoint_union(draw(_parts()), draw(_parts()))
+    gens = draw(st.lists(st.integers(0, F.full), min_size=1, max_size=3))
+    return GeneralFrame(F, generated_subalgebra(F, gens).elements)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(non_rooted_frames(),
+       st.one_of(formulas(max_depth=3, max_vars=2, reach=True),
+                 st.sampled_from(SPLIT_FORMULAS)),
+       st.booleans())
+def test_valid_matches_whole_frame_search(g, phi, above):
+    # with ``above``, enough variables occur for more than one block
+    k = len(variables(phi))
+    while above and _space(g) ** k <= S._BLOCK:
+        k += 1
+    phi = _mentioning(phi, k)
+    k = len(variables(phi))
+    assume(_space(g) ** k * g.n <= 1 << 22)
+    assert valid(g, phi, budget=1 << 22) == \
+        (refutes_witness(g, phi, budget=1 << 22) is None)
+
+
+def _split_cases():
+    """Non-rooted frames above one block, one of each kind, each with a
+    formula it validates and one it refutes."""
+    antichain = UniFrame(3, (0b001, 0b010, 0b100))
+    vee = UniFrame(3, (0b101, 0b110, 0b100))  # two roots below one top
+    union = disjoint_union(lift(chain(2)), product(chain(2), chain(2)),
+                           lift(cluster(2)))
+    general = GeneralFrame(union, generated_subalgebra(union, [0b00100100]).elements)
+    presym = named_formula("presym")
+    refuted = parse("p0 & p1 -> [1](p0 & p1) & [2](p0 & p1)")
+    return [(product(antichain, chain(3)), presym, refuted),
+            (product(vee, cluster(3)), presym, refuted),
+            (union, parse("p0 & p1 -> <1>p0"), refuted),
+            (general, parse("p0 & p1 & p2 -> <2>p1"), parse("~(p0 & ~p1 & p2)"))]
+
+
+def test_split_cases_are_above_one_block_and_match_the_oracle():
+    for g, holds, fails in _split_cases():
+        for phi, verdict in ((holds, True), (fails, False)):
+            assert _space(g) ** len(variables(phi)) > S._BLOCK
+            assert len(S._maximal_parts(g)) > 1
+            assert valid(g, phi, budget=1 << 24) is verdict
+            assert (refutes_witness(g, phi, budget=1 << 24) is None) is verdict
+
+
+def test_only_the_last_or_first_part_refutes():
+    # reflexive singletons validate the formula; the two-chain refutes it
+    f = parse("p0 & p1 -> [1](p0 & p1)")
+    points = [singleton()] * 6
+    for F in (disjoint_union(*points, lift(chain(2))),
+              disjoint_union(lift(chain(2)), *points)):
+        assert _space(F) ** 2 > S._BLOCK
+        assert not valid(F, f)
+    assert valid(disjoint_union(*points, singleton(), singleton()), f)
+
+
+def test_search_runs_once_per_distinct_maximal_part(monkeypatch):
+    calls = []
+    search_part = S._search_refutation
+
+    def counted(g, f, occurring):
+        calls.append(g.n)
+        return search_part(g, f, occurring)
+
+    monkeypatch.setattr(S, "_search_refutation", counted)
+    presym = named_formula("presym")
+    antichain = UniFrame(3, (0b001, 0b010, 0b100))
+
+    def searched(g, phi, search=valid):
+        calls.clear()
+        search(g, phi, budget=1 << 23)
+        return list(calls)
+
+    # rooted, above one block: the whole frame, once, as it is
+    F = rect(3, 3)
+    assert searched(F, presym) == [9]
+    assert [p is F for p in S._maximal_parts(F)] == [True]
+    # not rooted, but below one block: the whole frame, once
+    assert searched(product(antichain, chain(2)), presym) == [6]
+    assert searched(disjoint_union(*[singleton()] * 7), presym) == [7]  # 2^14
+    # above one block: each distinct maximal part once; each part of
+    # antichain x cluster(3) is generated by three worlds
+    assert searched(product(antichain, chain(3)), presym) == [3, 3, 3]
+    assert searched(product(antichain, cluster(3)), presym) == [3, 3, 3]
+    for g, holds, _ in _split_cases():
+        assert searched(g, holds) == [p.n for p in S._maximal_parts(g)]
+    # the search stops at the first refuted part
+    assert searched(disjoint_union(lift(chain(2)), *[singleton()] * 6),
+                    parse("p0 & p1 -> [1](p0 & p1)")) == [2]
+    # refutes_witness stays one search of the whole frame
+    assert searched(product(antichain, chain(3)), presym,
+                    refutes_witness) == [9]
+
+
+def test_split_budget_sums_the_parts_before_any_search():
+    F = disjoint_union(*[product(chain(2), chain(2))] * 4)  # 4 parts of 4 worlds
+    need = 4 * (1 << 4) * 4
+    holds, fails = parse("p0 -> <1>p0"), parse("p0 -> [1]p0")
+    assert valid(F, holds, budget=need)
+    assert not valid(F, fails, budget=need)
+    for phi in (holds, fails):  # raised whichever part refutes
+        with pytest.raises(BudgetExceeded) as e:
+            valid(F, phi, budget=need - 1)
+        assert e.value.needed == need
+    # the whole-frame search needs 2^16 valuations x 16 worlds
+    with pytest.raises(BudgetExceeded) as e:
+        refutes_witness(F, fails, budget=need)
+    assert e.value.needed == (1 << 16) * 16
+
+
+def test_split_lifts_the_world_limit_to_each_part():
+    F = disjoint_union(*[lift(chain(3))] * 10)  # 30 worlds, ten parts of 3
+    f = parse("p0 -> <1>p0")
+    assert valid(F, f)
+    with pytest.raises(FormatError, match="n <= 24"):
+        refutes_witness(F, f)
+    with pytest.raises(FormatError, match="n <= 24"):
+        valid(disjoint_union(lift(chain(25)), singleton()), f)
