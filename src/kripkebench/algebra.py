@@ -286,7 +286,7 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
         raise FormatError("k must be nonnegative")
     total_coords = sum((1 << f.n) ** k for f in frames)
     if total_coords > budget:
-        raise BudgetExceeded(total_coords, budget)
+        raise BudgetExceeded(total_coords, budget, "coordinates")
     frames = [f for f in frames if f.n]
     if not frames:
         return 1  # the degenerate one-element algebra: no coordinate has a world

@@ -209,7 +209,7 @@ def _c6(params, rng, out):
             src, tgt, f = tack_collapse(kind, m)
             need = 2 * src.n ** 2  # world pairs the forth and back clauses visit
             if need > params["budget"]:
-                raise BudgetExceeded(need, params["budget"])
+                raise BudgetExceeded(need, params["budget"], "world pairs")
             violation = check_pmorphism(src, tgt, f)
             if violation is None:
                 out.append(f"m={m} kind={kind}: {src.n}-world product collapses onto "

@@ -52,11 +52,12 @@ class BudgetExceeded(KripkebenchError):
     """An enumeration would exceed the configured budget.
 
     ``needed`` is the quantity compared against the budget, counted in
-    ``unit``.  A validity search counts valuation x world cells, summed
-    over the parts it would search.
+    ``unit``: valuation x world cells summed over the parts a validity
+    search would search, coordinates for a free-algebra count, world pairs
+    for the collapse check C6, candidate maps for a p-morphism search.
     """
 
-    def __init__(self, needed: int, budget: int, unit: str = "candidates"):
+    def __init__(self, needed: int, budget: int, unit: str):
         super().__init__(f"enumeration needs {needed} {unit}, budget is {budget}")
         self.needed = needed
         self.budget = budget

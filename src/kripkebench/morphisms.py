@@ -4,17 +4,26 @@ A world map is a plain tuple: entry a is the target world of source
 world a.  Maps must be surjective; forth/back are checked for both
 modalities and admissibility against the target's singletons plus its
 algebra (preimages must be admissible in the source).
+
+The search assigns source worlds in order, trying targets in ascending
+order, with forward checking over bitmask target domains: it prunes only
+values that cannot extend to a p-morphism, so it returns the same first
+map in lexicographic order as plain backtracking.  Its budget still
+bounds the raw |h| ** |g| map space.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .constructions import cluster, product, tack, tack_pre
 from .errors import BudgetExceeded, FormatError
 from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
-                     fibers, kripke_of, pull_rows, worlds_of)
+                     fibers, kripke_of, pull_rows, transpose_rows,
+                     worlds_of)
 
 WorldMap = tuple[int, ...]
 
@@ -85,66 +94,61 @@ def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
 def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
                    budget: int = 1 << 20) -> WorldMap | None:
     """First p-morphism in lexicographic assignment order, or None after an
-    exhaustive backtracking search.  The raw candidate space |h| ** |g| must
-    fit the budget."""
+    exhaustive search.  The search does forward checking: every source world
+    keeps a bitmask domain of the targets it may still take, and a value is
+    pruned only when it cannot extend to a p-morphism, so the first map is
+    the one plain backtracking finds.  The raw candidate space |h| ** |g|
+    must fit the budget."""
     src, tgt = kripke_of(g), kripke_of(h)
     ns, nt = src.n, tgt.n
     if ns == 0 or nt == 0:
         return None
     if nt ** ns > budget:
-        raise BudgetExceeded(nt ** ns, budget)
-    src_info = analyze(src)
-    tgt_info = analyze(tgt)
-    assign = [-1] * ns
-    # back can only be refuted once every successor of a world is assigned
-    max_succ = [max((max(worlds_of(src.r1[a]), default=a),
-                     max(worlds_of(src.r2[a]), default=a))) for a in range(ns)]
+        raise BudgetExceeded(nt ** ns, budget, "candidate maps")
+    # assigning a -> t leaves b only the targets table[t], for every pair
+    # (rows, table) with b in rows[a]: a's r_i-successors keep r_i[t], its
+    # r_i-predecessors the r_i-predecessors of t, its cluster t's cluster
+    src_cluster, tgt_cluster = ([info.clusters[c] for c in info.cluster_index]
+                                for info in (analyze(src), analyze(tgt)))
+    links = [(src_cluster, tgt_cluster)]
+    for sr, tr in ((src.r1, tgt.r1), (src.r2, tgt.r2)):
+        links += [(sr, tr), (transpose_rows(sr, ns), transpose_rows(tr, nt))]
+    narrow = [{} for _ in range(ns)]
+    covers = [[(worlds_of(src.r1[x]), tgt.r1), (worlds_of(src.r2[x]), tgt.r2)]
+              for x in range(ns)]
+    for a in range(ns):
+        for rows, table in links:
+            for b in worlds_of(rows[a]):
+                old = narrow[a].get(b, table)
+                narrow[a][b] = [x & y for x, y in zip(old, table)]
+    full = (1 << nt) - 1
 
-    def consistent(a: int) -> bool:
-        ta = assign[a]
-        for mod in (1, 2):
-            sr, tr = src.relation(mod), tgt.relation(mod)
-            for b in range(a + 1):
-                tb = assign[b]
-                if sr[a] >> b & 1 and not tr[ta] >> tb & 1:
+    def alive(dom: list[int], a: int) -> bool:
+        if not all(dom) or reduce(or_, dom) != full:
+            return False  # a wiped-out domain, or a target nobody can take
+        for x in range(a + 1):  # the back clause of every assigned world
+            for succ, tr in covers[x]:
+                if tr[dom[x].bit_length() - 1] & ~reduce(
+                        or_, (dom[b] for b in succ), 0):
                     return False
-                if sr[b] >> a & 1 and not tr[tb] >> ta & 1:
-                    return False
-        for b in range(a):
-            if (src_info.cluster_index[a] == src_info.cluster_index[b]
-                    and tgt_info.cluster_index[ta]
-                    != tgt_info.cluster_index[assign[b]]):
-                return False
-        for x in range(a + 1):
-            if max_succ[x] > a:
-                continue
-            tx = assign[x]
-            for mod in (1, 2):
-                sr, tr = src.relation(mod), tgt.relation(mod)
-                for d in worlds_of(tr[tx]):
-                    if not any(assign[b] == d for b in worlds_of(sr[x])):
-                        return False
-        covered = len(set(assign[:a + 1]))
-        if covered + (ns - a - 1) < nt:
-            return False
         return True
 
-    def extend(a: int) -> WorldMap | None:
+    def extend(a: int, dom: list[int]) -> WorldMap | None:
         if a == ns:
-            candidate = tuple(assign)
-            if check_pmorphism(g, h, candidate) is None:
-                return candidate
-            return None
-        for t in range(nt):
-            assign[a] = t
-            if consistent(a):
-                found = extend(a + 1)
+            candidate = tuple(d.bit_length() - 1 for d in dom)
+            return candidate if check_pmorphism(g, h, candidate) is None else None
+        for t in worlds_of(dom[a]):
+            new = dom.copy()
+            new[a] = 1 << t
+            for b, allowed in narrow[a].items():
+                new[b] &= allowed[t]
+            if alive(new, a):
+                found = extend(a + 1, new)
                 if found is not None:
                     return found
-        assign[a] = -1
         return None
 
-    return extend(0)
+    return extend(0, [full] * ns)
 
 
 def union_pmorphism(f1: WorldMap, f2: WorldMap) -> WorldMap:

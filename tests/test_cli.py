@@ -64,6 +64,10 @@ def test_pmorph(tmp_path, capsys):
                         "--to", str(b), "--map", str(bad))
     assert code == 1 and "surjective" in text
 
+    code, _, err = run(capsys, "pmorph", "find", "--from", str(a),
+                       "--to", str(b), "--budget", "1")
+    assert code == 2 and "needs 8 candidate maps, budget is 1" in err
+
 
 def test_freealg_blocks_beta(tmp_path, capsys):
     frame = tmp_path / "f.json"
@@ -98,6 +102,7 @@ def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     code, text, err = run(capsys, "freealg", "--frames", str(frame), "-k", "1",
                           "--budget", "1")
     assert code == 2 and text == "" and "budget exceeded" in err
+    assert "needs 32 coordinates, budget is 1" in err
 
 
 def test_check_single_and_exit_code(capsys):
@@ -117,6 +122,8 @@ def test_check_budget_reaches_every_budgeted_check(capsys):
     for cid in ("C5", "C6", "C9", "C10", "C15"):
         code, out, err = run(capsys, "check", "--id", cid, "--budget", "1")
         assert code == 2 and out == "" and err.startswith("error:"), cid
+    _, _, err = run(capsys, "check", "--id", "C6", "--budget", "1")
+    assert "needs 32 world pairs, budget is 1" in err
 
 
 def test_check_json_shape(capsys):

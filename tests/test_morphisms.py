@@ -1,15 +1,17 @@
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from kripkebench.algebra import generated_subalgebra
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        ordered_sum, product, rect, singleton,
                                        tack, tack_pre, tense_sum)
 from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import named_formula
-from kripkebench.frames import Frame, as_general, GeneralFrame
+from kripkebench.frames import (Frame, as_general, GeneralFrame, kripke_of,
+                                pull_rows)
 from kripkebench.morphisms import (blow_up, check_pmorphism, find_pmorphism,
                                    load_worldmap, store_worldmap,
                                    tack_collapse, union_pmorphism)
@@ -25,6 +27,19 @@ def oracle_first(g, h):
         if check_pmorphism(g, h, cand) is None:
             return cand
     return None
+
+
+def relabel(f: Frame, perm) -> Frame:
+    """The same frame with new world i standing for old world perm[i]."""
+    return Frame(f.n, pull_rows(f.r1, perm), pull_rows(f.r2, perm))
+
+
+@st.composite
+def general_frames(draw, max_n: int = 3):
+    """A random frame with the subalgebra generated by up to two random sets."""
+    f = draw(frames(max_n=max_n))
+    gens = draw(st.lists(st.integers(0, f.full), max_size=2))
+    return GeneralFrame(f, generated_subalgebra(f, gens).elements)
 
 
 def test_check_examples():
@@ -97,10 +112,85 @@ def test_find_agrees_with_oracle_structured():
         assert find_pmorphism(g, h) == oracle_first(g, h), (g, h)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(frames(max_n=3), frames(max_n=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(frames(max_n=3), general_frames()),
+       st.one_of(frames(max_n=3), general_frames()))
 def test_find_agrees_with_oracle_random(g, h):
     assert find_pmorphism(g, h) == oracle_first(g, h)
+
+
+@pytest.mark.parametrize("kind, mp, expected", [
+    ("both", 2, (0, 0, 0, 1, 4, 0, 0, 0, 1, 4, 0, 0, 0, 1, 4,
+                 2, 2, 2, 3, 4, 4, 4, 4, 4, 4)),
+    ("both", 3, (0, 0, 1, 2, 9, 0, 0, 1, 2, 9, 3, 3, 4, 5, 9,
+                 6, 6, 7, 8, 9, 9, 9, 9, 9, 9)),
+    ("both", 4, (0, 1, 2, 3, 16, 4, 5, 6, 7, 16, 8, 9, 10, 11, 16,
+                 12, 13, 14, 15, 16, 16, 16, 16, 16, 16)),
+    ("1", 2, (0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2, 2, 2, 3, 4, 4, 4, 4)),
+    ("1", 3, (0, 0, 1, 2, 0, 0, 1, 2, 3, 3, 4, 5, 6, 6, 7, 8, 9, 9, 9, 9)),
+    ("1", 4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+              16, 16, 16, 16)),
+    ("2", 2, (0, 0, 0, 1, 4, 0, 0, 0, 1, 4, 0, 0, 0, 1, 4, 2, 2, 2, 3, 4)),
+    ("2", 3, (0, 0, 1, 2, 9, 0, 0, 1, 2, 9, 3, 3, 4, 5, 9, 6, 6, 7, 8, 9)),
+    ("2", 4, (0, 1, 2, 3, 16, 4, 5, 6, 7, 16, 8, 9, 10, 11, 16,
+              12, 13, 14, 15, 16)),
+])
+def test_find_tack_collapse_pinned(kind, mp, expected):
+    # past the oracle's reach (up to 17^25 maps): pinned to the first map
+    # of plain lexicographic backtracking
+    src, tgt, _ = tack_collapse(kind, 4, mp)
+    assert find_pmorphism(src, tgt, budget=1 << 200) == expected
+
+
+def test_find_first_map_deep_in_the_order():
+    # reversed, world 0 is a copy of the top of the chain, so every map
+    # starts with the last target
+    h = lintgrz(4)
+    g, _ = blow_up(h, (2, 1, 1, 2))
+    g = relabel(g, tuple(reversed(range(g.n))))
+    assert find_pmorphism(g, h) == oracle_first(g, h) == (3, 3, 2, 1, 0, 0)
+
+    upside_down = relabel(lintgrz(2), (1, 0))
+    assert (find_pmorphism(lintgrz(4), upside_down)
+            == oracle_first(lintgrz(4), upside_down) == (1, 0, 0, 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(frames(min_n=2, max_n=3), st.lists(st.integers(1, 2), min_size=3,
+                                          max_size=3), st.randoms())
+def test_find_agrees_with_oracle_on_relabelled_blowups(h, sizes, rnd):
+    g, _ = blow_up(h, tuple(sizes[:h.n]))
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    g = relabel(g, perm)
+    assert find_pmorphism(g, h) == oracle_first(g, h) is not None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(frames(min_n=2, max_n=3), st.lists(st.integers(1, 2), min_size=3,
+                                          max_size=3), st.integers(0, 2))
+def test_find_no_map_onto_an_irreflexive_world(h, sizes, w):
+    # a reflexive first relation has only reflexive p-morphic images
+    assume(sum(sizes[:h.n]) <= 5)
+    g, _ = blow_up(h, tuple(sizes[:h.n]))
+    g = Frame(g.n, tuple(row | 1 << a for a, row in enumerate(g.r1)), g.r2)
+    r1 = [row | 1 << d for d, row in enumerate(h.r1)]
+    r1[w % h.n] &= ~(1 << w % h.n)
+    h = Frame(h.n, tuple(r1), h.r2)
+    assert find_pmorphism(g, h) is None
+    assert oracle_first(g, h) is None
+
+
+def test_find_leaf_checks_admissibility():
+    # the four-world cluster whose algebra only sees the halves {0,1} and
+    # {2,3}: the first Kripke map onto the two-cluster splits a half, so the
+    # first p-morphism of the general frame comes later
+    frame = Frame(4, (0b1111,) * 4, (0b1111,) * 4)
+    g = GeneralFrame(frame, (0b0000, 0b0011, 0b1100, 0b1111))
+    h = Frame(2, (0b11, 0b11), (0b11, 0b11))
+    assert find_pmorphism(kripke_of(g), h) == (0, 0, 0, 1)
+    assert find_pmorphism(g, h) == oracle_first(g, h) == (0, 0, 1, 1)
+    assert find_pmorphism(g, as_general(h)) == (0, 0, 1, 1)
 
 
 def test_found_maps_transfer_validity():
