@@ -7,8 +7,8 @@ Disjoint unions renumber left-operand-first; products number world
 from __future__ import annotations
 
 from .errors import FormatError, NotTense
-from .frames import (Frame, FrameSpec, UniFrame, diagonal, frame_property,
-                     full_rows, transpose_rows)
+from .frames import (Frame, FrameSpec, UniFrame, diagonal, fibers,
+                     frame_property, full_rows, pull_rows, transpose_rows)
 
 SUM_KINDS = ("both", "1", "2")
 
@@ -47,26 +47,17 @@ def tack_pre(m: int) -> UniFrame:
 
 
 def product(f: UniFrame, g: UniFrame) -> Frame:
-    """Product frame: r1 moves the first coordinate, r2 the second."""
+    """Product frame: r1 moves the first coordinate, r2 the second.  Each
+    relation is a pullback along a coordinate map cut down to a fiber of the
+    other one: r1 relates (a, b) to (c, d) iff a f-relates to c and d = b."""
     if f.n < 1 or g.n < 1:
         raise FormatError("product factors need at least one world")
-    n = f.n * g.n
-    r1 = [0] * n
-    r2 = [0] * n
-    for a in range(f.n):
-        for b in range(g.n):
-            w = a * g.n + b
-            row1 = 0
-            for c in range(f.n):
-                if f.rows[a] >> c & 1:
-                    row1 |= 1 << (c * g.n + b)
-            r1[w] = row1
-            row2 = 0
-            for d in range(g.n):
-                if g.rows[b] >> d & 1:
-                    row2 |= 1 << (a * g.n + d)
-            r2[w] = row2
-    return Frame(n, tuple(r1), tuple(r2), spec=FrameSpec("product", (f.n, g.n)))
+    first = tuple(a for a in range(f.n) for _ in range(g.n))
+    second = tuple(b for _ in range(f.n) for b in range(g.n))
+    same_first, same_second = fibers(first, f.n), fibers(second, g.n)
+    r1 = tuple(x & same_second[b] for x, b in zip(pull_rows(f.rows, first), second))
+    r2 = tuple(x & same_first[a] for x, a in zip(pull_rows(g.rows, second), first))
+    return Frame(f.n * g.n, r1, r2, spec=FrameSpec("product", (f.n, g.n)))
 
 
 def rect(a: int, b: int) -> Frame:

@@ -13,13 +13,24 @@ so after construction only the listed node kinds occur.  ReachDia and
 ReachBox are frame-level reachability operators used by the semantics
 module; they are constructible programmatically but are not part of the
 text grammar.
+
+A node object may be the child of several nodes (the derived connectives
+share their argument), so a formula is a DAG of node objects.  ``nodes(f)``
+lists each node object once, children before parents and ``f`` last.  Every
+walk over a formula -- ``variables``, ``modal_depth``, ``substitute``,
+``swap_modalities``, ``print_formula`` and evaluation in the semantics
+module -- is one loop over that list that works each node out from its
+children's results, so no walk recurses.  Structural ``==`` and ``hash``
+are the dataclass methods, which still recurse over the tree.  The parser
+is recursive descent and rejects parentheses nested past the recursion
+limit with a FormulaSyntaxError.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
 
@@ -153,140 +164,113 @@ def disj(parts) -> Formula:
     return out
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All nodes of ``f``, shared subtrees visited once."""
+# number of children of each node kind, read as child, or left then right
+_ARITY = {Var: 0, Bot: 0, Top: 0, Not: 1, Dia: 1, Box: 1, ReachDia: 1,
+          ReachBox: 1, And: 2, Or: 2, Imp: 2, Iff: 2}
+
+
+def nodes(f: Formula) -> list[Formula]:
+    """Every node object of ``f`` once, by identity, children before
+    parents and ``f`` last.  Every walk over a formula is a loop over this
+    list, so none of them recurses."""
+    order: list[Formula] = []
     seen: set[int] = set()
-    stack = [f]
+    stack: list = [f]
+    pop, mark, arity_of = stack.pop, seen.add, _ARITY  # hot loop: local names
     while stack:
-        g = stack.pop()
-        if id(g) in seen:
+        g = pop()
+        if g is None:  # marker: the node below it has all its children done
+            order.append(pop())
             continue
-        seen.add(id(g))
-        yield g
-        if isinstance(g, (Not, Dia, Box, ReachDia, ReachBox)):
-            stack.append(g.child)
-        elif isinstance(g, (And, Or, Imp, Iff)):
-            stack.append(g.left)
-            stack.append(g.right)
+        i = id(g)
+        if i not in seen:
+            mark(i)
+            arity = arity_of[type(g)]
+            if arity == 0:
+                order.append(g)
+            elif arity == 1:
+                stack += (g, None, g.child)
+            else:
+                stack += (g, None, g.right, g.left)
+    return order
 
 
 def variables(f: Formula) -> frozenset[int]:
-    return frozenset(g.index for g in subformulas(f) if isinstance(g, Var))
+    return frozenset(g.index for g in nodes(f) if type(g) is Var)
 
 
 def modal_depth(f: Formula) -> int:
-    memo: dict[int, int] = {}
-
-    def go(g: Formula) -> int:
-        r = memo.get(id(g))
-        if r is not None:
-            return r
-        if isinstance(g, (Var, Bot, Top)):
-            r = 0
-        elif isinstance(g, Not):
-            r = go(g.child)
-        elif isinstance(g, (And, Or, Imp, Iff)):
-            r = max(go(g.left), go(g.right))
+    depth: dict[int, int] = {}
+    for g in nodes(f):
+        t = type(g)
+        arity = _ARITY[t]
+        if arity == 0:
+            d = 0
+        elif arity == 2:
+            d = max(depth[id(g.left)], depth[id(g.right)])
         else:
-            r = 1 + go(g.child)
-        memo[id(g)] = r
-        return r
+            d = depth[id(g.child)] + (t is not Not)
+        depth[id(g)] = d
+    return d
 
-    return go(f)
+
+def _rebuild(f: Formula, mapping: Mapping[int, Formula], swap: bool) -> Formula:
+    """``f`` with each variable in the map replaced, and with the two
+    modalities exchanged when ``swap``; each distinct node is rebuilt once,
+    so shared subformulas stay shared."""
+    new: dict[int, Formula] = {}
+    for g in nodes(f):
+        t = type(g)
+        arity = _ARITY[t]
+        if t is Dia or t is Box:
+            r = t(3 - g.mod if swap else g.mod, new[id(g.child)])
+        elif arity == 2:
+            r = t(new[id(g.left)], new[id(g.right)])
+        elif arity == 1:
+            r = t(new[id(g.child)])
+        elif t is Var:
+            r = mapping.get(g.index, g)
+        else:
+            r = g
+        new[id(g)] = r
+    return r
 
 
 def substitute(f: Formula, mapping: Mapping[int, Formula]) -> Formula:
     """Simultaneous substitution; variables absent from the map are kept."""
-    memo: dict[int, Formula] = {}
-
-    def go(g: Formula) -> Formula:
-        r = memo.get(id(g))
-        if r is not None:
-            return r
-        if isinstance(g, Var):
-            r = mapping.get(g.index, g)
-        elif isinstance(g, (Bot, Top)):
-            r = g
-        elif isinstance(g, Not):
-            r = Not(go(g.child))
-        elif isinstance(g, And):
-            r = And(go(g.left), go(g.right))
-        elif isinstance(g, Or):
-            r = Or(go(g.left), go(g.right))
-        elif isinstance(g, Imp):
-            r = Imp(go(g.left), go(g.right))
-        elif isinstance(g, Iff):
-            r = Iff(go(g.left), go(g.right))
-        elif isinstance(g, Dia):
-            r = Dia(g.mod, go(g.child))
-        elif isinstance(g, Box):
-            r = Box(g.mod, go(g.child))
-        elif isinstance(g, ReachDia):
-            r = ReachDia(go(g.child))
-        else:
-            r = ReachBox(go(g.child))
-        memo[id(g)] = r
-        return r
-
-    return go(f)
+    return _rebuild(f, mapping, False)
 
 
 def swap_modalities(f: Formula) -> Formula:
     """Exchange the two modalities throughout the formula."""
-    memo: dict[int, Formula] = {}
+    return _rebuild(f, {}, True)
 
-    def go(g: Formula) -> Formula:
-        r = memo.get(id(g))
-        if r is not None:
-            return r
-        if isinstance(g, (Var, Bot, Top)):
-            r = g
-        elif isinstance(g, Not):
-            r = Not(go(g.child))
-        elif isinstance(g, And):
-            r = And(go(g.left), go(g.right))
-        elif isinstance(g, Or):
-            r = Or(go(g.left), go(g.right))
-        elif isinstance(g, Imp):
-            r = Imp(go(g.left), go(g.right))
-        elif isinstance(g, Iff):
-            r = Iff(go(g.left), go(g.right))
-        elif isinstance(g, Dia):
-            r = Dia(3 - g.mod, go(g.child))
-        elif isinstance(g, Box):
-            r = Box(3 - g.mod, go(g.child))
-        elif isinstance(g, ReachDia):
-            r = ReachDia(go(g.child))
-        else:
-            r = ReachBox(go(g.child))
-        memo[id(g)] = r
-        return r
 
-    return go(f)
+_PREFIX = {Not: "~", ReachDia: "<+>", ReachBox: "[+]"}
 
 
 def print_formula(f: Formula) -> str:
     """Canonical fully-parenthesised text.  parse(print(f)) == f for
     formulas of the grammar; ReachDia and ReachBox print as <+> and [+],
     which parse rejects."""
-    if isinstance(f, Var):
-        return f"p{f.index}"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Not):
-        return "~" + print_formula(f.child)
-    if isinstance(f, Dia):
-        return f"<{f.mod}>" + print_formula(f.child)
-    if isinstance(f, Box):
-        return f"[{f.mod}]" + print_formula(f.child)
-    if isinstance(f, ReachDia):
-        return "<+>" + print_formula(f.child)
-    if isinstance(f, ReachBox):
-        return "[+]" + print_formula(f.child)
-    op = _BINARY[type(f)]
-    return f"({print_formula(f.left)} {op} {print_formula(f.right)})"
+    text: dict[int, str] = {}
+    for g in nodes(f):
+        t = type(g)
+        arity = _ARITY[t]
+        if arity == 2:
+            s = f"({text[id(g.left)]} {_BINARY[t]} {text[id(g.right)]})"
+        elif t is Dia:
+            s = f"<{g.mod}>" + text[id(g.child)]
+        elif t is Box:
+            s = f"[{g.mod}]" + text[id(g.child)]
+        elif arity == 1:
+            s = _PREFIX[t] + text[id(g.child)]
+        elif t is Var:
+            s = f"p{g.index}"
+        else:
+            s = "true" if t is Top else "false"
+        text[id(g)] = s
+    return s
 
 
 # --- parser -----------------------------------------------------------
@@ -391,29 +375,20 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "not":
-            self.advance()
-            return Not(self.unary())
-        if kind == "dia":
-            self.advance()
-            tok = text[1:-1]
-            child = self.unary()
-            if tok == "v":
-                return dia_v(child)
-            if tok == "*":
-                return dia_star(child)
-            return Dia(int(tok), child)
-        if kind == "box":
-            self.advance()
-            tok = text[1:-1]
-            child = self.unary()
-            if tok == "v":
-                return box_v(child)
-            if tok == "*":
-                return box_star(child)
-            return Box(int(tok), child)
-        return self.atom()
+        # prefix operators are read in a loop, so a long run of them does
+        # not nest the parser
+        prefixes = []
+        while self.peek()[0] in ("not", "dia", "box"):
+            prefixes.append(self.advance()[:2])
+        f = self.atom()
+        for kind, text in reversed(prefixes):
+            if kind == "not":
+                f = Not(f)
+            elif kind == "dia":
+                f = _dia_at(_token(text[1:-1]), f)
+            else:
+                f = _box_at(_token(text[1:-1]), f)
+        return f
 
     def atom(self) -> Formula:
         kind, text, _ = self.peek()
@@ -438,8 +413,16 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse formula text.  Precedence ~/modal > & > | > -> > <->;
-    implication and equivalence associate to the right."""
-    return _Parser(text).parse()
+    implication and equivalence associate to the right.  Parentheses and
+    chains of -> or <-> nested past the interpreter's recursion limit are a
+    FormulaSyntaxError at the token where the parser ran out."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, found, pos = parser.peek()
+        raise FormulaSyntaxError("nesting too deep", _byte_offset(text, pos),
+                                 _ATOM_EXPECTED, found or "end of input") from None
 
 
 # --- named formulas ----------------------------------------------------

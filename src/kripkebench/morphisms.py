@@ -22,7 +22,7 @@ from operator import or_
 from .constructions import cluster, product, tack, tack_pre
 from .errors import BudgetExceeded, FormatError
 from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
-                     fibers, kripke_of, pull_rows, transpose_rows,
+                     fibers, kripke_of, pull, pull_rows, transpose_rows,
                      worlds_of)
 
 WorldMap = tuple[int, ...]
@@ -80,9 +80,7 @@ def check_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
         if isinstance(h, GeneralFrame):
             wanted += [u for u in h.algebra]
         for u in wanted:
-            pre = 0
-            for d in worlds_of(u):
-                pre |= fiber[d]
+            pre = pull(u, f)
             if pre not in admissible:
                 return Violation(
                     "admissibility", None, tuple(worlds_of(u)),
@@ -101,8 +99,8 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
     must fit the budget."""
     src, tgt = kripke_of(g), kripke_of(h)
     ns, nt = src.n, tgt.n
-    if ns == 0 or nt == 0:
-        return None
+    if ns == 0 or nt == 0:  # only the empty map onto the empty frame
+        return () if ns == nt else None
     if nt ** ns > budget:
         raise BudgetExceeded(nt ** ns, budget, "candidate maps")
     # assigning a -> t leaves b only the targets table[t], for every pair

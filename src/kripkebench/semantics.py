@@ -1,9 +1,12 @@
 """Formula evaluation on models, validity over (general) frames, and
 refutation-witness search.
 
-One recursive walk evaluates every formula.  It only combines values with
-``^``, ``&``, ``|`` and a preimage function, so the same walk runs on a
-single model (int world masks) and on the search (numpy arrays of masks).
+One walk evaluates every formula: a loop over the formula's node order
+(``formulas.nodes``, children before parents), which each call of
+``eval_formula``, ``valid`` and ``refutes_witness`` builds once and reuses
+for every block and every part it searches.  The walk only combines values
+with ``^``, ``&``, ``|`` and a preimage function, so it runs on a single
+model (int world masks) and on the search (numpy arrays of masks).
 
 Validity is brute force over valuations, enumerated only over the
 variables occurring in the formula; a variable-free formula is decided by
@@ -38,7 +41,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, FormatError
 from .formulas import (And, Bot, Box, Dia, Formula, Iff, Imp, Not, Or,
-                       ReachDia, Top, Var, variables)
+                       ReachDia, Top, Var, nodes)
 from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
                      restrict_frame, restrict_general, rt_closure)
 
@@ -76,47 +79,40 @@ class Model:
         return kripke_of(self.frame)
 
 
-def _walk(f: Formula, leaves: Mapping, full, pre: Callable):
-    """Extension of ``f``: variable v is ``leaves.get(v, 0)`` and
-    ``pre(mod, x)`` is the set of worlds with a ``mod``-successor in x,
-    where mod 0 is the reflexive-transitive closure of r1 | r2."""
-    memo: dict[int, object] = {}
-
-    def go(g: Formula):
-        r = memo.get(id(g))
-        if r is not None:
-            return r
-        if isinstance(g, Var):
+def _walk(order: list[Formula], leaves: Mapping, full, pre: Callable):
+    """Extension of the last formula of ``order``, a node order from
+    ``nodes``: variable v is ``leaves.get(v, 0)`` and ``pre(mod, x)`` is
+    the set of worlds with a ``mod``-successor in x, where mod 0 is the
+    reflexive-transitive closure of r1 | r2."""
+    val: dict[int, object] = {}
+    for g in order:  # the most frequent node kinds first
+        t = type(g)
+        if t is And:
+            r = val[id(g.left)] & val[id(g.right)]
+        elif t is Dia:
+            r = pre(g.mod, val[id(g.child)])
+        elif t is Imp:
+            r = (full ^ val[id(g.left)]) | val[id(g.right)]
+        elif t is Not:
+            r = full ^ val[id(g.child)]
+        elif t is Var:
             r = leaves.get(g.index, 0)
-        elif isinstance(g, Bot):
-            r = full ^ full  # zero of the same kind as full
-        elif isinstance(g, Top):
+        elif t is Or:
+            r = val[id(g.left)] | val[id(g.right)]
+        elif t is Box:
+            r = full ^ pre(g.mod, full ^ val[id(g.child)])
+        elif t is Iff:
+            r = full ^ (val[id(g.left)] ^ val[id(g.right)])
+        elif t is Top:
             r = full
-        elif isinstance(g, Not):
-            r = full ^ go(g.child)
-        elif isinstance(g, And):
-            r = go(g.left) & go(g.right)
-        elif isinstance(g, Or):
-            r = go(g.left) | go(g.right)
-        elif isinstance(g, Imp):
-            r = (full ^ go(g.left)) | go(g.right)
-        elif isinstance(g, Iff):
-            r = full ^ (go(g.left) ^ go(g.right))
-        elif isinstance(g, Dia):
-            r = pre(g.mod, go(g.child))
-        elif isinstance(g, Box):
-            r = full ^ pre(g.mod, full ^ go(g.child))
-        elif isinstance(g, ReachDia):
-            r = pre(0, go(g.child))
+        elif t is Bot:
+            r = full ^ full  # zero of the same kind as full
+        elif t is ReachDia:
+            r = pre(0, val[id(g.child)])
         else:
-            r = full ^ pre(0, full ^ go(g.child))
-        memo[id(g)] = r
-        return r
-
-    try:
-        return go(f)
-    finally:
-        memo.clear()  # go is a reference cycle; free the values now, not at gc
+            r = full ^ pre(0, full ^ val[id(g.child)])
+        val[id(g)] = r
+    return r
 
 
 def _preimage_fn(frame: Frame, image: Callable) -> Callable:
@@ -138,7 +134,7 @@ def eval_formula(m: Model, f: Formula) -> int:
     from the valuation evaluate to the empty set; ReachDia/ReachBox are read
     through the reflexive-transitive closure of r1 | r2."""
     frame = m.kripke
-    return _walk(f, m.valuation, frame.full, _preimage_fn(frame, preimage))
+    return _walk(nodes(f), m.valuation, frame.full, _preimage_fn(frame, preimage))
 
 
 @dataclass(frozen=True)
@@ -216,16 +212,21 @@ def _maximal_parts(g: Frame | GeneralFrame) -> list:
     return [restrict_frame(g, m)[0] for m in tops]
 
 
-def _search_refutation(g: Frame | GeneralFrame, f: Formula,
+def _occurring(order: list[Formula]) -> list[int]:
+    return sorted({g.index for g in order if type(g) is Var})
+
+
+def _search_refutation(g: Frame | GeneralFrame, order: list[Formula],
                        occurring: list[int]) -> Witness | None:
-    """The least witness over the whole of ``g``; the caller checks size."""
+    """The least witness over the whole of ``g`` for the formula with node
+    order ``order``; the caller checks size."""
     frame = kripke_of(g)
     n, full = frame.n, frame.full
     if n == 0:
         return None  # everything holds vacuously on the empty frame
     k = len(occurring)
     if not k:  # no valuation to choose: one evaluation decides
-        ext = eval_formula(Model(frame, {}), f)
+        ext = _walk(order, {}, full, _preimage_fn(frame, preimage))
         return None if ext == full else Witness((), _least_missing_world(ext, full))
 
     cands = g.algebra if isinstance(g, GeneralFrame) else full_algebra(n)
@@ -246,7 +247,7 @@ def _search_refutation(g: Frame | GeneralFrame, f: Formula,
             leaves.update((v, cand_arr[i]) for v, i in zip(occurring, head))
             leaves[occurring[a]] = cand_arr[lo:lo + step].reshape(
                 (-1,) + (1,) * (k - 1 - a))
-            res = _walk(f, leaves, cell_full, pre)
+            res = _walk(order, leaves, cell_full, pre)
             bad = np.flatnonzero(res != cell_full)
             if bad.size:
                 cell = np.unravel_index(bad[0], res.shape)
@@ -263,17 +264,19 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
 
     Above one block of the assignment space each maximal point-generated
     subframe is searched on its own, up to the first refuted one."""
-    occurring = sorted(variables(f))
+    order = nodes(f)
+    occurring = _occurring(order)
     k = len(occurring)
     parts = _maximal_parts(g) if _space(g) ** k > _BLOCK else [g]
     _check_size(parts, k, budget)
-    return all(_search_refutation(p, f, occurring) is None for p in parts)
+    return all(_search_refutation(p, order, occurring) is None for p in parts)
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,
                     budget: int = DEFAULT_BUDGET) -> Witness | None:
     """The lexicographically least falsifying (valuation, world) pair, or
     None when the formula is valid.  Always a search of the whole frame."""
-    occurring = sorted(variables(f))
+    order = nodes(f)
+    occurring = _occurring(order)
     _check_size([g], len(occurring), budget)
-    return _search_refutation(g, f, occurring)
+    return _search_refutation(g, order, occurring)

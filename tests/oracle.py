@@ -1,5 +1,9 @@
-"""Independent test oracles for formula evaluation, refutation search and
-free-algebra counts.
+"""Independent test oracles for formula walks, formula evaluation,
+refutation search and free-algebra counts.
+
+The formula walks here recurse over the formula as a tree, visiting a
+shared subformula once per occurrence; the library loops over its node
+order instead.
 
 Truth is decided world by world with the Kripke clauses, and assignments
 are enumerated one at a time in bitstring order with the lowest variable
@@ -16,8 +20,70 @@ from itertools import product as iproduct
 
 from kripkebench.algebra import _refinements
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
-                                  ReachBox, ReachDia, Top, Var, variables)
+                                  ReachBox, ReachDia, Top, Var)
 from kripkebench.frames import GeneralFrame, worlds_of
+
+
+def children(f) -> tuple:
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Dia, Box, ReachDia, ReachBox)):
+        return (f.child,)
+    return ()
+
+
+def node_ids(f) -> set[int]:
+    """Identities of every node object reachable from ``f``."""
+    return {id(f)}.union(*(node_ids(c) for c in children(f)))
+
+
+def tree_variables(f) -> frozenset[int]:
+    if isinstance(f, Var):
+        return frozenset({f.index})
+    return frozenset().union(*(tree_variables(c) for c in children(f)))
+
+
+def tree_depth(f) -> int:
+    below = max((tree_depth(c) for c in children(f)), default=0)
+    return below + isinstance(f, (Dia, Box, ReachDia, ReachBox))
+
+
+def tree_map(f, var, mod):
+    """``f`` rebuilt as a tree, with each variable v replaced by ``var(v)``
+    and each modality i of Dia and Box by ``mod(i)``."""
+    if isinstance(f, Var):
+        return var(f)
+    if isinstance(f, (Dia, Box)):
+        return type(f)(mod(f.mod), tree_map(f.child, var, mod))
+    return type(f)(*(tree_map(c, var, mod) for c in children(f)))
+
+
+def tree_substitute(f, mapping):
+    return tree_map(f, lambda v: mapping.get(v.index, v), lambda i: i)
+
+
+def tree_swap(f):
+    return tree_map(f, lambda v: v, lambda i: 3 - i)
+
+
+_TEXT = {Not: "~", ReachDia: "<+>", ReachBox: "[+]"}
+_OPS = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+
+
+def tree_print(f) -> str:
+    if isinstance(f, Var):
+        return f"p{f.index}"
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Dia):
+        return f"<{f.mod}>" + tree_print(f.child)
+    if isinstance(f, Box):
+        return f"[{f.mod}]" + tree_print(f.child)
+    if type(f) in _TEXT:
+        return _TEXT[type(f)] + tree_print(f.child)
+    return f"({tree_print(f.left)} {_OPS[type(f)]} {tree_print(f.right)})"
 
 
 def _successors(rows, w):
@@ -79,7 +145,7 @@ def least_witness(g, f):
     """(valuation pairs, world) of the first falsified world under the first
     falsifying assignment, or None when ``f`` is valid."""
     frame = g.frame if isinstance(g, GeneralFrame) else g
-    occurring = sorted(variables(f))
+    occurring = sorted(tree_variables(f))
     for combo in iproduct(candidates(g), repeat=len(occurring)):
         valuation = dict(zip(occurring, combo))
         for w in range(frame.n):

@@ -1,7 +1,7 @@
 import json
 
 from kripkebench.cli import main
-from kripkebench.constructions import tack, univ_chain
+from kripkebench.constructions import chain, lift, tack, univ_chain
 from kripkebench.frames import load_frame, store_frame
 
 
@@ -41,6 +41,19 @@ def test_valid_exit_codes(tmp_path, capsys):
     code, _, err = run(capsys, "valid", "--frame", str(frame),
                        "--formula", "p0 & p1 & p2", "--budget", "3")
     assert code == 2 and "budget" in err
+
+
+def test_valid_on_deeply_nested_text(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(lift(chain(2))))
+    code, text, _ = run(capsys, "valid", "--frame", str(frame),
+                        "--formula", "~" * 1200 + "p0")
+    assert code == 1
+    assert json.loads(text) == {"valuation": {"p0": "00"}, "world": 0}
+    code, text, err = run(capsys, "valid", "--frame", str(frame),
+                          "--formula", "(" * 400 + "p0" + ")" * 400)
+    assert code == 2 and text == ""
+    assert err.startswith("error: nesting too deep at byte ")
 
 
 def test_pmorph(tmp_path, capsys):

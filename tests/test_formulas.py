@@ -1,16 +1,22 @@
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from kripkebench.algebra import beta_formula
+from kripkebench.checks import beta_corpus
+from kripkebench.constructions import chain, lift
 from kripkebench.errors import ArityMismatch, FormulaSyntaxError, UnknownName
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or, Top,
-                                  Var, dia_star, dia_v, modal_depth,
-                                  named_formula, parse, print_formula,
-                                  registry_names, substitute, swap_modalities,
-                                  variables)
+                                  Var, box_star, conj, dia_star, dia_v,
+                                  modal_depth, named_formula, nodes, parse,
+                                  print_formula, registry_names, substitute,
+                                  swap_modalities, variables)
+from kripkebench.semantics import Model, eval_formula, refutes_witness, valid
 
-from conftest import formulas
+import oracle
+from conftest import formulas, frames, valuations
 
 GOLDEN = Path(__file__).parent / "data" / "formula_golden.txt"
 
@@ -134,3 +140,106 @@ def test_every_registry_name_is_instantiable():
     }
     for name in registry_names():
         named_formula(name, instantiations.get(name, []))
+
+
+def shared_formulas():
+    """Formulas with shared node objects: the star connectives, and one
+    subformula on both sides of a connective."""
+    base = formulas(max_depth=4, reach=True)
+    return st.one_of(
+        base, base.map(dia_star), base.map(box_star),
+        st.tuples(base, base).map(
+            lambda t: Iff(dia_star(t[0]), And(t[0], box_star(t[1])))))
+
+
+def _certificates():
+    return [(model, beta_formula(model, r).beta) for _, model, r in beta_corpus()]
+
+
+def assert_node_order(f):
+    order = nodes(f)
+    position = {id(g): i for i, g in enumerate(order)}
+    assert len(position) == len(order)
+    assert set(position) == oracle.node_ids(f)
+    assert order[-1] is f
+    for i, g in enumerate(order):
+        assert all(position[id(c)] < i for c in oracle.children(g))
+
+
+def assert_walks_agree(f, frame, valuation):
+    sub = {0: Dia(1, Var(2)), 2: Not(Var(0))}
+    assert variables(f) == oracle.tree_variables(f)
+    assert modal_depth(f) == oracle.tree_depth(f)
+    assert substitute(f, sub) == oracle.tree_substitute(f, sub)
+    assert swap_modalities(f) == oracle.tree_swap(f)
+    assert print_formula(f) == oracle.tree_print(f)
+    assert eval_formula(Model(frame, valuation), f) == \
+        oracle.extension(frame, valuation, f)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shared_formulas())
+def test_nodes_lists_each_object_once_children_first(f):
+    assert_node_order(f)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shared_formulas(), frames(max_n=3), st.data())
+def test_walks_agree_with_tree_oracles(f, frame, data):
+    assert_walks_agree(f, frame, data.draw(valuations(frame.n, max_vars=4)))
+
+
+def test_walks_agree_with_tree_oracles_on_certificates():
+    for model, beta in _certificates():
+        assert_node_order(beta)
+        assert_walks_agree(beta, model.kripke, dict(model.valuation))
+
+
+def test_rebuilding_keeps_sharing():
+    for _, beta in _certificates():
+        assert len(nodes(substitute(beta, {}))) == len(nodes(beta))
+        assert len(nodes(swap_modalities(beta))) == len(nodes(beta))
+
+
+def test_deep_and_wide_formulas_go_through_every_walk():
+    deep = Dia(1, Var(0))
+    for _ in range(5000):
+        deep = Not(deep)
+    text = "~" * 5000 + "<1>p0"
+    assert len(nodes(deep)) == 5002
+    assert variables(deep) == {0} and modal_depth(deep) == 1
+    assert print_formula(deep) == str(deep) == text
+    assert print_formula(parse(text)) == text
+    assert print_formula(substitute(deep, {0: Var(1)})) == text[:-1] + "1"
+    assert print_formula(swap_modalities(deep)) == text.replace("<1>", "<2>")
+
+    parts = [Imp(Var(i % 3), Dia(1 + i % 2, Var(i % 3))) for i in range(3000)]
+    wide = conj(parts)
+    wide_text = print_formula(parts[0])
+    for p in parts[1:]:
+        wide_text = f"({wide_text} & {print_formula(p)})"
+    assert variables(wide) == {0, 1, 2} and modal_depth(wide) == 1
+    assert print_formula(wide) == wide_text
+    assert print_formula(substitute(wide, {0: Top()})) == wide_text.replace("p0", "true")
+    assert print_formula(swap_modalities(wide)) == \
+        wide_text.replace("<1>", "<x>").replace("<2>", "<1>").replace("<x>", "<2>")
+
+    frame = lift(chain(2))  # reflexive, so every part holds
+    m = Model(frame, {0: 0b10, 1: 0b01})
+    assert eval_formula(m, deep) == eval_formula(m, Dia(1, Var(0))) == 0b11
+    assert eval_formula(m, wide) == 0b11
+    assert valid(frame, wide) and refutes_witness(frame, wide) is None
+    assert not valid(frame, deep)
+    assert refutes_witness(frame, deep) == refutes_witness(frame, Dia(1, Var(0)))
+
+
+def test_parser_depth():
+    # a run of prefix operators is read in a loop, whatever its length
+    assert print_formula(parse("~" * 1200 + "p0")) == "~" * 1200 + "p0"
+    assert modal_depth(parse("<1>[v]" * 600 + "p0")) == 1200
+    assert parse("(" * 50 + "p0" + ")" * 50) == Var(0)
+    with pytest.raises(FormulaSyntaxError, match="^nesting too deep") as e:
+        parse("(" * 400 + "p0" + ")" * 400)
+    assert e.value.found == "(" and 0 < e.value.offset < 400
+    with pytest.raises(FormulaSyntaxError, match="^nesting too deep"):
+        parse(" -> ".join(["p0"] * 2000))

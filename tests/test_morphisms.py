@@ -42,6 +42,15 @@ def general_frames(draw, max_n: int = 3):
     return GeneralFrame(f, generated_subalgebra(f, gens).elements)
 
 
+def test_find_on_empty_frames():
+    empty, point = Frame(0, (), ()), Frame(1, (1,), (1,))
+    general = GeneralFrame(empty, (0,))
+    for g, h, expected in ((empty, empty, ()), (general, general, ()),
+                           (general, empty, ()), (empty, point, None),
+                           (point, empty, None), (general, point, None)):
+        assert find_pmorphism(g, h) == oracle_first(g, h) == expected
+
+
 def test_check_examples():
     src, tgt, f = tack_collapse("both", 2)
     assert check_pmorphism(src, tgt, f) is None
@@ -68,7 +77,8 @@ def test_check_admissibility():
     trivial = GeneralFrame(frame, (0b00, 0b11))
     # identity onto the Kripke two-chain needs singleton preimages admissible
     v = check_pmorphism(trivial, frame, (0, 1))
-    assert v is not None and v.clause == "admissibility"
+    assert v is not None and v.clause == "admissibility" and v.worlds == (0,)
+    assert str(v) == "admissibility: preimage 10 of target set 10 is not admissible"
     # collapsing to a point is fine
     assert check_pmorphism(trivial, singleton(), (0, 0)) is None
     # against a general target, its algebra is also checked

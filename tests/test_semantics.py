@@ -394,6 +394,25 @@ def test_search_runs_once_per_distinct_maximal_part(monkeypatch):
                     refutes_witness) == [9]
 
 
+def test_node_order_is_built_once_per_call(monkeypatch):
+    orders, walks = [], []
+    build, walk = S.nodes, S._walk
+    monkeypatch.setattr(S, "nodes", lambda f: orders.append(f) or build(f))
+    monkeypatch.setattr(S, "_walk", lambda *args: walks.append(args[0]) or walk(*args))
+    presym = named_formula("presym")
+    g = product(UniFrame(3, (0b001, 0b010, 0b100)), chain(3))
+    # valid walks each of three parts, refutes_witness 16 blocks of the frame
+    for search, verdict in ((valid, True), (refutes_witness, None)):
+        orders.clear()
+        walks.clear()
+        assert search(g, presym, budget=1 << 23) == verdict
+        assert len(orders) == 1 and len(walks) > 1
+        assert all(order is walks[0] for order in walks)
+    orders.clear()
+    eval_formula(Model(g, {0: 0b1}), presym)
+    assert len(orders) == 1
+
+
 def test_split_budget_sums_the_parts_before_any_search():
     F = disjoint_union(*[product(chain(2), chain(2))] * 4)  # 4 parts of 4 worlds
     need = 4 * (1 << 4) * 4
