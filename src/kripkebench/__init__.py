@@ -8,7 +8,7 @@ definability), checks (the executable check registry and axiom profiler).
 """
 
 from .algebra import (BlockSystem, DefinabilityCertificate, SetAlgebra,
-                      atoms_of, beta_formula, block_system, free_algebra_count,
+                      beta_formula, block_system, free_algebra_count,
                       generated_subalgebra)
 from .checks import (CheckRecord, axiom_profile, report_json, run_all,
                      run_check)

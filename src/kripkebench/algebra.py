@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
-                       conj, disj, modal_depth)
+                       conj, disj)
 from .frames import (Frame, all_unions, bitstring, compose_rows, diagonal,
                      fibers, generated_subframe, preimage, pull, rt_closure,
                      union_rows, worlds_of)
@@ -119,14 +119,6 @@ def generated_subalgebra(frame: Frame, gens: Sequence[int],
     positions = tuple(sum(1 << top - j for j, a in enumerate(atoms) if a & g)
                       for g in gens)
     return SetAlgebra(frame.n, all_unions(atoms), positions)
-
-
-def atoms_of(alg: SetAlgebra) -> tuple[int, ...]:
-    """Minimal nonempty elements, sorted by least world."""
-    nonempty = [m for m in alg.elements if m]
-    atoms = [m for m in nonempty
-             if not any(o and o != m and o & ~m == 0 for o in nonempty)]
-    return tuple(sorted(atoms, key=lambda m: (m & -m).bit_length()))
 
 
 # --- block systems --------------------------------------------------------
@@ -441,7 +433,7 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
         raise NotDefinable(stray[0],
                            f"worlds {stray} are indistinguishable from {r}")
     alpha_source = {keep[w]: f for w, f in alpha_local.items()}
-    depth = modal_depth(beta)
+    depth = beta.depth
     transcript = (
         f"generated subframe has {sub.n} worlds: {keep}",
         f"block system stabilises at layer {system.stabilization}",

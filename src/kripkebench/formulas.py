@@ -14,112 +14,177 @@ ReachBox are frame-level reachability operators used by the semantics
 module; they are constructible programmatically but are not part of the
 text grammar.
 
-A node object may be the child of several nodes (the derived connectives
-share their argument), so a formula is a DAG of node objects.  ``nodes(f)``
-lists each node object once, children before parents and ``f`` last.  Every
-walk over a formula -- ``variables``, ``modal_depth``, ``substitute``,
-``swap_modalities``, ``print_formula`` and evaluation in the semantics
-module -- is one loop over that list that works each node out from its
-children's results, so no walk recurses.  Structural ``==`` and ``hash``
-are the dataclass methods, which still recurse over the tree.  The parser
-is recursive descent and rejects parentheses nested past the recursion
-limit with a FormulaSyntaxError.
+Formulas are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): a constructor looks its class and fields up in one
+table of weak references and returns the live node with those fields if
+there is one, so structurally equal formulas are one object.  ``==`` is
+``is``, ``hash`` is O(1), neither recurses, and ``depth`` (the modal
+depth) is recorded when a node is built.  A node that nothing else holds
+is freed, and its death callback removes its own table entry.  Nodes are
+immutable; copying or unpickling one returns the interned node.
+
+A formula is a DAG of distinct subformulas.  ``nodes(f)`` lists each of
+them once, children before parents and ``f`` last.  Every walk over a
+formula -- ``variables``, ``substitute``, ``swap_modalities``,
+``print_formula`` and evaluation in the semantics module -- is one loop
+over that list that works each node out from its children's results, so
+no walk recurses.  The parser is recursive descent and rejects
+parentheses nested past the recursion limit with a FormulaSyntaxError.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Mapping
 
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
 
+# (class, *fields) -> weak reference to the one live node with those fields;
+# children are fields, and a child's hash and == are its identity
+_table: dict[tuple, _Ref] = {}
+_lock = threading.RLock()
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """Death callback: drop the node's entry, unless a newer node has it."""
+    if _table.get(ref.key) is ref:
+        del _table[ref.key]
+
+
+def _make(key: tuple, depth: int) -> Formula:
+    """The node for ``key``, built and recorded unless another thread
+    recorded it first; constructors call it when their lookup misses."""
+    with _lock:
+        ref = _table.get(key)
+        node = ref and ref()
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, key[1:]):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "depth", depth)
+            ref = _table[key] = _Ref(node, _forget)
+            ref.key = key
+    return node
+
 
 class Formula:
-    __slots__ = ()
+    """A formula node.  Construction returns the one live node with the
+    given class and fields, so ``==`` is ``is`` and ``hash`` is O(1);
+    ``depth`` is the modal depth, recorded at construction."""
 
-    def __str__(self) -> str:
+    __slots__ = ("depth", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls):  # the kinds without fields; the others override it
+        ref = _table.get((cls,))
+        return ref and ref() or _make((cls,), 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    index: int
+    __slots__ = _fields = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"variable index must be nonnegative, got {self.index}")
+    def __new__(cls, index: int):
+        if type(index) is not int or index < 0:
+            raise ValueError(f"variable index must be a nonnegative int, got {index!r}")
+        key = (cls, index)
+        ref = _table.get(key)
+        return ref and ref() or _make(key, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    child: Formula
+class _Unary(Formula):
+    __slots__ = _fields = ("child",)
+    _modal = 1  # what the node adds to its child's modal depth
+
+    def __new__(cls, child: Formula):
+        key = (cls, child)
+        ref = _table.get(key)
+        return ref and ref() or _make(key, child.depth + cls._modal)
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
+    _modal = 0
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Dia(Formula):
-    mod: int
-    child: Formula
-
-    def __post_init__(self):
-        if self.mod not in (1, 2):
-            raise ValueError(f"modality must be 1 or 2, got {self.mod}")
-
-
-@dataclass(frozen=True, slots=True)
-class Box(Formula):
-    mod: int
-    child: Formula
-
-    def __post_init__(self):
-        if self.mod not in (1, 2):
-            raise ValueError(f"modality must be 1 or 2, got {self.mod}")
-
-
-@dataclass(frozen=True, slots=True)
-class ReachDia(Formula):
+class ReachDia(_Unary):
     """Diamond over the reflexive-transitive closure of r1 | r2."""
 
-    child: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ReachBox(Formula):
-    child: Formula
+class ReachBox(_Unary):
+    __slots__ = ()
+
+
+class _Modal(Formula):
+    __slots__ = _fields = ("mod", "child")
+
+    def __new__(cls, mod: int, child: Formula):
+        if type(mod) is not int or mod not in (1, 2):
+            raise ValueError(f"modality must be the int 1 or 2, got {mod!r}")
+        key = (cls, mod, child)
+        ref = _table.get(key)
+        return ref and ref() or _make(key, child.depth + 1)
+
+
+class Dia(_Modal):
+    __slots__ = ()
+
+
+class Box(_Modal):
+    __slots__ = ()
+
+
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        ref = _table.get(key)
+        return ref and ref() or _make(key, max(left.depth, right.depth))
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Imp(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
 
 
 _BINARY = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
@@ -170,11 +235,11 @@ _ARITY = {Var: 0, Bot: 0, Top: 0, Not: 1, Dia: 1, Box: 1, ReachDia: 1,
 
 
 def nodes(f: Formula) -> list[Formula]:
-    """Every node object of ``f`` once, by identity, children before
-    parents and ``f`` last.  Every walk over a formula is a loop over this
-    list, so none of them recurses."""
+    """Every distinct subformula of ``f`` once, children before parents and
+    ``f`` last.  Every walk over a formula is a loop over this list, so
+    none of them recurses."""
     order: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack: list = [f]
     pop, mark, arity_of = stack.pop, seen.add, _ARITY  # hot loop: local names
     while stack:
@@ -182,9 +247,8 @@ def nodes(f: Formula) -> list[Formula]:
         if g is None:  # marker: the node below it has all its children done
             order.append(pop())
             continue
-        i = id(g)
-        if i not in seen:
-            mark(i)
+        if g not in seen:
+            mark(g)
             arity = arity_of[type(g)]
             if arity == 0:
                 order.append(g)
@@ -200,39 +264,27 @@ def variables(f: Formula) -> frozenset[int]:
 
 
 def modal_depth(f: Formula) -> int:
-    depth: dict[int, int] = {}
-    for g in nodes(f):
-        t = type(g)
-        arity = _ARITY[t]
-        if arity == 0:
-            d = 0
-        elif arity == 2:
-            d = max(depth[id(g.left)], depth[id(g.right)])
-        else:
-            d = depth[id(g.child)] + (t is not Not)
-        depth[id(g)] = d
-    return d
+    return f.depth
 
 
 def _rebuild(f: Formula, mapping: Mapping[int, Formula], swap: bool) -> Formula:
     """``f`` with each variable in the map replaced, and with the two
-    modalities exchanged when ``swap``; each distinct node is rebuilt once,
-    so shared subformulas stay shared."""
-    new: dict[int, Formula] = {}
+    modalities exchanged when ``swap``; each distinct node is rebuilt once."""
+    new: dict[Formula, Formula] = {}
     for g in nodes(f):
         t = type(g)
         arity = _ARITY[t]
         if t is Dia or t is Box:
-            r = t(3 - g.mod if swap else g.mod, new[id(g.child)])
+            r = t(3 - g.mod if swap else g.mod, new[g.child])
         elif arity == 2:
-            r = t(new[id(g.left)], new[id(g.right)])
+            r = t(new[g.left], new[g.right])
         elif arity == 1:
-            r = t(new[id(g.child)])
+            r = t(new[g.child])
         elif t is Var:
             r = mapping.get(g.index, g)
         else:
             r = g
-        new[id(g)] = r
+        new[g] = r
     return r
 
 
@@ -250,26 +302,42 @@ _PREFIX = {Not: "~", ReachDia: "<+>", ReachBox: "[+]"}
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical fully-parenthesised text.  parse(print(f)) == f for
+    """Canonical fully-parenthesised text.  parse(print(f)) is f for
     formulas of the grammar; ReachDia and ReachBox print as <+> and [+],
-    which parse rejects."""
-    text: dict[int, str] = {}
-    for g in nodes(f):
+    which parse rejects.  A child's text is dropped once its last parent
+    has used it, so memory follows the output, not the sum of the texts of
+    all subformulas."""
+    order = nodes(f)
+    pending: dict[Formula, int] = dict.fromkeys(order, 0)  # parents to print
+    for g in order:
+        arity = _ARITY[type(g)]
+        if arity == 1:
+            pending[g.child] += 1
+        elif arity == 2:
+            pending[g.left] += 1
+            pending[g.right] += 1
+    text: dict[Formula, str] = {}
+
+    def take(child: Formula) -> str:
+        pending[child] -= 1
+        return text[child] if pending[child] else text.pop(child)
+
+    for g in order:
         t = type(g)
         arity = _ARITY[t]
         if arity == 2:
-            s = f"({text[id(g.left)]} {_BINARY[t]} {text[id(g.right)]})"
+            s = f"({take(g.left)} {_BINARY[t]} {take(g.right)})"
         elif t is Dia:
-            s = f"<{g.mod}>" + text[id(g.child)]
+            s = f"<{g.mod}>" + take(g.child)
         elif t is Box:
-            s = f"[{g.mod}]" + text[id(g.child)]
+            s = f"[{g.mod}]" + take(g.child)
         elif arity == 1:
-            s = _PREFIX[t] + text[id(g.child)]
+            s = _PREFIX[t] + take(g.child)
         elif t is Var:
             s = f"p{g.index}"
         else:
             s = "true" if t is Top else "false"
-        text[id(g)] = s
+        text[g] = s
     return s
 
 

@@ -391,18 +391,12 @@ def analyze(f: Frame) -> SkeletonInfo:
             cluster_index[v] = cid
     k = len(clusters)
     order = pull_rows(reach, [worlds_of(m)[0] for m in clusters])
+    # a cluster strictly above c has fewer clusters above it than c has, so
+    # ascending counts reach every cluster after all the clusters above it
     chain_len = [0] * k
-    def up_len(c: int) -> int:
-        if chain_len[c]:
-            return chain_len[c]
-        best = 0
-        strict = order[c] & ~(1 << c)
-        for d in worlds_of(strict):
-            best = max(best, up_len(d))
-        chain_len[c] = 1 + best
-        return chain_len[c]
-    for c in range(k):
-        up_len(c)
+    for c in sorted(range(k), key=lambda c: order[c].bit_count()):
+        above = worlds_of(order[c] & ~(1 << c))
+        chain_len[c] = 1 + max((chain_len[d] for d in above), default=0)
     depth = tuple(chain_len[cluster_index[w]] for w in range(f.n))
     return SkeletonInfo(tuple(cluster_index), tuple(clusters), order,
                         max(chain_len), depth)

@@ -84,34 +84,34 @@ def _walk(order: list[Formula], leaves: Mapping, full, pre: Callable):
     ``nodes``: variable v is ``leaves.get(v, 0)`` and ``pre(mod, x)`` is
     the set of worlds with a ``mod``-successor in x, where mod 0 is the
     reflexive-transitive closure of r1 | r2."""
-    val: dict[int, object] = {}
+    val: dict[Formula, object] = {}
     for g in order:  # the most frequent node kinds first
         t = type(g)
         if t is And:
-            r = val[id(g.left)] & val[id(g.right)]
+            r = val[g.left] & val[g.right]
         elif t is Dia:
-            r = pre(g.mod, val[id(g.child)])
+            r = pre(g.mod, val[g.child])
         elif t is Imp:
-            r = (full ^ val[id(g.left)]) | val[id(g.right)]
+            r = (full ^ val[g.left]) | val[g.right]
         elif t is Not:
-            r = full ^ val[id(g.child)]
+            r = full ^ val[g.child]
         elif t is Var:
             r = leaves.get(g.index, 0)
         elif t is Or:
-            r = val[id(g.left)] | val[id(g.right)]
+            r = val[g.left] | val[g.right]
         elif t is Box:
-            r = full ^ pre(g.mod, full ^ val[id(g.child)])
+            r = full ^ pre(g.mod, full ^ val[g.child])
         elif t is Iff:
-            r = full ^ (val[id(g.left)] ^ val[id(g.right)])
+            r = full ^ (val[g.left] ^ val[g.right])
         elif t is Top:
             r = full
         elif t is Bot:
             r = full ^ full  # zero of the same kind as full
         elif t is ReachDia:
-            r = pre(0, val[id(g.child)])
+            r = pre(0, val[g.child])
         else:
-            r = full ^ pre(0, full ^ val[id(g.child)])
-        val[id(g)] = r
+            r = full ^ pre(0, full ^ val[g.child])
+        val[g] = r
     return r
 
 

@@ -1,9 +1,10 @@
 """Independent test oracles for formula walks, formula evaluation,
-refutation search and free-algebra counts.
+refutation search, subalgebra atoms and free-algebra counts.
 
 The formula walks here recurse over the formula as a tree, visiting a
 shared subformula once per occurrence; the library loops over its node
-order instead.
+order instead.  ``tree_key`` compares formulas by structure without the
+library's ``==``, which is identity on interned nodes.
 
 Truth is decided world by world with the Kripke clauses, and assignments
 are enumerated one at a time in bitstring order with the lowest variable
@@ -35,6 +36,21 @@ def children(f) -> tuple:
 def node_ids(f) -> set[int]:
     """Identities of every node object reachable from ``f``."""
     return {id(f)}.union(*(node_ids(c) for c in children(f)))
+
+
+def tree_key(f, into: set | None = None, memo: dict | None = None) -> tuple:
+    """Nested tuple of the node kind, its index or modality, and the keys
+    of its children: equal exactly for structurally equal formulas.
+    ``into`` collects the key of every subformula."""
+    memo = {} if memo is None else memo  # node object id -> key, one call
+    key = memo.get(id(f))
+    if key is None:
+        own = (f.index,) if isinstance(f, Var) else (f.mod,) if isinstance(f, (Dia, Box)) else ()
+        key = memo[id(f)] = (type(f).__name__, *own,
+                             *(tree_key(c, into, memo) for c in children(f)))
+        if into is not None:
+            into.add(key)
+    return key
 
 
 def tree_variables(f) -> frozenset[int]:
@@ -152,6 +168,14 @@ def least_witness(g, f):
             if not holds(frame, valuation, f, w):
                 return tuple(zip(occurring, combo)), w
     return None
+
+
+def atoms_of(alg) -> tuple[int, ...]:
+    """Minimal nonempty elements of a set algebra, sorted by least world."""
+    nonempty = [m for m in alg.elements if m]
+    atoms = [m for m in nonempty
+             if not any(o and o != m and o & ~m == 0 for o in nonempty)]
+    return tuple(sorted(atoms, key=lambda m: (m & -m).bit_length()))
 
 
 def free_count_by_refinement(frames, k) -> int:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.algebra import (SetAlgebra, atoms_of, beta_formula,
+from kripkebench.algebra import (SetAlgebra, beta_formula,
                                  block_system, free_algebra_count,
                                  generated_subalgebra,
                                  naive_free_algebra_count)
@@ -18,7 +18,7 @@ from kripkebench.frames import Frame, preimage, worlds_of
 from kripkebench.semantics import Model, eval_formula
 
 from conftest import frames
-from oracle import free_count_by_refinement
+from oracle import atoms_of, free_count_by_refinement
 
 
 def naive_closure(frame, gens):

@@ -1,3 +1,10 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -7,6 +14,7 @@ from hypothesis import given, settings
 from kripkebench.algebra import beta_formula
 from kripkebench.checks import beta_corpus
 from kripkebench.constructions import chain, lift
+from kripkebench import formulas as F
 from kripkebench.errors import ArityMismatch, FormulaSyntaxError, UnknownName
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or, Top,
                                   Var, box_star, conj, dia_star, dia_v,
@@ -58,7 +66,7 @@ def test_print_examples():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(formulas())
 def test_parse_print_round_trip(f):
-    assert parse(print_formula(f)) == f
+    assert parse(print_formula(f)) is f
 
 
 def test_substitute_examples():
@@ -164,14 +172,18 @@ def assert_node_order(f):
     assert order[-1] is f
     for i, g in enumerate(order):
         assert all(position[id(c)] < i for c in oracle.children(g))
+    keys = set()
+    oracle.tree_key(f, keys)
+    assert len(order) == len(keys)  # one node per distinct subformula
 
 
 def assert_walks_agree(f, frame, valuation):
     sub = {0: Dia(1, Var(2)), 2: Not(Var(0))}
     assert variables(f) == oracle.tree_variables(f)
     assert modal_depth(f) == oracle.tree_depth(f)
-    assert substitute(f, sub) == oracle.tree_substitute(f, sub)
-    assert swap_modalities(f) == oracle.tree_swap(f)
+    key = oracle.tree_key
+    assert key(substitute(f, sub)) == key(oracle.tree_substitute(f, sub))
+    assert key(swap_modalities(f)) == key(oracle.tree_swap(f))
     assert print_formula(f) == oracle.tree_print(f)
     assert eval_formula(Model(frame, valuation), f) == \
         oracle.extension(frame, valuation, f)
@@ -197,32 +209,118 @@ def test_walks_agree_with_tree_oracles_on_certificates():
 
 def test_rebuilding_keeps_sharing():
     for _, beta in _certificates():
-        assert len(nodes(substitute(beta, {}))) == len(nodes(beta))
+        assert substitute(beta, {}) is beta
+        assert swap_modalities(swap_modalities(beta)) is beta
         assert len(nodes(swap_modalities(beta))) == len(nodes(beta))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shared_formulas())
+def test_rebuilding_gives_back_the_interned_node(f):
+    assert substitute(f, {}) is f
+    assert swap_modalities(swap_modalities(f)) is f
+    assert oracle.tree_map(f, lambda v: v, lambda i: i) is f
+
+
+def test_fields_must_be_ints():
+    live = Dia(1, Var(1))  # its key equals that of Dia(True, Var(1))
+    for build in (lambda: Var(True), lambda: Var(1.0), lambda: Var(-1),
+                  lambda: Dia(True, Var(1)), lambda: Box(1.0, Var(1)),
+                  lambda: Dia(3, Var(1)), lambda: Box(0, Var(1))):
+        with pytest.raises(ValueError):
+            build()
+    assert Dia(1, Var(1)) is live and print_formula(live) == "<1>p1"
+
+
+def test_nodes_are_immutable_and_copy_as_themselves():
+    f = named_formula("presym")
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert repr(f) == str(f) == print_formula(f)
+    with pytest.raises(AttributeError):
+        f.left = Top()
+    with pytest.raises(AttributeError):
+        del f.right
+    with pytest.raises(AttributeError):
+        f.depth = 0
+
+
+def test_death_callback_removes_only_its_own_entry():
+    f = Var(4321)
+    key = (Var, 4321)
+    own = F._table[key]
+    stale = F._Ref(Top())  # a dead node's reference whose key was taken again
+    stale.key = key
+    F._forget(stale)
+    assert F._table[key] is own and Var(4321) is f
+    probe = weakref.ref(f)
+    del f
+    gc.collect()
+    assert probe() is None and key not in F._table
+
+
+def test_concurrent_construction_gives_one_node():
+    def build(out):
+        for i in range(300):
+            out.append(And(Dia(1 + i % 2, Var(5000 + i)), Not(Var(5001 + i))))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 300 for out in results)
+    for made in zip(*results):
+        assert all(m is made[0] for m in made)
+
+
+def test_print_memory_follows_the_output():
+    f = conj([Var(i) for i in range(3000)])
+    tracemalloc.start()
+    try:
+        text = print_formula(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 28000 and peak < 2 << 20
+
+
 def test_deep_and_wide_formulas_go_through_every_walk():
-    deep = Dia(1, Var(0))
-    for _ in range(5000):
-        deep = Not(deep)
+    def negated(f, times=5000):
+        for _ in range(times):
+            f = Not(f)
+        return f
+
+    deep = negated(Dia(1, Var(0)))
     text = "~" * 5000 + "<1>p0"
     assert len(nodes(deep)) == 5002
     assert variables(deep) == {0} and modal_depth(deep) == 1
     assert print_formula(deep) == str(deep) == text
-    assert print_formula(parse(text)) == text
-    assert print_formula(substitute(deep, {0: Var(1)})) == text[:-1] + "1"
-    assert print_formula(swap_modalities(deep)) == text.replace("<1>", "<2>")
+    assert parse(text) is deep and hash(parse(text)) == hash(deep)
+    assert substitute(deep, {0: Var(1)}) is negated(Dia(1, Var(1)))
+    assert swap_modalities(deep) is negated(Dia(2, Var(0))) != deep
 
-    parts = [Imp(Var(i % 3), Dia(1 + i % 2, Var(i % 3))) for i in range(3000)]
+    def part(i, leaf):
+        return Imp(leaf(i % 3), Dia(1 + i % 2, leaf(i % 3)))
+
+    parts = [part(i, Var) for i in range(3000)]
     wide = conj(parts)
     wide_text = print_formula(parts[0])
     for p in parts[1:]:
         wide_text = f"({wide_text} & {print_formula(p)})"
     assert variables(wide) == {0, 1, 2} and modal_depth(wide) == 1
     assert print_formula(wide) == wide_text
-    assert print_formula(substitute(wide, {0: Top()})) == wide_text.replace("p0", "true")
-    assert print_formula(swap_modalities(wide)) == \
-        wide_text.replace("<1>", "<x>").replace("<2>", "<1>").replace("<x>", "<2>")
+    assert substitute(wide, {0: Top()}) is \
+        conj(part(i, lambda v: Var(v) if v else Top()) for i in range(3000))
+    assert swap_modalities(wide) is \
+        conj(Imp(Var(i % 3), Dia(2 - i % 2, Var(i % 3))) for i in range(3000))
 
     frame = lift(chain(2))  # reflexive, so every part holds
     m = Model(frame, {0: 0b10, 1: 0b01})
@@ -231,6 +329,10 @@ def test_deep_and_wide_formulas_go_through_every_walk():
     assert valid(frame, wide) and refutes_witness(frame, wide) is None
     assert not valid(frame, deep)
     assert refutes_witness(frame, deep) == refutes_witness(frame, Dia(1, Var(0)))
+
+    probe = weakref.ref(negated(Box(2, Var(4322))))
+    gc.collect()
+    assert probe() is None
 
 
 def test_parser_depth():

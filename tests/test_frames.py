@@ -108,6 +108,11 @@ def test_analyze_examples():
     assert sk.depth[0] == 3 and sk.depth[2] == 1
 
 
+def test_analyze_chain_longer_than_the_recursion_limit():
+    sk = analyze(lift(chain(1500)))
+    assert sk.height == 1500 and sk.depth[0] == 1500 and sk.depth[-1] == 1
+
+
 def test_frame_property_examples():
     from kripkebench.constructions import product
     pr = product(chain(2), chain(2))
