@@ -7,6 +7,8 @@ algebra (subalgebras, free-algebra counts, block systems, point
 definability), checks (the executable check registry and axiom profiler).
 """
 
+import logging
+
 from .algebra import (BlockSystem, DefinabilityCertificate, SetAlgebra,
                       beta_formula, block_system, free_algebra_count,
                       generated_subalgebra)
@@ -31,3 +33,5 @@ from .morphisms import (Violation, check_pmorphism, find_pmorphism,
 from .semantics import Model, Witness, eval_formula, refutes_witness, valid
 
 __version__ = "0.1.0"
+
+logging.getLogger("kripkebench").addHandler(logging.NullHandler())

@@ -22,7 +22,7 @@ from .errors import BudgetExceeded, UnknownCheck
 from .formulas import (Formula, Imp, P, dia_v, named_formula, print_formula,
                        swap_modalities)
 from .frames import (Frame, GeneralFrame, analyze, bitstring, frame_property,
-                     restriction, rt_closure, store_frame)
+                     restriction, rt_closure, store_frame, transpose_rows)
 from .morphisms import check_pmorphism, tack_collapse
 from .semantics import Model, eval_formula, valid
 
@@ -268,16 +268,14 @@ def _c8(params, rng, out):
 
 def _c9(params, rng, out):
     ok = True
+    axioms = [named_formula(name) for name in ("com", "chr", "conv")]
     for n in range(1, params["max_n"] + 1):
         for u in linear_preorders(n):
-            from .frames import transpose_rows
             F = Frame(n, u.rows, transpose_rows(u.rows, n))
             com_p = frame_property(F, "com")
             cr_p = frame_property(F, "cr")
             tense_p = frame_property(F, "tense")
-            sem = (valid(F, named_formula("com"), budget=params["budget"])
-                   and valid(F, named_formula("chr"), budget=params["budget"])
-                   and valid(F, named_formula("conv"), budget=params["budget"]))
+            sem = all(valid(F, f, budget=params["budget"]) for f in axioms)
             union = F.union()
             closed = rt_closure(union, n) == union
             line = (f"n={n} rows=[{','.join(bitstring(r, n) for r in u.rows)}]: "
@@ -311,13 +309,11 @@ def _c10(params, rng, out):
 
 def _c11(params, rng, out):
     ok = True
+    axioms = {"dd": named_formula("dd"), "u_incl": named_formula("u_incl"),
+              "s5(2)": named_formula("s5_ax", [2])}
     for m in range(1, params["max_m"] + 1):
         F = C.univ_chain(m)
-        verdicts = {
-            "dd": valid(F, named_formula("dd"), budget=params["budget"]),
-            "u_incl": valid(F, named_formula("u_incl"), budget=params["budget"]),
-            "s5(2)": valid(F, named_formula("s5_ax", [2]), budget=params["budget"]),
-        }
+        verdicts = {k: valid(F, f, budget=params["budget"]) for k, f in axioms.items()}
         if not all(verdicts.values()):
             ok = False
         out.append(f"(m={m},<=,univ): " + " ".join(

@@ -28,8 +28,11 @@ them once, children before parents and ``f`` last.  Every walk over a
 formula -- ``variables``, ``substitute``, ``swap_modalities``,
 ``print_formula`` and evaluation in the semantics module -- is one loop
 over that list that works each node out from its children's results, so
-no walk recurses.  The parser is recursive descent and rejects
-parentheses nested past the recursion limit with a FormulaSyntaxError.
+no walk recurses.  The parser is recursive descent over a one-pass
+tokenizer and parses each distinct parenthesised group once per call, so
+its work follows the distinct groups, not the length of the text.
+Nesting past the recursion limit is a FormulaSyntaxError, unless it sits
+only inside repeats of a group already parsed, which are not re-entered.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from itertools import accumulate, islice, repeat
 from typing import Mapping
 
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
@@ -343,154 +347,149 @@ def print_formula(f: Formula) -> str:
 
 # --- parser -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<and>&)
-      | (?P<or>\|)
-      | (?P<not>~)
-      | (?P<dia><(?P<diatok>1|2|v|\*)>)
-      | (?P<box>\[(?P<boxtok>1|2|v|\*)\])
-      | (?P<lpar>\()
-      | (?P<rpar>\))
-      | (?P<false>false)
-      | (?P<true>true)
-      | (?P<var>p[0-9]+)
-    """,
-    re.VERBOSE,
-)
+# \S takes any other character as a one-character token that has no kind
+_TOKEN_RE = re.compile(r"<->|->|<[12v*]>|\[[12v*]\]|p[0-9]+|true|false|[&|~()]|\S")
+# token text -> kind; a token of two or more characters that is not listed
+# is a variable, and "" marks the end of the text
+_KIND = {"<->": "iff", "->": "imp", "&": "and", "|": "or", "~": "not",
+         "(": "lpar", ")": "rpar", "true": "true", "false": "false", "": "end",
+         **{f"<{t}>": "dia" for t in "12v*"}, **{f"[{t}]": "box" for t in "12v*"}}
 
+_DEPTH_STEP = {"(": 1, ")": -1}
 _ATOM_EXPECTED = frozenset({"false", "true", "var", "~", "<i>", "[i]", "("})
 _INFIX_EXPECTED = frozenset({"&", "|", "->", "<->", ")", "end"})
 
 
-def _byte_offset(text: str, char_pos: int) -> int:
-    return len(text[:char_pos].encode("utf-8"))
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(
-                "unrecognised input", _byte_offset(text, pos),
-                _ATOM_EXPECTED | _INFIX_EXPECTED, text[pos])
-        kind = m.lastgroup if m.lastgroup not in ("diatok", "boxtok") else None
-        if kind is None:  # lastgroup was the inner token group
-            kind = "dia" if m.group("dia") else "box"
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
+    """Recursive descent over the token list.  The inside of a group is a
+    whole ``iff``, so equal group text gives the same node wherever it
+    occurs: a group whose text was already parsed in this call is looked
+    up, not parsed again."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens = _TOKEN_RE.findall(text)
+        bad = [t for t in set(tokens).difference(_KIND) if len(t) == 1]
+        if bad:
+            i = min(map(tokens.index, bad))
+            raise FormulaSyntaxError("unrecognised input", self.offset(i),
+                                     _ATOM_EXPECTED | _INFIX_EXPECTED, tokens[i])
+        tokens.append("")
+        self.kinds = list(map(_KIND.get, tokens))  # None for a variable
+        # parenthesis depth after each token: the ) of the ( at i is the
+        # first later token back at depth depth[i] - 1
+        self.depth = list(accumulate(map(_DEPTH_STEP.get, tokens, repeat(0))))
         self.i = 0
+        self.groups: dict[str, Formula] = {}  # group text -> its node
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def offset(self, i: int) -> int:
+        """Byte offset of token ``i``; the end marker is at the end."""
+        pos = len(self.text)
+        for m in islice(_TOKEN_RE.finditer(self.text), i, i + 1):
+            pos = m.start()
+        return len(self.text[:pos].encode("utf-8"))
 
     def fail(self, expected: frozenset[str]):
-        kind, text, pos = self.peek()
-        raise FormulaSyntaxError(
-            "unexpected token", _byte_offset(self.text, pos), expected,
-            text if text else "end of input")
+        raise FormulaSyntaxError("unexpected token", self.offset(self.i), expected,
+                                 self.tokens[self.i] or "end of input")
 
     def parse(self) -> Formula:
         f = self.iff()
-        if self.peek()[0] != "end":
+        if self.kinds[self.i] != "end":
             self.fail(_INFIX_EXPECTED - {")"})
         return f
 
     def iff(self) -> Formula:
         left = self.imp()
-        if self.peek()[0] == "iff":
-            self.advance()
+        if self.kinds[self.i] == "iff":
+            self.i += 1
             return Iff(left, self.iff())
         return left
 
     def imp(self) -> Formula:
         left = self.disj()
-        if self.peek()[0] == "imp":
-            self.advance()
+        if self.kinds[self.i] == "imp":
+            self.i += 1
             return Imp(left, self.imp())
         return left
 
     def disj(self) -> Formula:
         f = self.conj()
-        while self.peek()[0] == "or":
-            self.advance()
+        while self.kinds[self.i] == "or":
+            self.i += 1
             f = Or(f, self.conj())
         return f
 
     def conj(self) -> Formula:
         f = self.unary()
-        while self.peek()[0] == "and":
-            self.advance()
+        while self.kinds[self.i] == "and":
+            self.i += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
         # prefix operators are read in a loop, so a long run of them does
         # not nest the parser
-        prefixes = []
-        while self.peek()[0] in ("not", "dia", "box"):
-            prefixes.append(self.advance()[:2])
+        start = i = self.i
+        while self.kinds[i] in ("not", "dia", "box"):
+            i += 1
+        self.i = i
         f = self.atom()
-        for kind, text in reversed(prefixes):
+        for k in range(i - 1, start - 1, -1):
+            kind, tok = self.kinds[k], self.tokens[k][1:-1]
             if kind == "not":
                 f = Not(f)
             elif kind == "dia":
-                f = _dia_at(_token(text[1:-1]), f)
+                f = _dia_at(_token(tok), f)
             else:
-                f = _box_at(_token(text[1:-1]), f)
+                f = _box_at(_token(tok), f)
         return f
 
     def atom(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "false":
-            self.advance()
-            return Bot()
-        if kind == "true":
-            self.advance()
-            return Top()
-        if kind == "var":
-            self.advance()
-            return Var(int(text[1:]))
+        i = self.i
+        kind = self.kinds[i]
+        if kind is None:
+            self.i += 1
+            return Var(int(self.tokens[i][1:]))
         if kind == "lpar":
-            self.advance()
+            try:
+                end = self.depth.index(self.depth[i] - 1, i)
+            except ValueError:  # an unclosed (: parsed on to its error
+                end = key = None
+            else:
+                key = " ".join(self.tokens[i + 1:end])
+            f = self.groups.get(key)
+            if f is not None:
+                self.i = end + 1
+                return f
+            self.i += 1
             f = self.iff()
-            if self.peek()[0] != "rpar":
+            if self.kinds[self.i] != "rpar":
                 self.fail(frozenset({")"}) | _INFIX_EXPECTED - {"end", ")"})
-            self.advance()
+            self.i += 1
+            self.groups[key] = f
             return f
+        if kind == "true" or kind == "false":
+            self.i += 1
+            return Top() if kind == "true" else Bot()
         self.fail(_ATOM_EXPECTED)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text.  Precedence ~/modal > & > | > -> > <->;
-    implication and equivalence associate to the right.  Parentheses and
-    chains of -> or <-> nested past the interpreter's recursion limit are a
-    FormulaSyntaxError at the token where the parser ran out."""
+    implication and equivalence associate to the right.  Each distinct
+    parenthesised group is parsed once per call, so the work follows the
+    distinct groups, not the length of the text.  Parentheses and chains
+    of -> or <-> nested past the interpreter's recursion limit are a
+    FormulaSyntaxError at the token where the parser ran out; a repeat of
+    a group already parsed is not entered again, so text that passes the
+    limit only inside such repeats may parse."""
     parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
-        _, found, pos = parser.peek()
-        raise FormulaSyntaxError("nesting too deep", _byte_offset(text, pos),
-                                 _ATOM_EXPECTED, found or "end of input") from None
+        raise FormulaSyntaxError("nesting too deep", parser.offset(parser.i), _ATOM_EXPECTED,
+                                 parser.tokens[parser.i] or "end of input") from None
 
 
 # --- named formulas ----------------------------------------------------

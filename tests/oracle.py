@@ -1,10 +1,13 @@
-"""Independent test oracles for formula walks, formula evaluation,
-refutation search, subalgebra atoms and free-algebra counts.
+"""Independent test oracles for formula walks, formula parsing, formula
+evaluation, refutation search, subalgebra atoms and free-algebra counts.
 
 The formula walks here recurse over the formula as a tree, visiting a
 shared subformula once per occurrence; the library loops over its node
 order instead.  ``tree_key`` compares formulas by structure without the
 library's ``==``, which is identity on interned nodes.
+``reference_parse`` is a recursive-descent parser over a match-loop
+tokenizer that parses every occurrence of a group anew; the library's
+parser parses each distinct group once.
 
 Truth is decided world by world with the Kripke clauses, and assignments
 are enumerated one at a time in bitstring order with the lowest variable
@@ -17,11 +20,14 @@ coordinate models, which shares no code with the vectorised count.
 
 from __future__ import annotations
 
+import re
 from itertools import product as iproduct
 
 from kripkebench.algebra import _refinements
+from kripkebench.errors import FormulaSyntaxError
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
-                                  ReachBox, ReachDia, Top, Var)
+                                  ReachBox, ReachDia, Top, Var, box_star,
+                                  box_v, dia_star, dia_v)
 from kripkebench.frames import GeneralFrame, worlds_of
 
 
@@ -100,6 +106,150 @@ def tree_print(f) -> str:
     if type(f) in _TEXT:
         return _TEXT[type(f)] + tree_print(f.child)
     return f"({tree_print(f.left)} {_OPS[type(f)]} {tree_print(f.right)})"
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<iff><->)
+      | (?P<imp>->)
+      | (?P<and>&)
+      | (?P<or>\|)
+      | (?P<not>~)
+      | (?P<dia><(?P<diatok>1|2|v|\*)>)
+      | (?P<box>\[(?P<boxtok>1|2|v|\*)\])
+      | (?P<lpar>\()
+      | (?P<rpar>\))
+      | (?P<false>false)
+      | (?P<true>true)
+      | (?P<var>p[0-9]+)
+    """,
+    re.VERBOSE,
+)
+
+_ATOM_EXPECTED = frozenset({"false", "true", "var", "~", "<i>", "[i]", "("})
+_INFIX_EXPECTED = frozenset({"&", "|", "->", "<->", ")", "end"})
+_MODAL = {("dia", "v"): dia_v, ("dia", "*"): dia_star,
+          ("box", "v"): box_v, ("box", "*"): box_star}
+
+
+def _byte_offset(text: str, char_pos: int) -> int:
+    return len(text[:char_pos].encode("utf-8"))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(
+                "unrecognised input", _byte_offset(text, pos),
+                _ATOM_EXPECTED | _INFIX_EXPECTED, text[pos])
+        kind = m.lastgroup if m.lastgroup not in ("diatok", "boxtok") else None
+        if kind is None:  # lastgroup was the inner token group
+            kind = "dia" if m.group("dia") else "box"
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, expected: frozenset[str]):
+        kind, text, pos = self.peek()
+        raise FormulaSyntaxError(
+            "unexpected token", _byte_offset(self.text, pos), expected,
+            text if text else "end of input")
+
+    def parse(self):
+        f = self.iff()
+        if self.peek()[0] != "end":
+            self.fail(_INFIX_EXPECTED - {")"})
+        return f
+
+    def iff(self):
+        left = self.imp()
+        if self.peek()[0] == "iff":
+            self.advance()
+            return Iff(left, self.iff())
+        return left
+
+    def imp(self):
+        left = self.disj()
+        if self.peek()[0] == "imp":
+            self.advance()
+            return Imp(left, self.imp())
+        return left
+
+    def disj(self):
+        f = self.conj()
+        while self.peek()[0] == "or":
+            self.advance()
+            f = Or(f, self.conj())
+        return f
+
+    def conj(self):
+        f = self.unary()
+        while self.peek()[0] == "and":
+            self.advance()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        prefixes = []
+        while self.peek()[0] in ("not", "dia", "box"):
+            prefixes.append(self.advance()[:2])
+        f = self.atom()
+        for kind, text in reversed(prefixes):
+            tok = text[1:-1]
+            if kind == "not":
+                f = Not(f)
+            elif tok in ("1", "2"):
+                f = (Dia if kind == "dia" else Box)(int(tok), f)
+            else:
+                f = _MODAL[kind, tok](f)
+        return f
+
+    def atom(self):
+        kind, text, _ = self.peek()
+        if kind == "false":
+            self.advance()
+            return Bot()
+        if kind == "true":
+            self.advance()
+            return Top()
+        if kind == "var":
+            self.advance()
+            return Var(int(text[1:]))
+        if kind == "lpar":
+            self.advance()
+            f = self.iff()
+            if self.peek()[0] != "rpar":
+                self.fail(frozenset({")"}) | _INFIX_EXPECTED - {"end", ")"})
+            self.advance()
+            return f
+        self.fail(_ATOM_EXPECTED)
+
+
+def reference_parse(text: str):
+    """Parse formula text token by token, every group at each occurrence;
+    the same formulas and the same FormulaSyntaxErrors as ``parse`` for
+    text nested below the recursion limit."""
+    return _ReferenceParser(text).parse()
 
 
 def _successors(rows, w):

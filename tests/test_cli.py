@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kripkebench.cli import main
 from kripkebench.constructions import chain, lift, tack, univ_chain
@@ -54,6 +58,18 @@ def test_valid_on_deeply_nested_text(tmp_path, capsys):
                           "--formula", "(" * 400 + "p0" + ")" * 400)
     assert code == 2 and text == ""
     assert err.startswith("error: nesting too deep at byte ")
+
+
+def test_check_leaves_stderr_empty(tmp_path):
+    # C13 restricts to sets that are not admissible on purpose; the library
+    # logs each one, and an application that set up no logging sees none.
+    # A fresh interpreter, because the test runner installs log handlers.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "kripkebench.cli", "check", "--id", "C13"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout
+    assert done.stderr == ""
 
 
 def test_pmorph(tmp_path, capsys):

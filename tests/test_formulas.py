@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -17,7 +18,7 @@ from kripkebench.constructions import chain, lift
 from kripkebench import formulas as F
 from kripkebench.errors import ArityMismatch, FormulaSyntaxError, UnknownName
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or, Top,
-                                  Var, box_star, conj, dia_star, dia_v,
+                                  Var, box_star, box_v, conj, dia_star, dia_v,
                                   modal_depth, named_formula, nodes, parse,
                                   print_formula, registry_names, substitute,
                                   swap_modalities, variables)
@@ -35,6 +36,10 @@ def test_parse_examples():
     assert parse("<*>p0") == dia_star(Var(0))
     assert parse("<v>p3") == dia_v(Var(3))
     assert parse("true & ~p2") == And(Top(), Not(Var(2)))
+    # equal group text at two places, and two groups that differ in their
+    # first token only
+    assert parse("((p0 & p1) | (p2 & p1)) -> ((p0 & p1) | (p2 & p1))") == \
+        Imp(*[Or(And(Var(0), Var(1)), And(Var(2), Var(1)))] * 2)
 
 
 def test_parse_error_offset_and_expected():
@@ -67,6 +72,66 @@ def test_print_examples():
 @given(formulas())
 def test_parse_print_round_trip(f):
     assert parse(print_formula(f)) is f
+
+
+# token boundaries of printed text, for spreading whitespace between tokens
+_PRINTED_TOKEN = re.compile(r"<->|->|<.>|\[.\]|p[0-9]+|true|false|\S")
+_SPACES = ["", "", " ", "  ", "\t", "\n", "\u00a0"]
+_PIECES = ["p0", "p12", "true", "false", "~", "&", "|", "->", "<->", "<1>",
+           "[2]", "<v>", "[*]", "(", "(", ")", ")", "x", "<3>", "-", "\u00e9",
+           "p", "1", "<", ">"]
+
+
+def assert_parsers_agree(text):
+    """``parse`` gives the reference parser's node, or its error."""
+    try:
+        want = oracle.reference_parse(text)
+    except FormulaSyntaxError as e:
+        with pytest.raises(FormulaSyntaxError) as got:
+            parse(text)
+        g = got.value
+        assert (str(g), g.offset, g.expected, g.found) == (str(e), e.offset, e.expected, e.found)
+    else:
+        assert parse(text) is want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(formulas(max_depth=4),
+       st.lists(st.tuples(st.sampled_from((dia_star, box_star, dia_v, box_v)),
+                          formulas(max_depth=2)), max_size=2),
+       st.randoms(use_true_random=False))
+def test_parse_agrees_with_reference_on_printed_text(f, wraps, rnd):
+    # starred and v operators repeat group text; whitespace of random kinds
+    # goes between the tokens
+    for wrap, g in wraps:
+        f = wrap(Imp(f, g))
+    tokens = _PRINTED_TOKEN.findall(print_formula(f)) + [""]
+    assert_parsers_agree("".join(rnd.choice(_SPACES) + t for t in tokens))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SPACES), st.sampled_from(_PIECES)), max_size=12))
+def test_parse_agrees_with_reference_on_token_strings(pieces):
+    assert_parsers_agree("".join(space + piece for space, piece in pieces))
+
+
+def test_parse_descends_once_per_distinct_group(monkeypatch):
+    f = named_formula("bh", [4, "*"])
+    text = print_formula(f)
+    assert len(text) > 240_000 and len(nodes(f)) == 85
+    descents = 0
+    iff = F._Parser.iff
+
+    def counted(self):
+        nonlocal descents
+        descents += 1
+        return iff(self)
+
+    monkeypatch.setattr(F._Parser, "iff", counted)
+    assert parse(text) is f
+    # one descent for the whole text, then one for each distinct group
+    # text, each of which is a distinct subformula
+    assert descents <= len(nodes(f))
 
 
 def test_substitute_examples():
