@@ -94,6 +94,7 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
         return True
 
     def extend(rows: tuple[int, ...]):
+        """Recursive, one level per point: the depth is bounded by k."""
         i = len(rows)
         if i == k:
             yield rows
@@ -116,6 +117,8 @@ def _preorder_from(poset: tuple[int, ...], sizes: tuple[int, ...]) -> UniFrame:
 
 
 def _compositions(n: int, k: int):
+    """Compositions of n into k positive parts, recursing once per part:
+    the depth is bounded by k <= n."""
     if k == 0:
         if n == 0:
             yield ()

@@ -131,22 +131,30 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
                     return False
         return True
 
-    def extend(a: int, dom: list[int]) -> WorldMap | None:
-        if a == ns:
-            candidate = tuple(d.bit_length() - 1 for d in dom)
-            return candidate if check_pmorphism(g, h, candidate) is None else None
+    def extend(a: int, dom: list[int]):
+        """The live domains after assigning ``a`` each of its targets."""
         for t in worlds_of(dom[a]):
             new = dom.copy()
             new[a] = 1 << t
             for b, allowed in narrow[a].items():
                 new[b] &= allowed[t]
             if alive(new, a):
-                found = extend(a + 1, new)
-                if found is not None:
-                    return found
-        return None
+                yield new
 
-    return extend(0, [full] * ns)
+    # depth-first over an explicit stack: stack[a] yields the domains with
+    # worlds 0..a assigned, so the depth never meets the recursion limit
+    stack = [extend(0, [full] * ns)]
+    while stack:
+        dom = next(stack[-1], None)
+        if dom is None:
+            stack.pop()
+        elif len(stack) < ns:
+            stack.append(extend(len(stack), dom))
+        else:
+            candidate = tuple(d.bit_length() - 1 for d in dom)
+            if check_pmorphism(g, h, candidate) is None:
+                return candidate
+    return None
 
 
 def union_pmorphism(f1: WorldMap, f2: WorldMap) -> WorldMap:

@@ -6,7 +6,10 @@ One walk evaluates every formula: a loop over the formula's node order
 ``eval_formula``, ``valid`` and ``refutes_witness`` builds once and reuses
 for every block and every part it searches.  The walk only combines values
 with ``^``, ``&``, ``|`` and a preimage function, so it runs on a single
-model (int world masks) and on the search (numpy arrays of masks).
+model (int world masks) and on the search (numpy arrays of masks).  Search
+cells are the narrowest unsigned type that holds n bits (``uint8`` up to 8
+worlds, then 16, 32 and 64 bits, Python ints above), and up to 16 worlds a
+preimage is one ``take`` from a table indexed by the mask.
 
 Validity is brute force over valuations, enumerated only over the
 variables occurring in the formula; a variable-free formula is decided by
@@ -148,21 +151,34 @@ class Witness:
         return dict(self.valuation)
 
 
+def _cell_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned integer type holding a mask over n worlds:
+    ``uint8`` up to 8 worlds, then 16, 32 and 64 bits, ``object`` above."""
+    for bits in (8, 16, 32, 64):
+        if n <= bits:
+            return np.dtype(f"uint{bits}")
+    return np.dtype(object)
+
+
 @lru_cache(maxsize=256)
 def _preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Preimage of every mask over n <= 16 worlds, indexed by the mask."""
-    table = np.zeros(1 << n, dtype=np.uint64)
-    masks = np.arange(1 << n, dtype=np.uint64)
+    """Preimage of every mask over n <= 16 worlds, indexed by the mask, in
+    cells of ``_cell_dtype(n)``."""
+    dtype = _cell_dtype(n)
+    table = np.zeros(1 << n, dtype=dtype)
+    masks = np.arange(1 << n, dtype=dtype)
     for i, row in enumerate(rows):
-        table |= ((masks & row) != 0).astype(np.uint64) << i
+        table |= ((masks & row) != 0).astype(dtype) << i
     return table
 
 
-def _array_image(n: int, dtype: np.dtype) -> Callable:
-    """Preimage of arrays of masks: a table gather up to 16 worlds, a
-    row-wise OR over world rows above that."""
+def _array_image(n: int) -> Callable:
+    """Preimage of arrays of ``_cell_dtype(n)`` masks: a ``take`` gather from
+    the table up to 16 worlds (cheaper than fancy indexing), a row-wise OR
+    over world rows above that."""
     if n <= 16:
-        return lambda rows, x: _preimage_table(rows, n)[x]
+        return lambda rows, x: _preimage_table(rows, n).take(x)
+    dtype = _cell_dtype(n)
     cell = dtype.type
 
     def image(rows, x):
@@ -231,10 +247,10 @@ def _search_refutation(g: Frame | GeneralFrame, order: list[Formula],
 
     cands = g.algebra if isinstance(g, GeneralFrame) else full_algebra(n)
     c = len(cands)
-    dtype = np.dtype(np.uint64 if n <= 64 else object)
+    dtype = _cell_dtype(n)
     cand_arr = np.array(cands, dtype=dtype)
     cell_full = dtype.type(full)
-    pre = _preimage_fn(frame, _array_image(n, dtype))
+    pre = _preimage_fn(frame, _array_image(n))
     # Axes before `a` are fixed per block, axis `a` is cut into ranges of
     # `step` candidates and the later axes are whole.
     a = next(j for j in range(k) if c ** (k - 1 - j) <= _BLOCK)

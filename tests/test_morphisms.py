@@ -1,3 +1,4 @@
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -40,6 +41,24 @@ def general_frames(draw, max_n: int = 3):
     f = draw(frames(max_n=max_n))
     gens = draw(st.lists(st.integers(0, f.full), max_size=2))
     return GeneralFrame(f, generated_subalgebra(f, gens).elements)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_find_depth_is_not_bounded_by_the_recursion_limit():
+    # one Python frame per source world would need 150 more than allowed
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        found = find_pmorphism(lift(chain(150)), singleton())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == (0,) * 150
 
 
 def test_find_on_empty_frames():

@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +167,61 @@ def test_pinned_witnesses_on_large_frames():
     w = refutes_witness(g, parse("p0 -> [1]p0"))
     assert w.valuation == ((0, 1 << 35),) and w.world == 35
     assert valid(g, parse("p0 -> [1]<2>p0"))
+
+
+# Search cells are the narrowest unsigned type holding n bits; the tests
+# below sit on either side of each width, with witnesses using the top world.
+
+def _pair(w):
+    return None if w is None else (w.valuation, w.world)
+
+
+def _random_frame(n: int, seed: int) -> Frame:
+    rng = random.Random(seed)
+    return Frame(n, tuple(rng.getrandbits(n) for _ in range(n)),
+                 tuple(rng.getrandbits(n) for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_search_matches_oracle_at_eight_and_nine_worlds(n):
+    for g in (lintgrz(n), lift(chain(n)), _random_frame(n, n)):
+        for text in ("p0 -> [1]p0", "<1>p0 -> p0", "p0 -> <1>~p0",
+                     "<1>[2]p0 -> [2]<1>p0", "p0 -> [1]<2>p0", "~[*]p0"):
+            phi = parse(text)
+            expected = oracle.least_witness(g, phi)
+            w = refutes_witness(g, phi)
+            assert _pair(w) == expected, (g, text)
+            assert valid(g, phi) == (expected is None), (g, text)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_pinned_witnesses_at_sixteen_and_seventeen_worlds(n):
+    g, top = lintgrz(n), 1 << n - 1
+    for text, valuation, world in (("<1>p0 -> p0", top, 0),
+                                   ("p0 -> <1>~p0", top, n - 1),
+                                   ("~[*]p0", g.full, 0)):  # the last cell
+        w = refutes_witness(g, parse(text), budget=1 << 23)
+        assert (w.valuation, w.world) == (((0, valuation),), world), text
+    assert valid(g, parse("p0 -> [1]<2>p0"), budget=1 << 23)
+    assert not valid(g, parse("<1>p0 -> p0"), budget=1 << 23)
+
+
+@pytest.mark.parametrize("n", [32, 33, 64, 65])
+def test_search_matches_oracle_on_wide_general_frames(n):
+    # a lifted cluster (r1 universal, r2 the identity) with the algebra
+    # {0, A, ~A, W}, A the top world
+    f, top = lift(cluster(n)), 1 << n - 1
+    g = GeneralFrame(f, (0, top, f.full ^ top, f.full))
+    w = refutes_witness(g, parse("p0 -> [1]p0"))
+    assert (w.valuation, w.world) == (((0, top),), n - 1)
+    for text in ("p0 -> [1]p0", "<1>p0 -> p0", "[1]p0 | [1]~p0",
+                 "<1>p0 & <1>p1 -> <1>(p0 & p1)", "p0 & p1 -> <2>(p0 & p1)",
+                 "(p0 | p1) -> [2](p0 | p1)", "~[*]p0"):
+        phi = parse(text)
+        expected = oracle.least_witness(g, phi)
+        w = refutes_witness(g, phi)
+        assert _pair(w) == expected, text
+        assert valid(g, phi) == (expected is None), text
 
 
 def test_variable_free_formulas_need_no_candidates(monkeypatch):
