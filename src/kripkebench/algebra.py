@@ -30,9 +30,9 @@ import numpy as np
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
-from .frames import (Frame, all_unions, bitstring, compose_rows, diagonal,
-                     fibers, generated_subframe, preimage, pull, rt_closure,
-                     union_rows, worlds_of)
+from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
+                     diagonal, fibers, generated_subframe, preimage, pull,
+                     rt_closure, union_rows, worlds_of)
 from .semantics import DEFAULT_BUDGET, Model, eval_formula
 
 
@@ -94,7 +94,7 @@ def _blocks(types: list[int]) -> tuple[int, ...]:
     return tuple(fibers(types, max(types, default=-1) + 1))
 
 
-def generated_subalgebra(frame: Frame, gens: Sequence[int],
+def generated_subalgebra(frame: Frame, gens: Sequence[int | str],
                          cap: int = 1_000_000) -> SetAlgebra:
     """Subalgebra of the frame's powerset algebra generated by ``gens``.
 
@@ -103,11 +103,7 @@ def generated_subalgebra(frame: Frame, gens: Sequence[int],
     listed directly in bitstring order.  Raises CapExceeded carrying the
     exact size when it is larger than ``cap``.
     """
-    full = frame.full
-    gens = [int(g) for g in gens]
-    for g in gens:
-        if g < 0 or g & ~full:
-            raise FormatError("generator out of range")
+    gens = [_parse_set(g, frame.n, f"generator {i}") for i, g in enumerate(gens)]
     for types in _model_refinements(frame, gens):
         pass
     atoms = _blocks(types)

@@ -14,11 +14,11 @@ SUM_KINDS = ("both", "1", "2")
 
 
 def _kind(kind) -> str:
-    if kind in (1, 2):
-        return str(kind)
-    if kind in SUM_KINDS:
-        return kind
-    raise FormatError(f"sum kind must be one of {SUM_KINDS}, got {kind!r}")
+    """A sum kind as "both", "1" or "2"; 1 and 2 may also be ints."""
+    text = str(kind) if type(kind) is int else kind
+    if text not in SUM_KINDS:
+        raise FormatError(f"sum kind must be one of {SUM_KINDS}, got {kind!r}")
+    return text
 
 
 def cluster(m: int) -> UniFrame:

@@ -28,9 +28,12 @@ them once, children before parents and ``f`` last.  Every walk over a
 formula -- ``variables``, ``substitute``, ``swap_modalities``,
 ``print_formula`` and evaluation in the semantics module -- is one loop
 over that list that works each node out from its children's results, so
-no walk recurses.  The parser is recursive descent over a one-pass
-tokenizer and parses each distinct parenthesised group once per call, so
-its work follows the distinct groups, not the length of the text.
+no walk recurses.  The parser reads a one-pass token list by precedence
+climbing (Pratt, "Top down operator precedence", 1973): one table gives
+each infix operator its precedence, associativity and node class, and
+another gives each prefix token its builder, which the registry's modality
+parameters also use.  It parses each distinct parenthesised group once per
+call, so its work follows the distinct groups, not the length of the text.
 Nesting past the recursion limit is a FormulaSyntaxError, unless it sits
 only inside repeats of a group already parsed, which are not re-entered.
 """
@@ -40,6 +43,8 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from functools import partial
+from inspect import signature
 from itertools import accumulate, islice, repeat
 from typing import Mapping
 
@@ -349,11 +354,17 @@ def print_formula(f: Formula) -> str:
 
 # \S takes any other character as a one-character token that has no kind
 _TOKEN_RE = re.compile(r"<->|->|<[12v*]>|\[[12v*]\]|p[0-9]+|true|false|[&|~()]|\S")
+# prefix token text -> the builder it applies
+_PREFIX_OPS = {"~": Not, "<v>": dia_v, "<*>": dia_star, "[v]": box_v, "[*]": box_star,
+               **{f"<{i}>": partial(Dia, i) for i in (1, 2)},
+               **{f"[{i}]": partial(Box, i) for i in (1, 2)}}
+# infix kind -> (precedence, right-associative, node class)
+_INFIX = {"iff": (1, True, Iff), "imp": (2, True, Imp), "or": (3, False, Or),
+          "and": (4, False, And)}
 # token text -> kind; a token of two or more characters that is not listed
 # is a variable, and "" marks the end of the text
-_KIND = {"<->": "iff", "->": "imp", "&": "and", "|": "or", "~": "not",
-         "(": "lpar", ")": "rpar", "true": "true", "false": "false", "": "end",
-         **{f"<{t}>": "dia" for t in "12v*"}, **{f"[{t}]": "box" for t in "12v*"}}
+_KIND = {"<->": "iff", "->": "imp", "&": "and", "|": "or", "(": "lpar", ")": "rpar",
+         "true": "true", "false": "false", "": "end", **dict.fromkeys(_PREFIX_OPS, "prefix")}
 
 _DEPTH_STEP = {"(": 1, ")": -1}
 _ATOM_EXPECTED = frozenset({"false", "true", "var", "~", "<i>", "[i]", "("})
@@ -361,8 +372,8 @@ _INFIX_EXPECTED = frozenset({"&", "|", "->", "<->", ")", "end"})
 
 
 class _Parser:
-    """Recursive descent over the token list.  The inside of a group is a
-    whole ``iff``, so equal group text gives the same node wherever it
+    """Precedence climbing over the token list.  The inside of a group is a
+    whole formula, so equal group text gives the same node wherever it
     occurs: a group whose text was already parsed in this call is looked
     up, not parsed again."""
 
@@ -394,55 +405,33 @@ class _Parser:
                                  self.tokens[self.i] or "end of input")
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.formula()
         if self.kinds[self.i] != "end":
             self.fail(_INFIX_EXPECTED - {")"})
         return f
 
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.kinds[self.i] == "iff":
+    def formula(self, floor: int = 1) -> Formula:
+        """The longest formula from the current token whose infix operators
+        outside parentheses all have precedence ``floor`` or more."""
+        left = self.unary()
+        op = _INFIX.get(self.kinds[self.i])
+        while op and op[0] >= floor:
+            precedence, right_assoc, node = op
             self.i += 1
-            return Iff(left, self.iff())
+            left = node(left, self.formula(precedence if right_assoc else precedence + 1))
+            op = _INFIX.get(self.kinds[self.i])
         return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.kinds[self.i] == "imp":
-            self.i += 1
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.kinds[self.i] == "or":
-            self.i += 1
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.kinds[self.i] == "and":
-            self.i += 1
-            f = And(f, self.unary())
-        return f
 
     def unary(self) -> Formula:
         # prefix operators are read in a loop, so a long run of them does
         # not nest the parser
         start = i = self.i
-        while self.kinds[i] in ("not", "dia", "box"):
+        while self.kinds[i] == "prefix":
             i += 1
         self.i = i
         f = self.atom()
         for k in range(i - 1, start - 1, -1):
-            kind, tok = self.kinds[k], self.tokens[k][1:-1]
-            if kind == "not":
-                f = Not(f)
-            elif kind == "dia":
-                f = _dia_at(_token(tok), f)
-            else:
-                f = _box_at(_token(tok), f)
+            f = _PREFIX_OPS[self.tokens[k]](f)
         return f
 
     def atom(self) -> Formula:
@@ -463,7 +452,7 @@ class _Parser:
                 self.i = end + 1
                 return f
             self.i += 1
-            f = self.iff()
+            f = self.formula()
             if self.kinds[self.i] != "rpar":
                 self.fail(frozenset({")"}) | _INFIX_EXPECTED - {"end", ")"})
             self.i += 1
@@ -479,10 +468,12 @@ def parse(text: str) -> Formula:
     """Parse formula text.  Precedence ~/modal > & > | > -> > <->;
     implication and equivalence associate to the right.  Each distinct
     parenthesised group is parsed once per call, so the work follows the
-    distinct groups, not the length of the text.  Parentheses and chains
-    of -> or <-> nested past the interpreter's recursion limit are a
-    FormulaSyntaxError at the token where the parser ran out; a repeat of
-    a group already parsed is not entered again, so text that passes the
+    distinct groups, not the length of the text.  A level of parentheses
+    takes three interpreter frames and an -> or <-> of a chain one, so
+    under the default recursion limit of 1000 about 330 levels of
+    parentheses and about 990 chained arrows parse.  Nesting past the limit
+    is a FormulaSyntaxError at the token where the parser ran out; a repeat
+    of a group already parsed is not entered again, so text that passes the
     limit only inside such repeats may parse."""
     parser = _Parser(text)
     try:
@@ -498,160 +489,119 @@ P = Var(0)
 Q = Var(1)
 
 
-def _token(value) -> int | str:
-    if value in (1, 2):
-        return value
-    if value in ("1", "2"):
-        return int(value)
-    if value in ("v", "*"):
-        return value
-    raise ArityMismatch(f"modality token must be one of 1, 2, v, *; got {value!r}")
+def _modality(tok, allowed=("1", "2", "v", "*")):
+    """The diamond and box builders of a modality parameter: one of
+    ``allowed``, where 1 and 2 may also be ints."""
+    text = str(tok) if type(tok) in (int, str) else None
+    if text not in allowed:
+        raise ArityMismatch(f"modality must be one of {', '.join(allowed)}; got {tok!r}")
+    return _PREFIX_OPS[f"<{text}>"], _PREFIX_OPS[f"[{text}]"]
 
 
-def _dia_at(tok, f: Formula) -> Formula:
-    if tok == "v":
-        return dia_v(f)
-    if tok == "*":
-        return dia_star(f)
-    return Dia(tok, f)
-
-
-def _box_at(tok, f: Formula) -> Formula:
-    if tok == "v":
-        return box_v(f)
-    if tok == "*":
-        return box_star(f)
-    return Box(tok, f)
-
-
-def _mod_param(params, i) -> int:
-    m = params[i]
-    if m in ("1", "2"):
-        m = int(m)
-    if m not in (1, 2):
-        raise ArityMismatch(f"modality must be 1 or 2, got {params[i]!r}")
-    return m
-
-
-def _need(params, n, name):
-    if len(params) != n:
-        raise ArityMismatch(f"{name} takes {n} parameter(s), got {len(params)}")
-
-
-def _bh(params):
-    _need(params, 2, "bh")
-    n = int(params[0])
+def _bh(n, tok):
+    n = int(n)
     if n < 0:
         raise ArityMismatch("bh height must be nonnegative")
-    tok = _token(params[1])
+    dia, box = _modality(tok)
     f: Formula = Bot()
     for i in range(1, n + 1):
-        f = Imp(Var(i), _box_at(tok, Or(_dia_at(tok, Var(i)), f)))
+        f = Imp(Var(i), box(Or(dia(Var(i)), f)))
     return f
 
 
-def _rp(params):
-    _need(params, 2, "rp")
-    m = int(params[0])
+def _rp(m, tok):
+    m = int(m)
     if m < 0:
         raise ArityMismatch("rp index must be nonnegative")
-    tok = _token(params[1])
+    dia = _modality(tok)[0]
 
     def iterated(times: int, f: Formula) -> Formula:
         for _ in range(times):
-            f = _dia_at(tok, f)
+            f = dia(f)
         return f
 
     core: Formula = Var(m + 1)
     for i in range(m, 0, -1):
-        core = And(Var(i), _dia_at(tok, core))
-    antecedent = And(Var(0), _dia_at(tok, core))
+        core = And(Var(i), dia(core))
+    antecedent = And(Var(0), dia(core))
     parts = [iterated(i, And(Var(i), Var(j)))
              for i in range(m + 2) for j in range(i + 1, m + 2)]
-    parts += [iterated(i, And(Var(i), _dia_at(tok, Var(j + 1))))
+    parts += [iterated(i, And(Var(i), dia(Var(j + 1))))
               for i in range(m + 1) for j in range(i + 1, m + 1)]
     return Imp(antecedent, disj(parts))
 
 
-def _presym_one(i: int) -> Formula:
-    return Imp(Q, dia_star(And(Q, box_star(Imp(P, Box(i, Imp(Q, Dia(i, P))))))))
+def _presym(i=None):
+    if i is None:
+        return And(_presym(1), _presym(2))
+    dia, box = _modality(i, ("1", "2"))
+    return Imp(Q, dia_star(And(Q, box_star(Imp(P, box(Imp(Q, dia(P))))))))
 
 
-def _presym(params):
-    if len(params) == 0:
-        return And(_presym_one(1), _presym_one(2))
-    _need(params, 1, "presym")
-    return _presym_one(_mod_param(params, 0))
+def _mck(tok):
+    dia, box = _modality(tok)
+    return Imp(box(dia(P)), dia(box(P)))
 
 
-def _mck(params):
-    _need(params, 1, "mck")
-    tok = _token(params[0])
-    return Imp(_box_at(tok, _dia_at(tok, P)), _dia_at(tok, _box_at(tok, P)))
+def _dot3(i):
+    dia = _modality(i, ("1", "2"))[0]
+    return Imp(And(dia(P), dia(Q)), Or(dia(And(P, dia(Q))), dia(And(Q, dia(P)))))
 
 
-def _dot3(params):
-    _need(params, 1, "dot3")
-    i = _mod_param(params, 0)
-    return Imp(And(Dia(i, P), Dia(i, Q)),
-               Or(Dia(i, And(P, Dia(i, Q))), Dia(i, And(Q, Dia(i, P)))))
+def _triv(i):
+    dia = _modality(i, ("1", "2"))[0]
+    return Iff(P, dia(P))
 
 
-def _triv(params):
-    _need(params, 1, "triv_ax")
-    i = _mod_param(params, 0)
-    return Iff(P, Dia(i, P))
+def _s4(i):
+    dia = _modality(i, ("1", "2"))[0]
+    return And(Imp(P, dia(P)), Imp(dia(dia(P)), dia(P)))
 
 
-def _s4(params):
-    _need(params, 1, "s4_ax")
-    i = _mod_param(params, 0)
-    return And(Imp(P, Dia(i, P)), Imp(Dia(i, Dia(i, P)), Dia(i, P)))
+def _s5(i):
+    dia, box = _modality(i, ("1", "2"))
+    return And(_s4(i), Imp(P, box(dia(P))))
 
 
-def _s5(params):
-    _need(params, 1, "s5_ax")
-    i = _mod_param(params, 0)
-    return And(_s4([i]), Imp(P, Box(i, Dia(i, P))))
-
-
-def _fixed(builder):
-    def build(params):
-        _need(params, 0, "this formula")
-        return builder()
-    return build
-
-
+# name -> (description, builder); a builder takes the formula's parameters
 NAMED_FORMULAS: dict[str, tuple[str, object]] = {
     "bh": ("bh(n, tok): height axiom at a modality token", _bh),
     "rp": ("rp(m, tok): chain-collapse axiom at a modality token", _rp),
-    "com": ("com: the two diamonds commute", _fixed(
-        lambda: Iff(Dia(1, Dia(2, P)), Dia(2, Dia(1, P))))),
-    "chr": ("chr: confluence (Church-Rosser) axiom", _fixed(
-        lambda: Imp(Dia(1, Box(2, P)), Box(2, Dia(1, P))))),
+    "com": ("com: the two diamonds commute",
+            lambda: Iff(Dia(1, Dia(2, P)), Dia(2, Dia(1, P)))),
+    "chr": ("chr: confluence (Church-Rosser) axiom",
+            lambda: Imp(Dia(1, Box(2, P)), Box(2, Dia(1, P)))),
     "presym": ("presym([i]): presymmetry axiom(s)", _presym),
-    "conv": ("conv: converse axioms for tense frames", _fixed(
-        lambda: And(Imp(Dia(1, Box(2, P)), P), Imp(Dia(2, Box(1, P)), P)))),
-    "dd": ("dd: downward directedness of the second diamond", _fixed(
-        lambda: Imp(And(Dia(2, P), Dia(2, Q)), Dia(2, And(Dia(1, P), Dia(1, Q)))))),
+    "conv": ("conv: converse axioms for tense frames",
+             lambda: And(Imp(Dia(1, Box(2, P)), P), Imp(Dia(2, Box(1, P)), P))),
+    "dd": ("dd: downward directedness of the second diamond",
+           lambda: Imp(And(Dia(2, P), Dia(2, Q)), Dia(2, And(Dia(1, P), Dia(1, Q))))),
     "mck": ("mck(tok): McKinsey axiom at a modality token", _mck),
     "dot3": ("dot3(i): linearity axiom at a modality", _dot3),
-    "sym2": ("sym2: symmetry axiom for the second modality", _fixed(
-        lambda: Imp(P, Box(2, Dia(2, P))))),
+    "sym2": ("sym2: symmetry axiom for the second modality",
+             lambda: Imp(P, Box(2, Dia(2, P)))),
     "match2_ax": ("match2_ax: first-diamond steps stay in second-diamond clusters",
-                  _fixed(lambda: Imp(And(P, Dia(1, Q)), Dia(2, And(Q, Dia(2, P)))))),
+                  lambda: Imp(And(P, Dia(1, Q)), Dia(2, And(Q, Dia(2, P))))),
     "match12_ax": ("match12_ax: second-diamond steps split into first-diamond or cluster",
-                   _fixed(lambda: Imp(And(P, Dia(2, Q)),
-                                      Or(Dia(1, Q), Dia(2, And(Q, Dia(2, P))))))),
-    "cas": ("cas: chained-box collapse axiom", _fixed(
-        lambda: Imp(box_star(Imp(Box(1, Imp(Box(1, P), box_star(P))), box_star(P))),
-                    box_star(P)))),
-    "u_incl": ("u_incl: first diamond included in the second", _fixed(
-        lambda: Imp(Dia(1, P), Dia(2, P)))),
+                   lambda: Imp(And(P, Dia(2, Q)), Or(Dia(1, Q), Dia(2, And(Q, Dia(2, P)))))),
+    "cas": ("cas: chained-box collapse axiom",
+            lambda: Imp(box_star(Imp(Box(1, Imp(Box(1, P), box_star(P))), box_star(P))),
+                        box_star(P))),
+    "u_incl": ("u_incl: first diamond included in the second",
+               lambda: Imp(Dia(1, P), Dia(2, P))),
     "triv_ax": ("triv_ax(i): diamond is the identity", _triv),
     "s4_ax": ("s4_ax(i): reflexivity and transitivity", _s4),
     "s5_ax": ("s5_ax(i): reflexivity, transitivity, symmetry", _s5),
 }
+
+
+def _counts(build) -> range:
+    """The numbers of parameters a builder takes, read from its signature."""
+    params = signature(build).parameters.values()
+    return range(sum(p.default is p.empty for p in params), len(params) + 1)
+
+
+_COUNTS = {name: _counts(build) for name, (_, build) in NAMED_FORMULAS.items()}
 
 
 def named_formula(name: str, params=()) -> Formula:
@@ -659,7 +609,12 @@ def named_formula(name: str, params=()) -> Formula:
     entry = NAMED_FORMULAS.get(name)
     if entry is None:
         raise UnknownName(f"unknown formula name {name!r}")
-    return entry[1](list(params))
+    params = tuple(params)
+    counts = _COUNTS[name]
+    if len(params) not in counts:
+        raise ArityMismatch(f"{name} takes {' or '.join(map(str, counts))} "
+                            f"parameter(s), got {len(params)}")
+    return entry[1](*params)
 
 
 def registry_names() -> tuple[str, ...]:

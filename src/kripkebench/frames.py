@@ -477,15 +477,15 @@ def frame_property(f: Frame, prop: str, params=()) -> bool:
 # --- restriction and generated subframes ---------------------------------
 
 def _as_mask(Y, n: int) -> int:
-    if isinstance(Y, int):
-        mask = Y
-    elif isinstance(Y, str):
-        mask = bits_of(Y)
-    else:
-        mask = mask_of(Y)
-    if mask < 0 or mask >> n:
-        raise FormatError(f"world-set out of range for {n} worlds")
-    return mask
+    """A world-set given as a bitstring of length n, an integer mask or an
+    iterable of worlds."""
+    if isinstance(Y, (str, int)) or not isinstance(Y, Iterable):
+        return _parse_set(Y, n, "world-set")
+    worlds = list(Y)
+    for w in worlds:
+        if type(w) is not int or not 0 <= w < n:
+            raise FormatError(f"world-set entry {w!r} is not one of the {n} worlds")
+    return mask_of(worlds)
 
 
 def restrict_frame(f: Frame, mask: int) -> tuple[Frame, list[int]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .constructions import cluster, product, tack, tack_pre
+from .constructions import _kind, cluster, product, tack, tack_pre
 from .errors import BudgetExceeded, FormatError
 from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
                      fibers, kripke_of, pull, pull_rows, transpose_rows,
@@ -119,12 +119,14 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
             for b in worlds_of(rows[a]):
                 old = narrow[a].get(b, table)
                 narrow[a][b] = [x & y for x, y in zip(old, table)]
+    # readers[b]: the worlds whose back clauses read b's domain, its predecessors
+    readers = transpose_rows(src.union(), ns)
     full = (1 << nt) - 1
 
-    def alive(dom: list[int], a: int) -> bool:
+    def alive(dom: list[int], check: int) -> bool:
         if not all(dom) or reduce(or_, dom) != full:
             return False  # a wiped-out domain, or a target nobody can take
-        for x in range(a + 1):  # the back clause of every assigned world
+        for x in worlds_of(check):  # the back clauses the assignment can break
             for succ, tr in covers[x]:
                 if tr[dom[x].bit_length() - 1] & ~reduce(
                         or_, (dom[b] for b in succ), 0):
@@ -132,13 +134,19 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
         return True
 
     def extend(a: int, dom: list[int]):
-        """The live domains after assigning ``a`` each of its targets."""
+        """The live domains after assigning ``a`` each of its targets.  The
+        back clauses of worlds before ``a`` held in ``dom``; of those, only
+        the ones reading a narrowed domain are checked again."""
+        assigned = (1 << a) - 1
         for t in worlds_of(dom[a]):
             new = dom.copy()
             new[a] = 1 << t
+            reread = 0 if dom[a] == new[a] else readers[a]
             for b, allowed in narrow[a].items():
-                new[b] &= allowed[t]
-            if alive(new, a):
+                if new[b] & ~allowed[t]:
+                    new[b] &= allowed[t]
+                    reread |= readers[b]
+            if alive(new, 1 << a | reread & assigned):
                 yield new
 
     # depth-first over an explicit stack: stack[a] yields the domains with
@@ -176,9 +184,7 @@ def tack_collapse(kind, m: int, mprime: int | None = None
     Cluster excess collapses onto rectangle points; the top rows/columns and
     the top point collapse onto the target top.
     """
-    kind = str(kind)
-    if kind not in ("both", "1", "2"):
-        raise FormatError(f"tack kind must be both, 1 or 2, got {kind!r}")
+    kind = _kind(kind)
     mp = m if mprime is None else mprime
     if not 1 <= mp <= m:
         raise FormatError("target size must satisfy 1 <= m' <= m")

@@ -11,8 +11,8 @@ from kripkebench.algebra import (SetAlgebra, beta_formula,
 from kripkebench.constructions import (chain, cluster, lift, lintgrz, rect,
                                        singleton, tack, univ_chain)
 from kripkebench.enumeration import random_frame, random_valuation
-from kripkebench.errors import (BudgetExceeded, CapExceeded, NotDefinable,
-                                NotPretransitive)
+from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
+                                NotDefinable, NotPretransitive)
 from kripkebench.formulas import modal_depth
 from kripkebench.frames import Frame, preimage, worlds_of
 from kripkebench.semantics import Model, eval_formula
@@ -43,6 +43,17 @@ def test_generated_subalgebra_examples():
     alg = generated_subalgebra(rect(2, 2), [0b0011])  # one row
     assert set(alg.elements) == naive_closure(rect(2, 2), [0b0011])
     assert [alg.elements[i] for i in alg.generators] == [0b0011]
+
+
+def test_generated_subalgebra_reads_generators_as_world_sets():
+    # the bitstring 01 is world 1, and a generator that is no world-set fails
+    f = lift(chain(2))
+    alg = generated_subalgebra(f, ["01"])
+    assert [alg.elements[i] for i in alg.generators] == [0b10]
+    assert alg == generated_subalgebra(f, [0b10])
+    for gen in ("011", "2", True, 1.0, -1, 0b100):
+        with pytest.raises(FormatError):
+            generated_subalgebra(f, [gen])
 
 
 def test_generated_subalgebra_cap():

@@ -66,6 +66,18 @@ def test_builder_examples():
         tack("nope", 2)
 
 
+def test_sum_kinds_are_read_one_way():
+    assert tack(1, 2) == tack("1", 2) and tack(1, 2).spec.params == ("1", 2)
+    assert match_frame(2, 2, 2) == match_frame(2, "2", 2)
+    assert tack_collapse(2, 2) == tack_collapse("2", 2)
+    f = lift(chain(2))
+    for kind in (True, False, 1.0, 2.0, 3, "3", "Both", "", None, ("1",)):
+        for build in (lambda: tack(kind, 2), lambda: ordered_sum(f, f, kind),
+                      lambda: match_frame(1, kind, 2), lambda: tack_collapse(kind, 2)):
+            with pytest.raises(FormatError):
+                build()
+
+
 def test_product_of_preorders_satisfies_com_cr():
     small = [p for n in (1, 2, 3) for p in all_preorders(n)]
     for a in small[:6]:

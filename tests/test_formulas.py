@@ -120,14 +120,16 @@ def test_parse_descends_once_per_distinct_group(monkeypatch):
     text = print_formula(f)
     assert len(text) > 240_000 and len(nodes(f)) == 85
     descents = 0
-    iff = F._Parser.iff
+    formula = F._Parser.formula
 
-    def counted(self):
+    def counted(self, *floor):
+        # the whole text and each group are entered at the start or after
+        # a (; an operand of an infix operator is entered after that operator
         nonlocal descents
-        descents += 1
-        return iff(self)
+        descents += self.i == 0 or self.kinds[self.i - 1] == "lpar"
+        return formula(self, *floor)
 
-    monkeypatch.setattr(F._Parser, "iff", counted)
+    monkeypatch.setattr(F._Parser, "formula", counted)
     assert parse(text) is f
     # one descent for the whole text, then one for each distinct group
     # text, each of which is a distinct subformula
@@ -177,6 +179,13 @@ def test_named_formula_errors():
         named_formula("mck", [3])
     with pytest.raises(ArityMismatch):
         named_formula("presym", [1, 2])
+    for name, params in (("com", [1]), ("dot3", []), ("bh", [1, 1, 1]),
+                         ("mck", [True]), ("mck", [1.0]), ("bh", [1, "12"]),
+                         ("dot3", ["v"]), ("s5_ax", ["*"]), ("presym", [0])):
+        with pytest.raises(ArityMismatch):
+            named_formula(name, params)
+    assert named_formula("mck", ["2"]) is named_formula("mck", [2])
+    assert named_formula("s5_ax", ["1"]) is named_formula("s5_ax", [1])
 
 
 def test_swap_modalities():
@@ -405,6 +414,9 @@ def test_parser_depth():
     assert print_formula(parse("~" * 1200 + "p0")) == "~" * 1200 + "p0"
     assert modal_depth(parse("<1>[v]" * 600 + "p0")) == 1200
     assert parse("(" * 50 + "p0" + ")" * 50) == Var(0)
+    # a parenthesis costs three interpreter frames, so about 330 levels parse
+    body = "<1>p0 -> <1>p0 -> p1"
+    assert parse("(" * 250 + body + ")" * 250) is parse(body)
     with pytest.raises(FormulaSyntaxError, match="^nesting too deep") as e:
         parse("(" * 400 + "p0" + ")" * 400)
     assert e.value.found == "(" and 0 < e.value.offset < 400

@@ -150,6 +150,18 @@ def test_restriction_examples():
         restriction(g, 0)
 
 
+def test_world_sets_are_read_one_way():
+    t = as_general(tack("both", 2))
+    assert restriction(t, "11110") == restriction(t, 0b01111) == \
+        restriction(t, [0, 1, 2, 3])
+    for Y in ("1", "111100", "1111x", True, 1.0, -1, 0b100000, [-1], [5],
+              [True], ["0"]):
+        with pytest.raises(FormatError):
+            restriction(t, Y)
+        with pytest.raises(FormatError):
+            generated_subframe(t, Y)
+
+
 def test_restriction_warn_path(caplog):
     # {p0 -> {0}} generates an algebra without the singleton {1}
     frame = lift(chain(2))

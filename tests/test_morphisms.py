@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from kripkebench import morphisms
 from kripkebench.algebra import generated_subalgebra
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        ordered_sum, product, rect, singleton,
@@ -59,6 +60,42 @@ def test_find_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert found == (0,) * 150
+
+
+def test_find_rechecks_only_the_back_clauses_a_step_can_break(monkeypatch):
+    # no step of a chain onto the singleton narrows a domain, so each step
+    # checks the back clauses of its own world only: three reduce calls per
+    # world, where checking every assigned world again takes about n * n
+    calls = 0
+    reduce = morphisms.reduce
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(morphisms, "reduce", counted)
+    assert find_pmorphism(lift(chain(60)), singleton()) == (0,) * 60
+    assert calls <= 3 * 60
+
+
+def test_find_rechecks_back_clauses_that_read_a_narrowed_domain(monkeypatch):
+    # no map exists; with 0 -> 1, assigning 1 -> 0 narrows the domains of
+    # worlds 1 and 2, which breaks the back clause of world 0, so the search
+    # ends before any leaf
+    leaves = 0
+    check = morphisms.check_pmorphism
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        return check(*args)
+
+    monkeypatch.setattr(morphisms, "check_pmorphism", counted)
+    g = Frame(3, (0b101, 0b011, 0b111), (0b011, 0b001, 0b110))
+    h = Frame(2, (0b11, 0b11), (0b10, 0b11))
+    assert find_pmorphism(g, h) is None and oracle_first(g, h) is None
+    assert leaves == 0
 
 
 def test_find_on_empty_frames():
