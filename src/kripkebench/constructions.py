@@ -127,7 +127,7 @@ def swap_relations(f: Frame) -> Frame:
 def match_frame(axis: int, kind, m: int) -> Frame:
     """Match frame: (m, <=, universal) for axis 1, its relation swap for
     axis 2, summed below a reflexive singleton via ``kind``."""
-    if axis not in (1, 2):
+    if type(axis) is not int or axis not in (1, 2):
         raise FormatError(f"axis must be 1 or 2, got {axis!r}")
     base = univ_chain(m) if axis == 1 else swap_relations(univ_chain(m))
     out = ordered_sum(base, singleton(), kind)

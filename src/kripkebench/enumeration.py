@@ -1,21 +1,22 @@
 """Frame enumeration with isomorphism rejection, and seeded samplers.
 
-Preorders are generated as (poset of clusters, cluster sizes): posets on
-k points are produced by the add-a-maximal-element recursion (which
-covers every isomorphism type), sizes run over all compositions, and
-duplicates are removed by canonical-form hashing.  Bimodal frames are
-enumerated exhaustively for n <= 2; beyond that the samplers provide
-seeded pseudorandom corpora.
+Preorders are generated as (poset of clusters, cluster sizes).  The posets
+on k points are grown from the (k-1)-table, keeping the first child of each
+isomorphism type, which gives the tuple that growing every labelled prefix
+gives (``_posets`` says why); sizes run over all compositions, and
+duplicates are removed by canonical keys, whose search never permutes
+twins.  Bimodal frames are enumerated exhaustively for n <= 2; beyond that
+the samplers provide seeded pseudorandom corpora.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 from random import Random
 
 from .frames import (Frame, UniFrame, pull_rows, rt_closure, transpose_rows,
-                     worlds_of)
+                     twins, worlds_of)
 
 
 def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
@@ -46,10 +47,53 @@ def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[
     return [classes[c] for c in sorted(classes)]
 
 
+def _arrangements(labels: list[int]):
+    """Each distinct ordering of the sorted list ``labels``, in lexicographic
+    order, by Knuth's algorithm L (TAOCP 7.2.1.2)."""
+    a = list(labels)
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(a) - 1
+        while a[j] >= a[m]:
+            m -= 1
+        a[j], a[m] = a[m], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
+def _class_orders(relations: tuple[tuple[int, ...], ...],
+                  cls: list[int]) -> list[tuple[int, ...]]:
+    """One ordering of a colour class per arrangement of its twin groups.
+    Permuting twins is an automorphism of every relation, so it leaves the
+    pulled rows as they are: which twin stands at a position never matters,
+    only which group it comes from."""
+    groups: list[list[int]] = []
+    for w in cls:
+        for group in groups:
+            if all(twins(rows, group[0], w) for rows in relations):
+                group.append(w)
+                break
+        else:
+            groups.append([w])
+    labels = [g for g, group in enumerate(groups) for _ in group]
+    orders = []
+    for arrangement in _arrangements(labels):
+        nxt = [iter(group) for group in groups]
+        orders.append(tuple(next(nxt[g]) for g in arrangement))
+    return orders
+
+
 def canonical_key(relations: tuple[tuple[int, ...], ...], n: int) -> tuple:
-    """Minimum relabelling of the relation tuple; equal keys mean isomorphic."""
+    """Minimum relabelling of the relation tuple; equal keys mean isomorphic.
+    The search runs over the colour classes' twin-group arrangements, which
+    reach every relabelled relation tuple that a permutation search reaches."""
     best = None
-    for parts in iproduct(*(permutations(c) for c in _color_classes(relations, n))):
+    for parts in iproduct(*(_class_orders(relations, c)
+                            for c in _color_classes(relations, n))):
         order = [w for part in parts for w in part]   # new world -> old world
         candidate = tuple(pull_rows(rows, order) for rows in relations)
         if best is None or candidate < best:
@@ -79,35 +123,32 @@ def iso_distinct(frames, key=frame_key):
 @lru_cache(maxsize=None)
 def _posets(k: int) -> tuple[tuple[int, ...], ...]:
     """Reflexive-transitive-antisymmetric relations on k points, one per
-    isomorphism type, each with the identity as a linear extension."""
+    isomorphism type, each with the identity as a linear extension.
+
+    The table is grown from the (k-1)-table: each (k-1)-poset, in order,
+    gets a new maximal point k-1 over each of its down-closed subsets, in
+    ascending order, and the first child of each isomorphism type is kept.
+    This is the tuple that growing every labelled prefix gives, in the same
+    order, because if a prefix Q is isomorphic to an earlier prefix Q* along
+    phi, each child Q + S has the earlier isomorphic child Q* + phi(S): no
+    first-seen k-poset grows from a prefix that was not itself first seen.
+    The cached calls for smaller tables nest at most k deep."""
     if k == 0:
         return ((),)
-
-    def down_closed(rows: tuple[int, ...], subset: int) -> bool:
-        for w in worlds_of(subset):
-            below = 0
-            for v in range(len(rows)):
-                if rows[v] >> w & 1:
-                    below |= 1 << v
-            if below & ~subset:
-                return False
-        return True
-
-    def extend(rows: tuple[int, ...]):
-        """Recursive, one level per point: the depth is bounded by k."""
-        i = len(rows)
-        if i == k:
-            yield rows
-            return
-        for subset in range(1 << i):
-            if not down_closed(rows, subset):
-                continue
-            new_rows = tuple(row | (1 << i if subset >> j & 1 else 0)
-                             for j, row in enumerate(rows))
-            yield from extend(new_rows + (1 << i,))
-
-    return tuple(iso_distinct(extend(()),
+    return tuple(iso_distinct(_children(_posets(k - 1)),
                               key=lambda rows: canonical_key((rows,), k)))
+
+
+def _children(table: tuple[tuple[int, ...], ...]):
+    """Each poset of the table with a new maximal point above each of its
+    down-closed subsets."""
+    for rows in table:
+        top = len(rows)
+        below = transpose_rows(rows, top)   # the points below each point
+        for subset in range(1 << top):
+            if all(below[w] & ~subset == 0 for w in worlds_of(subset)):
+                yield tuple(row | (subset >> j & 1) << top
+                            for j, row in enumerate(rows)) + (1 << top,)
 
 
 def _preorder_from(poset: tuple[int, ...], sizes: tuple[int, ...]) -> UniFrame:

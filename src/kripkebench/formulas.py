@@ -498,10 +498,17 @@ def _modality(tok, allowed=("1", "2", "v", "*")):
     return _PREFIX_OPS[f"<{text}>"], _PREFIX_OPS[f"[{text}]"]
 
 
+def _count(value, what: str) -> int:
+    """A nonnegative registry count: an int (not a bool) or a string of
+    decimal digits."""
+    if (type(value) is int and value >= 0
+            or type(value) is str and value.isascii() and value.isdigit()):
+        return int(value)
+    raise ArityMismatch(f"{what} must be a nonnegative integer; got {value!r}")
+
+
 def _bh(n, tok):
-    n = int(n)
-    if n < 0:
-        raise ArityMismatch("bh height must be nonnegative")
+    n = _count(n, "bh height")
     dia, box = _modality(tok)
     f: Formula = Bot()
     for i in range(1, n + 1):
@@ -510,9 +517,7 @@ def _bh(n, tok):
 
 
 def _rp(m, tok):
-    m = int(m)
-    if m < 0:
-        raise ArityMismatch("rp index must be nonnegative")
+    m = _count(m, "rp index")
     dia = _modality(tok)[0]
 
     def iterated(times: int, f: Formula) -> Formula:

@@ -138,6 +138,19 @@ def pull_rows(rows: tuple[int, ...], f) -> tuple[int, ...]:
     return compose_rows(tuple(rows[d] for d in f), fibers(f, len(rows)))
 
 
+def twins(rows: tuple[int, ...], v: int, w: int) -> bool:
+    """Whether swapping worlds v and w maps the relation onto itself: their
+    rows agree outside {v, w} and on the loop and cross bits, and every
+    other world relates to v iff it relates to w."""
+    rv, rw = rows[v], rows[w]
+    if (rv ^ rw) & ~(1 << v | 1 << w):
+        return False
+    if rv >> v & 1 != rw >> w & 1 or rv >> w & 1 != rw >> v & 1:
+        return False
+    return all(row >> v & 1 == row >> w & 1
+               for x, row in enumerate(rows) if x != v and x != w)
+
+
 def is_subrelation(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x & ~y == 0 for x, y in zip(a, b))
 

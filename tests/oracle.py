@@ -1,5 +1,6 @@
 """Independent test oracles for formula walks, formula parsing, formula
-evaluation, refutation search, subalgebra atoms and free-algebra counts.
+evaluation, refutation search, subalgebra atoms, free-algebra counts,
+canonical keys and poset enumeration.
 
 The formula walks here recurse over the formula as a tree, visiting a
 shared subformula once per occurrence; the library loops over its node
@@ -16,19 +17,27 @@ preimage helpers or its candidate enumeration.  Free-algebra counts past
 the cap of ``naive_free_algebra_count`` are checked against the library's
 single-model refinement run on the explicit disjoint union of the valued
 coordinate models, which shares no code with the vectorised count.
+
+``permutation_key`` tries every permutation of every colour class, where
+the library skips permutations of twins; it shares the colour refinement,
+so the two keys must agree bit for bit.  ``recursive_posets`` grows every
+labelled prefix point by point and keeps the first of each isomorphism
+type; the library grows only the first-seen (k-1)-posets.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import permutations, product as iproduct
 
 from kripkebench.algebra import _refinements
+from kripkebench.enumeration import _color_classes
 from kripkebench.errors import FormulaSyntaxError
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
                                   ReachBox, ReachDia, Top, Var, box_star,
                                   box_v, dia_star, dia_v)
-from kripkebench.frames import GeneralFrame, worlds_of
+from kripkebench.frames import GeneralFrame, pull_rows, worlds_of
 
 
 def children(f) -> tuple:
@@ -346,3 +355,51 @@ def free_count_by_refinement(frames, k) -> int:
     for types in _refinements(adj1, adj2, profiles):
         pass
     return 1 << max(types) + 1
+
+
+def permutation_key(relations, n) -> tuple:
+    """Minimum relabelling of the relation tuple over every permutation of
+    every colour class."""
+    best = None
+    for parts in iproduct(*(permutations(c) for c in _color_classes(relations, n))):
+        order = [w for part in parts for w in part]   # new world -> old world
+        candidate = tuple(pull_rows(rows, order) for rows in relations)
+        if best is None or candidate < best:
+            best = candidate
+    return (n, best)
+
+
+@lru_cache(maxsize=None)
+def recursive_posets(k: int) -> tuple[tuple[int, ...], ...]:
+    """Posets on k points, one per isomorphism type: every labelled poset
+    with the identity as a linear extension, grown by a maximal point at a
+    time, keeping the first of each permutation key."""
+    def down_closed(rows, subset) -> bool:
+        for w in worlds_of(subset):
+            below = 0
+            for v in range(len(rows)):
+                if rows[v] >> w & 1:
+                    below |= 1 << v
+            if below & ~subset:
+                return False
+        return True
+
+    def extend(rows):
+        i = len(rows)
+        if i == k:
+            yield rows
+            return
+        for subset in range(1 << i):
+            if not down_closed(rows, subset):
+                continue
+            new_rows = tuple(row | (1 << i if subset >> j & 1 else 0)
+                             for j, row in enumerate(rows))
+            yield from extend(new_rows + (1 << i,))
+
+    seen, out = set(), []
+    for rows in extend(()):
+        key = permutation_key((rows,), k)
+        if key not in seen:
+            seen.add(key)
+            out.append(rows)
+    return tuple(out)

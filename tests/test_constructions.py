@@ -78,6 +78,15 @@ def test_sum_kinds_are_read_one_way():
                 build()
 
 
+def test_match_axis_is_an_int():
+    f = match_frame(1, "1", 2)
+    assert f.spec.params == (1, "1", 2)
+    assert f.r1 == (0b111, 0b110, 0b100)
+    for axis in (True, False, 1.0, 2.0, "1", 0, 3, None):
+        with pytest.raises(FormatError):
+            match_frame(axis, "1", 2)
+
+
 def test_product_of_preorders_satisfies_com_cr():
     small = [p for n in (1, 2, 3) for p in all_preorders(n)]
     for a in small[:6]:

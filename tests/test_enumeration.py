@@ -1,15 +1,19 @@
+from itertools import permutations
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from kripkebench.constructions import lift
 from kripkebench.enumeration import (_posets, all_bimodal_frames,
                                      all_preorders, frame_key,
                                      linear_preorders, random_frame)
-from kripkebench.frames import Frame, fibers, frame_property, pull, pull_rows
+from kripkebench.frames import (Frame, UniFrame, fibers, frame_property, pull,
+                                pull_rows, rt_closure)
 
-from conftest import frames
+from conftest import disjoint_union, frames
+from oracle import permutation_key, recursive_posets
 
 
 def relabel(rows, perm):
@@ -25,7 +29,7 @@ def relabel(rows, perm):
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 9), (4, 33),
-                                      (5, 139), (6, 718)])
+                                      (5, 139), (6, 718), (7, 4535)])
 def test_preorder_counts(n, count):
     # OEIS A001930: preorders on n points up to isomorphism
     preorders = all_preorders(n)
@@ -35,7 +39,7 @@ def test_preorder_counts(n, count):
 
 
 @pytest.mark.parametrize("k, count", [(0, 1), (1, 1), (2, 2), (3, 5),
-                                      (4, 16), (5, 63)])
+                                      (4, 16), (5, 63), (7, 2045)])
 def test_poset_counts(k, count):
     # OEIS A000112: posets on k points up to isomorphism
     posets = _posets(k)
@@ -44,6 +48,12 @@ def test_poset_counts(k, count):
         assert frame_property(Frame(k, rows, rows), "poset", (1,))
         # the identity is a linear extension
         assert all(rows[i] >> j & 1 == 0 for i in range(k) for j in range(i))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_posets_match_the_recursive_oracle(k):
+    # the same tuple in the same order as growing every labelled prefix
+    assert _posets(k) == recursive_posets(k)
 
 
 def test_linear_preorder_and_bimodal_counts():
@@ -75,6 +85,46 @@ def test_frame_key_separates_non_isomorphic():
     cycle = Frame(3, (0b010, 0b100, 0b001), (0, 0, 0))
     split = Frame(3, (0b001, 0b100, 0b010), (0, 0, 0))
     assert frame_key(cycle) != frame_key(split)
+
+
+def test_frame_key_does_not_take_non_twins_for_twins():
+    # The worlds of a 3-cycle share a colour but no two are twins, in r1
+    # or in r2: a key that fixed their order would depend on the labels.
+    cycle = (0b010, 0b100, 0b001)
+    for r1, r2 in ((cycle, (0, 0, 0)), ((0, 0, 0), cycle),
+                   (cycle, (0b111,) * 3)):
+        keys = {frame_key(Frame(3, relabel(r1, p), relabel(r2, p)))
+                for p in permutations(range(3))}
+        assert keys == {permutation_key((r1, r2), 3)}
+
+
+@st.composite
+def blown_up_preorders(draw):
+    """A lifted preorder on at most 7 worlds whose points are blown up into
+    clusters of up to 5 twins, then relabelled."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)
+                 .filter(lambda s: sum(s) <= 7))
+    k = len(sizes)
+    base = rt_closure(tuple(draw(st.integers(0, (1 << k) - 1))
+                            for _ in range(k)), k)
+    index = [i for i, size in enumerate(sizes) for _ in range(size)]
+    perm = draw(st.permutations(range(len(index))))
+    return lift(UniFrame(len(index), relabel(pull_rows(base, index), perm)))
+
+
+@st.composite
+def doubled_frames(draw):
+    """Two copies of a frame side by side, relabelled: a world and its copy
+    share a colour and are seldom twins."""
+    f = disjoint_union(*[draw(frames(max_n=3))] * 2)
+    perm = draw(st.permutations(range(f.n)))
+    return Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(frames(max_n=6), blown_up_preorders(), doubled_frames()))
+def test_frame_key_matches_the_permutation_oracle(f):
+    assert frame_key(f) == permutation_key((f.r1, f.r2), f.n)
 
 
 @st.composite

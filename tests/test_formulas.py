@@ -184,8 +184,16 @@ def test_named_formula_errors():
                          ("dot3", ["v"]), ("s5_ax", ["*"]), ("presym", [0])):
         with pytest.raises(ArityMismatch):
             named_formula(name, params)
+    # a bh height or rp index is an int, not a bool, or a digit string
+    for count in (True, False, 1.0, 1.9, -1, "-1", " 1", "1.0", "", "\u00b2",
+                  None, [1]):
+        for name, params in (("bh", [count, 1]), ("rp", [count, "v"])):
+            with pytest.raises(ArityMismatch):
+                named_formula(name, params)
     assert named_formula("mck", ["2"]) is named_formula("mck", [2])
     assert named_formula("s5_ax", ["1"]) is named_formula("s5_ax", [1])
+    assert named_formula("bh", ["4", "*"]) is named_formula("bh", [4, "*"])
+    assert named_formula("rp", ["2", "v"]) is named_formula("rp", [2, "v"])
 
 
 def test_swap_modalities():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from kripkebench.constructions import (chain, cluster, lift, lintgrz, rect,
                                        singleton, tack, univ_chain)
@@ -11,8 +12,8 @@ from kripkebench.errors import (EmptyRestriction, FormatError,
 from kripkebench.frames import (Frame, GeneralFrame, analyze, as_general,
                                 bits_of, bitstring, frame_property,
                                 generated_subframe, load_frame, load_valuation,
-                                mask_of, restriction, rt_closure, store_frame,
-                                uniframe, worlds_of)
+                                mask_of, pull_rows, restriction, rt_closure,
+                                store_frame, twins, uniframe, worlds_of)
 
 from conftest import frames
 
@@ -247,6 +248,26 @@ def test_closure_is_reflexive_transitive(f):
         assert c[i] >> i & 1
     from kripkebench.frames import compose_rows, is_subrelation
     assert is_subrelation(compose_rows(c, c), c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames(min_n=2, max_n=5), st.data())
+def test_twins_iff_the_swap_is_an_automorphism(f, data):
+    v = data.draw(st.integers(0, f.n - 1))
+    w = data.draw(st.integers(0, f.n - 1).filter(lambda x: x != v))
+    swap = list(range(f.n))
+    swap[v], swap[w] = w, v
+    assert twins(f.r1, v, w) == (pull_rows(f.r1, swap) == f.r1)
+
+
+def test_twins_need_every_clause():
+    # one clause broken at a time, for worlds 0 and 1
+    assert not twins((0b100, 0b000, 0b000), 0, 1)   # rows differ outside
+    assert not twins((0b01, 0b00), 0, 1)            # one loop
+    assert not twins((0b10, 0b00), 0, 1)            # one cross edge
+    assert not twins((0, 0, 0b001), 0, 1)           # a third world sees one
+    assert twins((0b11, 0b11), 0, 1) and twins((0b01, 0b10), 0, 1)
+    assert twins((0b10, 0b01), 0, 1) and twins((0b100, 0b100, 0b011), 0, 1)
 
 
 def test_bitstring_helpers():
