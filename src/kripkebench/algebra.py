@@ -15,8 +15,13 @@ disjoint union of all its valued coordinate models.
 
 A single model is refined in pure Python (``_refinements``), which is
 cheaper than numpy's per-call cost on a few dozen worlds.  A free count
-refines every coordinate of every frame at once on numpy arrays
-(``_coordinate_classes``), since it runs on up to millions of worlds.
+refines the coordinates of every frame at once on numpy arrays
+(``_coordinate_classes``), since it runs on up to millions of worlds.  It
+keeps only the coordinates that no automorphism generator of their frame
+(``enumeration.automorphism_generators``) maps to a smaller one: a
+valuation and its image along an automorphism give isomorphic valued
+models, whose worlds are bisimilar pairwise, and the least coordinate of
+each orbit is always kept, so the number of classes stays exact.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
+from .enumeration import automorphism_generators
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
 from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
                      diagonal, fibers, generated_subframe, preimage, pull,
-                     rt_closure, union_rows, worlds_of)
+                     pull_rows, rt_closure, union_rows, worlds_of)
 from .semantics import DEFAULT_BUDGET, Model, eval_formula
 
 
@@ -188,24 +194,50 @@ def _successor_table(rows: Sequence[int], n: int) -> np.ndarray:
                     dtype=np.intp).reshape(n, width)
 
 
-def _coordinate_profiles(n: int, k: int) -> np.ndarray:
-    """Variable profile of every world of every k-valuation coordinate
-    (coordinates x n), bit i set when variable i holds.
+def _kept_coordinates(frame: Frame, k: int) -> np.ndarray:
+    """The k-valuation coordinates of ``frame`` that no automorphism
+    generator maps to a smaller one, ascending.
 
     Coordinate c is the c-th valuation in ``iproduct`` order, so variable
-    i's mask is bits n(k-1-i) .. n(k-i)-1 of c.
+    i's mask is bits n(k-1-i) .. n(k-i)-1 of c.  Each generator g, checked
+    to be an automorphism first, keeps c iff c <= c∘g, the valuation
+    pulled back along g; the least coordinate of each orbit passes every
+    such test.
     """
-    coords = np.arange(1 << n * k, dtype=np.int64)[:, None]
+    n = frame.n
+    coords = np.arange(1 << n * k, dtype=np.int64)
+    if k == 0:
+        return coords
+    relations = (frame.r1, frame.r2)
+    for g in automorphism_generators(relations, n):
+        if any(pull_rows(rows, g) != rows for rows in relations):
+            continue    # a map that is no automorphism could drop an orbit
+        # bit w of each mask takes bit g[w]: bits moving alike move together
+        moves: dict[int, int] = {}
+        for j in range(k):
+            for w, x in enumerate(g):
+                moves[x - w] = moves.get(x - w, 0) | 1 << j * n + w
+        image = np.zeros_like(coords)
+        for shift, mask in moves.items():
+            image |= (coords >> shift if shift >= 0 else coords << -shift) & mask
+        coords = coords[coords <= image]
+    return coords
+
+
+def _coordinate_profiles(coords: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Variable profile of every world of the given k-valuation coordinates
+    (coordinates x n), bit i set when variable i holds."""
     shifts = np.arange(n)
     profiles = np.zeros((coords.size, n), dtype=np.int64)
     for i in range(k):
-        profiles |= (coords >> n * (k - 1 - i) + shifts & 1) << i
+        profiles |= (coords[:, None] >> n * (k - 1 - i) + shifts & 1) << i
     return profiles
 
 
 def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
     """Bisimulation classes of the disjoint union of every k-valued
-    coordinate model of ``frames`` (frames with worlds only).
+    coordinate model of ``frames`` (frames with worlds only), refined over
+    the kept coordinates of each frame.
 
     Each step keys every world of every coordinate by its current type
     and the canonical sets of types met through r1 and through r2, and
@@ -213,8 +245,9 @@ def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
     first-world order, only their number is used.  Types are shared
     across frames, so equal valued models count once.
     """
-    tables = [(f.n, 1 << f.n * k, _successor_table(f.r1, f.n),
-               _successor_table(f.r2, f.n)) for f in frames]
+    kept = [_kept_coordinates(f, k) for f in frames]
+    tables = [(f.n, c.size, _successor_table(f.r1, f.n),
+               _successor_table(f.r2, f.n)) for f, c in zip(frames, kept)]
     width1 = max(s1.shape[1] for _, _, s1, _ in tables)
     width2 = max(s2.shape[1] for _, _, _, s2 in tables)
     total = sum(n * coords for n, coords, _, _ in tables)
@@ -223,7 +256,7 @@ def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
     keys = np.empty((1 + width1 + width2, total), dtype)
     types = keys[0]
     _, types[:] = np.unique(np.concatenate(
-        [_coordinate_profiles(n, k).ravel() for n, *_ in tables]),
+        [_coordinate_profiles(c, f.n, k).ravel() for f, c in zip(frames, kept)]),
         return_inverse=True)
     count = int(types.max()) + 1
     while True:
@@ -267,8 +300,17 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
     subalgebra is a finite Boolean algebra, so its size is 2 to the number
     of its atoms, and the atoms are exactly the bisimulation types of the
     disjoint union of all the valued models, refined for all coordinates
-    at once on numpy arrays.  Raises CapExceeded carrying the exact count
-    when it is larger than ``cap``.
+    at once on numpy arrays.
+
+    Only one coordinate of each automorphism orbit is needed, and the
+    refinement runs on the coordinates that no generator maps lower
+    (``_kept_coordinates``).  The count stays exact: an automorphism g is
+    an isomorphism from the model valued by c∘g onto the one valued by c,
+    so each dropped model is isomorphic to the least model of its orbit,
+    which is kept; its worlds are bisimilar to kept worlds, and dropping
+    whole models changes no bisimilarity among the rest.  The budget
+    still counts every coordinate.  Raises CapExceeded carrying the exact
+    count when it is larger than ``cap``.
     """
     if k < 0:
         raise FormatError("k must be nonnegative")

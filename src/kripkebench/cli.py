@@ -15,7 +15,7 @@ from pathlib import Path
 from . import constructions as C
 from .algebra import beta_formula, block_system, free_algebra_count
 from .checks import CHECKS, DEFAULT_SEED, report_json, run_all, run_check
-from .errors import BudgetExceeded, CapExceeded, KripkebenchError
+from .errors import BudgetExceeded, CapExceeded, KripkebenchError, size_text
 from .formulas import parse, print_formula
 from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
                      load_valuation, store_frame)
@@ -111,7 +111,8 @@ def _cmd_freealg(args) -> int:
         count = free_algebra_count(frames, args.k, cap=args.cap,
                                    budget=args.budget)
     except CapExceeded as e:
-        print(f"cap exceeded: exact count {e.last_size}", file=sys.stderr)
+        print(f"cap exceeded: exact count {size_text(e.last_size)}",
+              file=sys.stderr)
         return 2
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

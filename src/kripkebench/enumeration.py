@@ -5,8 +5,10 @@ on k points are grown from the (k-1)-table, keeping the first child of each
 isomorphism type, which gives the tuple that growing every labelled prefix
 gives (``_posets`` says why); sizes run over all compositions, and
 duplicates are removed by canonical keys, whose search never permutes
-twins.  Bimodal frames are enumerated exhaustively for n <= 2; beyond that
-the samplers provide seeded pseudorandom corpora.
+twins.  ``automorphism_generators`` finds a generating set of a frame's
+automorphism group by individualisation-refinement; free-algebra counts
+use it to skip valuations.  Bimodal frames are enumerated exhaustively for
+n <= 2; beyond that the samplers provide seeded pseudorandom corpora.
 """
 
 from __future__ import annotations
@@ -45,6 +47,131 @@ def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[
     for w in range(n):
         classes.setdefault(colors[w], []).append(w)
     return [classes[c] for c in sorted(classes)]
+
+
+def _equitable(adjacency: list[list[list[int]]],
+               colors: list[int]) -> tuple[list[int], list]:
+    """Colour refinement of a world colouring until a step splits nothing.
+
+    Each step keys a world by its colour and the sorted colours of its
+    neighbours in each adjacency, and recolours it by the key's rank.
+    Returns the stable colouring and its trace, the sorted key list of
+    every step: two colourings refined from comparable ones with equal
+    traces give each colour the same meaning."""
+    trace = []
+    count = len(set(colors))
+    while True:
+        keys = [(color,) + tuple(tuple(sorted(colors[x] for x in succ[w]))
+                                 for succ in adjacency)
+                for w, color in enumerate(colors)]
+        ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
+        trace.append(sorted(keys))
+        colors = [ranks[key] for key in keys]
+        if len(ranks) == count:
+            return colors, trace
+        count = len(ranks)
+
+
+def _individualised(adjacency: list[list[list[int]]], colors: list[int],
+                    w: int) -> tuple[list[int], list]:
+    """The colouring with world w alone in a new colour, refined."""
+    return _equitable(adjacency, [2 * c + (v == w) for v, c in enumerate(colors)])
+
+
+def _branches(adjacency: list[list[list[int]]], left: list[int],
+              right: list[int], cell: int):
+    """The pairs of refined colourings after individualising the first
+    world of ``cell`` on the left and each world of it on the right, where
+    the two traces agree."""
+    child, trace = _individualised(adjacency, left, left.index(cell))
+    for v, color in enumerate(right):
+        if color == cell:
+            other, other_trace = _individualised(adjacency, right, v)
+            if other_trace == trace:
+                yield child, other
+
+
+def _automorphism(adjacency: list[list[list[int]]], left: list[int],
+                  right: list[int]) -> tuple[int, ...] | None:
+    """An automorphism carrying each world of the colouring ``left`` to the
+    world of its colour in ``right`` (equal traces), or None.
+
+    The search individualises the first world of the first non-singleton
+    cell on the left and each world of that cell on the right, depth first,
+    until the colourings are discrete.  A discrete pair needs no check:
+    the last step of each trace keys every world by the colours of its
+    neighbours, which name worlds, so equal traces make the colour matching
+    an automorphism.  The stack holds one generator of branches per level,
+    so its depth costs no recursion."""
+    n = len(left)
+    stack = [iter([(left, right)])]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            continue
+        left, right = pair
+        sizes = [0] * n
+        for color in left:
+            sizes[color] += 1
+        cell = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if cell is None:
+            where = [0] * n
+            for w, color in enumerate(right):
+                where[color] = w
+            return tuple(where[color] for color in left)
+        stack.append(_branches(adjacency, left, right, cell))
+    return None
+
+
+def automorphism_generators(relations: tuple[tuple[int, ...], ...],
+                            n: int) -> list[tuple[int, ...]]:
+    """Automorphisms (world -> image) that generate the frame's whole
+    automorphism group, found along a stabiliser chain after McKay and
+    Piperno's individualisation-refinement.
+
+    Level i holds the automorphisms that fix worlds 0..i-1.  Walking the
+    levels from the deepest up, world i gets, for each world v of its
+    refined colour cell that the generators so far do not carry it to, one
+    automorphism fixing 0..i-1 and sending i to v, if there is one.  Colour
+    refinement runs again after each individualisation, so a frame with few
+    automorphisms rules most candidates out without a search."""
+    adjacency = [[worlds_of(row) for row in rows] for rows in relations]
+    adjacency += [[worlds_of(row) for row in transpose_rows(rows, n)]
+                  for rows in relations]
+    loops = [sum((rows[w] >> w & 1) << i for i, rows in enumerate(relations))
+             for w in range(n)]
+    chain = [_equitable(adjacency, loops)]   # worlds 0..i-1 individualised
+    for i in range(n):
+        chain.append(_individualised(adjacency, chain[i][0], i))
+    generators: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        colors = chain[i][0]
+        child, trace = chain[i + 1]
+        orbit = {i}
+        for v in range(n):
+            if v in orbit or colors[v] != colors[i]:
+                continue
+            right, right_trace = _individualised(adjacency, colors, v)
+            if right_trace != trace:
+                continue
+            g = _automorphism(adjacency, child, right)
+            if g is not None:
+                generators.append(g)
+                orbit = _orbit(i, generators)
+    return generators
+
+
+def _orbit(w: int, generators: list[tuple[int, ...]]) -> set[int]:
+    """The worlds that the generators carry w to."""
+    orbit, frontier = {w}, [w]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                frontier.append(g[x])
+    return orbit
 
 
 def _arrangements(labels: list[int]):

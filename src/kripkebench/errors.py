@@ -63,15 +63,27 @@ class BudgetExceeded(KripkebenchError):
         self.budget = budget
 
 
+def size_text(size: int) -> str:
+    """``size`` in decimal below 2^64; above, as 2^e when it is a power of
+    two (as exact counts are) and in hex otherwise, since Python refuses to
+    write ints of more than 4300 digits in decimal."""
+    if size < 1 << 64:
+        return str(size)
+    if size & size - 1 == 0:
+        return f"2^{size.bit_length() - 1}"
+    return hex(size)
+
+
 class CapExceeded(KripkebenchError):
     """A closure or count grew past the configured cap.
 
     ``last_size`` is the size reached (or the exact count, when it is
-    known without enumeration).
+    known without enumeration), as an exact int; the message writes it
+    with ``size_text``.
     """
 
     def __init__(self, last_size: int, cap: int):
-        super().__init__(f"size {last_size} exceeds cap {cap}")
+        super().__init__(f"size {size_text(last_size)} exceeds cap {size_text(cap)}")
         self.last_size = last_size
         self.cap = cap
 

@@ -23,6 +23,8 @@ the library skips permutations of twins; it shares the colour refinement,
 so the two keys must agree bit for bit.  ``recursive_posets`` grows every
 labelled prefix point by point and keeps the first of each isomorphism
 type; the library grows only the first-seen (k-1)-posets.
+``automorphisms`` tries every permutation of the worlds, where the library
+searches a stabiliser chain by individualisation-refinement.
 """
 
 from __future__ import annotations
@@ -355,6 +357,13 @@ def free_count_by_refinement(frames, k) -> int:
     for types in _refinements(adj1, adj2, profiles):
         pass
     return 1 << max(types) + 1
+
+
+def automorphisms(f) -> set[tuple[int, ...]]:
+    """Every permutation of the worlds that maps both relations onto
+    themselves."""
+    return {p for p in permutations(range(f.n))
+            if pull_rows(f.r1, p) == f.r1 and pull_rows(f.r2, p) == f.r2}
 
 
 def permutation_key(relations, n) -> tuple:

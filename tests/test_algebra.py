@@ -4,21 +4,23 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.algebra import (SetAlgebra, beta_formula,
-                                 block_system, free_algebra_count,
-                                 generated_subalgebra,
+from kripkebench.algebra import (SetAlgebra, _kept_coordinates,
+                                 beta_formula, block_system,
+                                 free_algebra_count, generated_subalgebra,
                                  naive_free_algebra_count)
-from kripkebench.constructions import (chain, cluster, lift, lintgrz, rect,
-                                       singleton, tack, univ_chain)
+from kripkebench.constructions import (chain, cluster, lift, lintgrz,
+                                       product, rect, singleton, tack,
+                                       univ_chain)
 from kripkebench.enumeration import random_frame, random_valuation
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
-                                NotDefinable, NotPretransitive)
+                                NotDefinable, NotPretransitive, size_text)
 from kripkebench.formulas import modal_depth
-from kripkebench.frames import Frame, preimage, worlds_of
+from kripkebench.frames import Frame, preimage, pull, pull_rows, worlds_of
+from kripkebench.morphisms import blow_up
 from kripkebench.semantics import Model, eval_formula
 
-from conftest import frames
-from oracle import atoms_of, free_count_by_refinement
+from conftest import disjoint_union, frames
+from oracle import atoms_of, automorphisms, free_count_by_refinement
 
 
 def naive_closure(frame, gens):
@@ -118,12 +120,69 @@ def test_free_algebra_count_past_the_naive_cap():
             free_count_by_refinement(fs, k)
 
 
+def relabelled(f, perm):
+    return Frame(f.n, pull_rows(f.r1, perm), pull_rows(f.r2, perm))
+
+
+@st.composite
+def symmetric_cases(draw):
+    """Frames with many automorphisms and a k >= 1 with at most 9
+    valuation bits per frame: relabelled products of clusters and chains,
+    relabelled blow-ups of small frames into bisimilar copies, and two
+    copies of a frame side by side, relabelled and listed twice."""
+    kind = draw(st.sampled_from(("product", "blow_up", "repeated")))
+    if kind == "product":
+        a, b = draw(st.sampled_from(((1, 3), (2, 2), (2, 3), (3, 2), (3, 3))))
+        f = product(draw(st.sampled_from((cluster, chain)))(a),
+                    draw(st.sampled_from((cluster, chain)))(b))
+        fs = [f]
+    elif kind == "blow_up":
+        h = draw(frames(max_n=3))
+        sizes = draw(st.lists(st.integers(1, 3), min_size=h.n, max_size=h.n)
+                     .filter(lambda s: 1 < max(s) and sum(s) <= 6))
+        fs = [blow_up(h, tuple(sizes))[0]]
+    else:
+        f = draw(frames(max_n=3))
+        fs = [disjoint_union(f, f)] * 2
+    fs = [relabelled(f, draw(st.permutations(range(f.n)))) for f in fs]
+    n = max(f.n for f in fs)
+    return fs, draw(st.integers(1, min(2, max(1, 8 // n))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(symmetric_cases())
+def test_free_algebra_count_matches_the_oracle_on_symmetric_frames(case):
+    fs, k = case
+    assert free_algebra_count(fs, k, cap=1 << 4096) == \
+        free_count_by_refinement(fs, k)
+
+
+def coordinate_image(c, g, n, k):
+    """Coordinate c's valuation, each mask pulled back along g."""
+    masks = [c >> n * (k - 1 - i) & (1 << n) - 1 for i in range(k)]
+    return sum(pull(m, g) << n * (k - 1 - i) for i, m in enumerate(masks))
+
+
+@pytest.mark.parametrize("f, k", [(tack("both", 2), 2), (rect(2, 3), 1),
+                                  (lift(cluster(3)), 2)])
+def test_kept_coordinates_hold_each_orbit_least(f, k):
+    # every automorphism orbit of valuations keeps its least coordinate,
+    # and the kept coordinates are fewer than all of them
+    kept = set(_kept_coordinates(f, k).tolist())
+    autos = automorphisms(f)
+    total = 1 << f.n * k
+    for c in range(total):
+        assert min(coordinate_image(c, g, f.n, k) for g in autos) in kept
+    assert len(kept) < total
+
+
 @pytest.mark.parametrize("fs, k, atoms", [
     ([tack("both", 2)], 3, 32768),
     ([rect(3, 4)], 1, 146),
     ([tack("both", 3)], 1, 176),
     ([tack("1", 3)], 1, 176),
     ([tack("2", 3)], 1, 176),
+    ([tack("both", 4)], 1, 712),
 ])
 def test_free_algebra_count_pinned_large(fs, k, atoms):
     assert free_algebra_count(fs, k, cap=1 << 40000) == 1 << atoms
@@ -142,6 +201,23 @@ def test_free_algebra_count_guards():
     with pytest.raises(CapExceeded) as e:
         free_algebra_count([tack("both", 2)], 1, cap=100)
     assert e.value.last_size == 1 << 32
+
+
+def test_free_algebra_count_budget_counts_every_coordinate():
+    # the budget reads the exhaustive coordinate count, not the kept one
+    with pytest.raises(BudgetExceeded) as e:
+        free_algebra_count([tack("both", 4), rect(3, 4)], 1, budget=1000)
+    assert e.value.needed == (1 << 17) + (1 << 12)
+
+
+def test_free_algebra_count_cap_past_decimal_conversion():
+    # 2^32768 has 9865 decimal digits, past what Python writes in decimal
+    with pytest.raises(CapExceeded) as e:
+        free_algebra_count([tack("both", 2)], 3)
+    assert e.value.last_size == 1 << 32768
+    assert str(e.value) == "size 2^32768 exceeds cap 1000000"
+    assert [size_text(x) for x in ((1 << 64) - 1, 1 << 64, 3 << 40000)] == \
+        ["18446744073709551615", "2^64", hex(3 << 40000)]
 
 
 def test_block_system_examples():

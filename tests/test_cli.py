@@ -134,6 +134,20 @@ def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     assert "needs 32 coordinates, budget is 1" in err
 
 
+def test_freealg_cap_past_decimal_conversion(tmp_path):
+    # the exact count 2^32768 has 9865 decimal digits: a fresh interpreter,
+    # so that a traceback would reach stderr
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(tack("both", 2)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "kripkebench.cli", "freealg",
+                           "--frames", str(frame), "-k", "3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "cap exceeded: exact count 2^32768\n"
+
+
 def test_check_single_and_exit_code(capsys):
     code, text, _ = run(capsys, "check", "--id", "C5")
     assert code == 0 and text.startswith("C5: pass")

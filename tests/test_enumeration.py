@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.constructions import lift
-from kripkebench.enumeration import (_posets, all_bimodal_frames,
-                                     all_preorders, frame_key,
+from kripkebench.constructions import lift, rect, tack
+from kripkebench.enumeration import (_color_classes, _posets,
+                                     all_bimodal_frames, all_preorders,
+                                     automorphism_generators, frame_key,
                                      linear_preorders, random_frame)
 from kripkebench.frames import (Frame, UniFrame, fibers, frame_property, pull,
                                 pull_rows, rt_closure)
 
 from conftest import disjoint_union, frames
-from oracle import permutation_key, recursive_posets
+from oracle import automorphisms, permutation_key, recursive_posets
 
 
 def relabel(rows, perm):
@@ -125,6 +126,74 @@ def doubled_frames(draw):
 @given(st.one_of(frames(max_n=6), blown_up_preorders(), doubled_frames()))
 def test_frame_key_matches_the_permutation_oracle(f):
     assert frame_key(f) == permutation_key((f.r1, f.r2), f.n)
+
+
+def generated_group(generators, n):
+    """Every permutation that the generators compose to."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(frames(max_n=5), blown_up_preorders(), doubled_frames()))
+def test_automorphism_generators_generate_every_automorphism(f):
+    autos = automorphisms(f)
+    generators = automorphism_generators((f.r1, f.r2), f.n)
+    assert set(generators) <= autos
+    assert generated_group(generators, f.n) == autos
+
+
+@pytest.mark.parametrize("f, order", [(rect(3, 4), 3 * 2 * 4 * 3 * 2),
+                                      (tack("both", 3), 3 * 2 * 3 * 2)])
+def test_automorphism_generators_reach_each_colour_class(f, order):
+    # Aut(rect(a, b)) is S_a x S_b, transitive on the worlds; a tack adds a
+    # top that every automorphism fixes.  The generators must be
+    # automorphisms, and their orbits the colour classes.
+    generators = automorphism_generators((f.r1, f.r2), f.n)
+    for g in generators:
+        assert sorted(g) == list(range(f.n))
+        assert pull_rows(f.r1, g) == f.r1 and pull_rows(f.r2, g) == f.r2
+    group = generated_group(generators, f.n)
+    for cls in _color_classes((f.r1, f.r2), f.n):
+        for w in cls:
+            assert sorted({p[w] for p in group}) == cls
+    assert len(group) == order
+
+
+def test_automorphism_generators_past_colour_refinement():
+    # Colour refinement gives every world of two 3-cycles and a 6-cycle the
+    # same colour, even with one 3-cycle world individualised, so the
+    # search must compare traces to avoid pairing a 3-cycle with the
+    # 6-cycle.  The group is (C3 x C3) : C2 times C6.
+    def cycle(m):
+        return Frame(m, tuple(1 << (i + 1) % m for i in range(m)), (0,) * m)
+
+    f = disjoint_union(cycle(3), cycle(3), cycle(6))
+    rng = Random(12)
+    for _ in range(20):
+        perm = rng.sample(range(f.n), f.n)
+        g = Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm))
+        generators = automorphism_generators((g.r1, g.r2), g.n)
+        for p in generators:
+            assert pull_rows(g.r1, p) == g.r1 and pull_rows(g.r2, p) == g.r2
+        assert len(generated_group(generators, g.n)) == 9 * 2 * 6
+
+
+def test_automorphism_generators_of_small_frames():
+    # a 3-cycle turns, a chain is rigid, and a frame without worlds has
+    # nothing to move
+    cycle = Frame(3, (0b010, 0b100, 0b001), (0, 0, 0))
+    assert len(generated_group(automorphism_generators((cycle.r1, cycle.r2), 3), 3)) == 3
+    chain3 = Frame(3, (0b111, 0b110, 0b100), (0b001, 0b010, 0b100))
+    assert automorphism_generators((chain3.r1, chain3.r2), 3) == []
+    assert automorphism_generators(((), ()), 0) == []
 
 
 @st.composite
