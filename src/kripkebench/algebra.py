@@ -22,11 +22,18 @@ keeps only the coordinates that no automorphism generator of their frame
 valuation and its image along an automorphism give isomorphic valued
 models, whose worlds are bisimilar pairwise, and the least coordinate of
 each orbit is always kept, so the number of classes stays exact.
+
+A point-definability certificate beta(r) = alpha(r) & γ differs between
+the roots of one generated subframe only in alpha(r).  The subframe, its
+block system, the definers, γ and γ's extension in the source model are
+built once per frame, valuation and reachable set (``_definers``), and
+each call evaluates its own alpha(r) and intersects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterator, Sequence
 
@@ -37,8 +44,8 @@ from .enumeration import automorphism_generators
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
 from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
-                     diagonal, fibers, generated_subframe, preimage, pull,
-                     pull_rows, rt_closure, union_rows, worlds_of)
+                     diagonal, fibers, preimage, pull, pull_rows,
+                     restrict_frame, rt_closure, union_rows, worlds_of)
 from .semantics import DEFAULT_BUDGET, Model, eval_formula
 
 
@@ -150,8 +157,11 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
     of the refinement.  Stationarity only follows from a fixpoint of the
     successor step, not from the variables-only first step: with no
     variables, layer 1 equals layer 0 even when layer 2 still splits
-    successor-free worlds.
+    successor-free worlds.  ``max_layers`` is None or a nonnegative int.
     """
+    if max_layers is not None and (type(max_layers) is not int or max_layers < 0):
+        raise FormatError(
+            f"max_layers must be a nonnegative int or None, got {max_layers!r}")
     frame = m.kripke
     if frame.n < 1:
         raise FormatError("block systems need at least one world")
@@ -376,45 +386,34 @@ class DefinabilityCertificate:
     transcript: tuple[str, ...]
 
 
-def _two_transitive(frame: Frame) -> bool:
+@lru_cache(maxsize=32)
+def _reachability(frame: Frame) -> tuple[tuple[int, ...], bool]:
+    """The (r1|r2)-reachability rows of ``frame`` and whether they equal
+    the union with the diagonal and its square (2-transitivity)."""
     union = frame.union()
+    reach = rt_closure(union, frame.n)
     two = union_rows(union_rows(diagonal(frame.n), union),
                      compose_rows(union, union))
-    return two == rt_closure(union, frame.n)
+    return reach, two == reach
 
 
-def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
-    """Point-definability formula for world ``r``.
-
-    Requires the frame to be 2-transitive for r1 | r2 (so the syntactic
-    box-star expresses reachability) and the block system of the subframe
-    generated by r to stabilise at singletons.  The certificate's formula
-    evaluates to exactly {r} in the source model; a world elsewhere in the
-    model that is modally indistinguishable from a generated-subframe world
-    makes the target undefinable.
-    """
-    frame = m.kripke
-    if not 0 <= r < frame.n:
-        raise FormatError(f"world {r} out of range")
-    if not _two_transitive(frame):
-        raise NotPretransitive(
-            "frame is not 2-transitive for the union relation")
-    sub, reach = generated_subframe(frame, 1 << r)
-    keep = worlds_of(reach)   # subframe world -> source world
-    local_val = {v: pull(mask, keep) for v, mask in m.valuation.items()}
-    sub_model = Model(sub, local_val)
-    system = block_system(sub_model)
+@lru_cache(maxsize=32)
+def _definers(frame: Frame, valuation: tuple[tuple[int, int], ...], reach: int):
+    """What every root generating the subframe on ``reach`` shares: the
+    subframe worlds, the stabilisation layer, each world's definer, γ and
+    γ's extension in the source model, all in source numbering."""
+    sub, keep = restrict_frame(frame, reach)   # keep: subframe -> source world
+    local_val = {v: pull(mask, keep) for v, mask in valuation}
+    system = block_system(Model(sub, local_val))
     stable = system.stabilized
     for b in stable:
         if b & (b - 1):
             raise NotDefinable(keep[(b & -b).bit_length() - 1],
                                "block system does not stabilise at singletons")
 
-    variables_sorted = sorted(m.valuation)
-
     def literals(w: int) -> list[Formula]:
-        return [Var(v) if local_val[v] >> w & 1 else Not(Var(v))
-                for v in variables_sorted]
+        return [Var(v) if mask >> w & 1 else Not(Var(v))
+                for v, mask in local_val.items()]
 
     # characteristic formula of each block, built layer by layer: layer 1
     # blocks are variable classes (literals alone); from layer 2 on, a
@@ -440,9 +439,8 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
         char.update(nxt)
 
     # stabilised blocks are singletons, so indexing definers by world is total
-    final = system.layers[system.stabilization]
     alpha_local = {}
-    for b in final:
+    for b in stable:
         w = (b & -b).bit_length() - 1
         alpha_local[w] = And(conj(literals(w)), char[b])
 
@@ -462,20 +460,52 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
         box_star(conj(non_edge_parts)),
         box_star(disj([alpha_local[w] for w in range(sub.n)])),
     ])
-    local_r = keep.index(r)
-    beta = And(alpha_local[local_r], gamma)
+    gamma_ext = eval_formula(Model(frame, dict(valuation)), gamma)
+    alpha = {keep[w]: f for w, f in alpha_local.items()}
+    return keep, system.stabilization, alpha, gamma, gamma_ext
 
-    extension = eval_formula(m, beta)
+
+def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
+    """Point-definability formula for world ``r``.
+
+    Requires the frame to be 2-transitive for r1 | r2 (so the syntactic
+    box-star expresses reachability) and the block system of the subframe
+    generated by r to stabilise at singletons.  The certificate's formula
+    evaluates to exactly {r} in the source model; a world elsewhere in the
+    model that is modally indistinguishable from a generated-subframe world
+    makes the target undefinable.
+
+    Only alpha(r) depends on r.  The reachability rows are computed once
+    per frame, and the subframe, its block system, every definer, γ and
+    γ's extension in the source model once per frame, valuation and
+    generated subframe (``_definers``); each root then evaluates only its
+    own alpha(r).  The check is unchanged: the extension of
+    beta = alpha(r) & γ is the intersection of its children's extensions,
+    which is what evaluating beta whole computes.
+    """
+    if type(r) is not int:
+        raise FormatError(f"world must be an int, got {r!r}")
+    frame = m.kripke
+    if not 0 <= r < frame.n:
+        raise FormatError(f"world {r} out of range")
+    reach_rows, two_transitive = _reachability(frame)
+    if not two_transitive:
+        raise NotPretransitive(
+            "frame is not 2-transitive for the union relation")
+    keep, stabilization, alpha, gamma, gamma_ext = _definers(
+        frame, tuple(sorted(m.valuation.items())), reach_rows[r])
+    beta = And(alpha[r], gamma)
+
+    extension = eval_formula(m, alpha[r]) & gamma_ext
     if extension != 1 << r:
         stray = worlds_of(extension ^ (1 << r))
         raise NotDefinable(stray[0],
                            f"worlds {stray} are indistinguishable from {r}")
-    alpha_source = {keep[w]: f for w, f in alpha_local.items()}
     depth = beta.depth
     transcript = (
-        f"generated subframe has {sub.n} worlds: {keep}",
-        f"block system stabilises at layer {system.stabilization}",
+        f"generated subframe has {len(keep)} worlds: {keep}",
+        f"block system stabilises at layer {stabilization}",
         f"beta({r}) has modal depth {depth}",
         f"extension {bitstring(extension, frame.n)} equals {{{r}}}",
     )
-    return DefinabilityCertificate(r, alpha_source, gamma, beta, depth, transcript)
+    return DefinabilityCertificate(r, dict(alpha), gamma, beta, depth, transcript)

@@ -25,6 +25,10 @@ labelled prefix point by point and keeps the first of each isomorphism
 type; the library grows only the first-seen (k-1)-posets.
 ``automorphisms`` tries every permutation of the worlds, where the library
 searches a stabiliser chain by individualisation-refinement.
+``reference_beta_formula`` builds a definability certificate from scratch
+on every call and evaluates beta whole; the library shares everything but
+alpha(r) among the roots of one model and subframe.  It uses the
+library's block system and evaluator.
 """
 
 from __future__ import annotations
@@ -33,13 +37,18 @@ import re
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
-from kripkebench.algebra import _refinements
+from kripkebench.algebra import (DefinabilityCertificate, _refinements,
+                                 block_system)
 from kripkebench.enumeration import _color_classes
-from kripkebench.errors import FormulaSyntaxError
+from kripkebench.errors import (FormatError, FormulaSyntaxError, NotDefinable,
+                                NotPretransitive)
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
                                   ReachBox, ReachDia, Top, Var, box_star,
-                                  box_v, dia_star, dia_v)
-from kripkebench.frames import GeneralFrame, pull_rows, worlds_of
+                                  box_v, conj, dia_star, dia_v, disj)
+from kripkebench.frames import (GeneralFrame, bitstring, compose_rows,
+                                diagonal, generated_subframe, pull, pull_rows,
+                                rt_closure, union_rows, worlds_of)
+from kripkebench.semantics import Model, eval_formula
 
 
 def children(f) -> tuple:
@@ -412,3 +421,80 @@ def recursive_posets(k: int) -> tuple[tuple[int, ...], ...]:
             seen.add(key)
             out.append(rows)
     return tuple(out)
+
+
+def reference_beta_formula(m, r):
+    """Point-definability certificate for world ``r``, every part rebuilt
+    and beta evaluated whole on each call."""
+    frame = m.kripke
+    if not 0 <= r < frame.n:
+        raise FormatError(f"world {r} out of range")
+    union = frame.union()
+    two = union_rows(union_rows(diagonal(frame.n), union),
+                     compose_rows(union, union))
+    if two != rt_closure(union, frame.n):
+        raise NotPretransitive(
+            "frame is not 2-transitive for the union relation")
+    sub, reach = generated_subframe(frame, 1 << r)
+    keep = worlds_of(reach)
+    local_val = {v: pull(mask, keep) for v, mask in m.valuation.items()}
+    system = block_system(Model(sub, local_val))
+    for b in system.stabilized:
+        if b & (b - 1):
+            raise NotDefinable(keep[(b & -b).bit_length() - 1],
+                               "block system does not stabilise at singletons")
+
+    def literals(w):
+        return [Var(v) if local_val[v] >> w & 1 else Not(Var(v))
+                for v in sorted(m.valuation)]
+
+    char = {sub.full: Top()}
+    for i in range(1, len(system.layers)):
+        prev = system.layers[i - 1]
+        prev_of = {w: idx for idx, b in enumerate(prev) for w in worlds_of(b)}
+        nxt = {}
+        for b in system.layers[i]:
+            w = (b & -b).bit_length() - 1
+            parts = literals(w)
+            if i > 1:
+                for mod, rows in ((1, sub.r1), (2, sub.r2)):
+                    met = sorted({prev_of[x] for x in worlds_of(rows[w])})
+                    parts.extend(Dia(mod, char[prev[j]]) for j in met)
+                    parts.append(Box(mod, disj([char[prev[j]] for j in met])))
+            nxt[b] = conj(parts)
+        char.update(nxt)
+
+    alpha_local = {}
+    for b in system.layers[system.stabilization]:
+        w = (b & -b).bit_length() - 1
+        alpha_local[w] = And(conj(literals(w)), char[b])
+
+    edge_parts, non_edge_parts = [], []
+    for mod, rows in ((1, sub.r1), (2, sub.r2)):
+        for b1 in range(sub.n):
+            for b2 in range(sub.n):
+                if rows[b1] >> b2 & 1:
+                    edge_parts.append(
+                        Imp(alpha_local[b1], Dia(mod, alpha_local[b2])))
+                else:
+                    non_edge_parts.append(
+                        Imp(alpha_local[b1], Not(Dia(mod, alpha_local[b2]))))
+    gamma = conj([
+        box_star(conj(edge_parts)),
+        box_star(conj(non_edge_parts)),
+        box_star(disj([alpha_local[w] for w in range(sub.n)])),
+    ])
+    beta = And(alpha_local[keep.index(r)], gamma)
+    extension = eval_formula(m, beta)
+    if extension != 1 << r:
+        stray = worlds_of(extension ^ (1 << r))
+        raise NotDefinable(stray[0],
+                           f"worlds {stray} are indistinguishable from {r}")
+    transcript = (
+        f"generated subframe has {sub.n} worlds: {keep}",
+        f"block system stabilises at layer {system.stabilization}",
+        f"beta({r}) has modal depth {beta.depth}",
+        f"extension {bitstring(extension, frame.n)} equals {{{r}}}",
+    )
+    return DefinabilityCertificate(r, {keep[w]: f for w, f in alpha_local.items()},
+                                   gamma, beta, beta.depth, transcript)

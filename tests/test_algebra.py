@@ -4,23 +4,26 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.algebra import (SetAlgebra, _kept_coordinates,
-                                 beta_formula, block_system,
+from kripkebench.algebra import (SetAlgebra, _definers, _kept_coordinates,
+                                 _reachability, beta_formula, block_system,
                                  free_algebra_count, generated_subalgebra,
                                  naive_free_algebra_count)
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        product, rect, singleton, tack,
                                        univ_chain)
-from kripkebench.enumeration import random_frame, random_valuation
+from kripkebench.enumeration import (random_frame, random_preorder,
+                                     random_valuation)
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
                                 NotDefinable, NotPretransitive, size_text)
-from kripkebench.formulas import modal_depth
-from kripkebench.frames import Frame, preimage, pull, pull_rows, worlds_of
+from kripkebench.formulas import Top, modal_depth
+from kripkebench.frames import (Frame, as_general, preimage, pull, pull_rows,
+                                worlds_of)
 from kripkebench.morphisms import blow_up
 from kripkebench.semantics import Model, eval_formula
 
 from conftest import disjoint_union, frames
-from oracle import atoms_of, automorphisms, free_count_by_refinement
+from oracle import (atoms_of, automorphisms, free_count_by_refinement,
+                    reference_beta_formula)
 
 
 def naive_closure(frame, gens):
@@ -234,6 +237,12 @@ def test_block_system_examples():
     assert bs.layers == ((0b11,),) and bs.stabilization is None
 
 
+@pytest.mark.parametrize("max_layers", [-1, 1.5, 1.0, True, False, "1"])
+def test_block_system_max_layers_is_none_or_a_nonnegative_int(max_layers):
+    with pytest.raises(FormatError):
+        block_system(Model(lift(chain(2)), {0: 0b10}), max_layers)
+
+
 @pytest.mark.parametrize("model, expected", [
     # stabilises at layer 1
     (Model(lift(chain(2)), {0: 0b10}),
@@ -392,6 +401,105 @@ def test_beta_rejects_outside_duplicates():
     F = Frame(2, (0b01, 0b10), (0b01, 0b10))
     with pytest.raises(NotDefinable):
         beta_formula(Model(F, {}), 0)
+
+
+def outcome(beta, m, r):
+    """Every certificate field, or the error's kind, message and world."""
+    try:
+        cert = beta(m, r)
+    except (NotDefinable, NotPretransitive) as e:
+        return type(e), str(e), getattr(e, "world", None)
+    return cert.world, cert.alpha, cert.gamma, cert.beta, cert.depth, cert.transcript
+
+
+def assert_same_certificate(m, r):
+    got, want = outcome(beta_formula, m, r), outcome(reference_beta_formula, m, r)
+    assert got == want, (m, r)
+    if len(want) == 6:
+        assert type(got[0]) is int
+        assert got[2] is want[2] and got[3] is want[3]   # interned: one node each
+
+
+def relabelled_codings():
+    """Models on relabelled frames with seeded valuations of one or two
+    variables: rect(2,3), lifted random preorders and tack(both,2)."""
+    rng = Random(2718)
+    bases = [rect(2, 3)] * 4 + [lift(random_preorder(rng, n)) for n in (3, 4, 4, 5)]
+    bases += [tack("both", 2)] * 3
+    models = []
+    for f in bases:
+        perm = rng.sample(range(f.n), f.n)
+        g = relabelled(f, perm)
+        models.append(Model(g, random_valuation(rng, g.n, rng.randint(1, 2))))
+    return models
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_beta_matches_the_uncached_oracle(order):
+    _definers.cache_clear()
+    _reachability.cache_clear()
+    models = relabelled_codings()
+    if order == "ascending":
+        calls = [(m, r) for m in models for r in range(m.kripke.n)]
+    elif order == "descending":
+        calls = [(m, r) for m in reversed(models) for r in reversed(range(m.kripke.n))]
+    else:
+        calls = [(m, r) for r in range(max(m.kripke.n for m in models))
+                 for m in models if r < m.kripke.n]
+    defined = 0
+    for m, r in calls:
+        assert_same_certificate(m, r)
+        defined += len(outcome(beta_formula, m, r)) == 6
+    assert 0 < defined < len(calls)
+
+
+def test_beta_cache_keys():
+    # two valuations on one frame
+    f = rect(2, 2)
+    for val in ({0: 0b0001}, {0: 0b0010}, {0: 0b0001}):
+        for r in range(f.n):
+            assert_same_certificate(Model(f, val), r)
+    # {0: 0} and {} differ in their literals only
+    f = Frame(3, (0b010, 0b100, 0b000), (0b001, 0b000, 0b100))
+    assert beta_formula(Model(f, {}), 0).alpha != beta_formula(Model(f, {0: 0}), 0).alpha
+    for val in ({}, {0: 0}, {}):
+        for r in range(f.n):
+            assert_same_certificate(Model(f, val), r)
+    f = tack("both", 2)
+    for m in (Model(f, {0: 0b00001}), Model(as_general(f), {0: 0b00001})):
+        for r in range(f.n):
+            assert_same_certificate(m, r)
+    # world 1 generates a proper subframe, {1, 2}, of world 0's
+    m = Model(lift(chain(3)), {0: 0b010, 1: 0b100})
+    assert len(beta_formula(m, 1).alpha) == 2 and len(beta_formula(m, 0).alpha) == 3
+    for r in (0, 1, 2, 1, 0):
+        assert_same_certificate(m, r)
+
+
+def test_beta_errors_repeat():
+    cover4 = Frame(4, (0b0010, 0b0100, 0b1000, 0b0000), (0, 0, 0, 0))
+    twins = Frame(2, (0b01, 0b10), (0b01, 0b10))
+    for m, r, error in ((Model(cover4, {}), 0, NotPretransitive),
+                        (Model(rect(2, 2), {0: 0}), 1, NotDefinable),
+                        (Model(twins, {}), 0, NotDefinable)):
+        first = outcome(beta_formula, m, r)
+        assert first[0] is error
+        assert outcome(beta_formula, m, r) == first == outcome(reference_beta_formula, m, r)
+
+
+def test_beta_certificate_is_not_shared():
+    m = Model(rect(2, 2), {0: 0b0001})
+    cert = beta_formula(m, 0)
+    cert.alpha.clear()
+    beta_formula(m, 1).alpha[0] = Top()
+    assert_same_certificate(m, 0)
+    assert_same_certificate(m, 1)
+
+
+@pytest.mark.parametrize("r", [True, False, 1.0, "1", None])
+def test_beta_world_is_an_int(r):
+    with pytest.raises(FormatError):
+        beta_formula(Model(rect(2, 2), {0: 0b0001}), r)
 
 
 def test_set_algebra_type():

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kripkebench.cli import main
-from kripkebench.constructions import chain, lift, tack, univ_chain
+from kripkebench.constructions import chain, lift, rect, tack, univ_chain
 from kripkebench.frames import load_frame, store_frame
 
 
@@ -120,6 +122,32 @@ def test_freealg_blocks_beta(tmp_path, capsys):
     doc = json.loads(text)
     assert doc["world"] == 1 and doc["depth"] >= 1
 
+
+
+def test_beta_every_world_and_bad_layer_counts(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(rect(2, 2)))
+    val = tmp_path / "v.json"
+    val.write_text('{"p0": "1000"}')
+    for r in range(4):
+        code, text, _ = run(capsys, "beta", "--frame", str(frame),
+                            "--valuation", str(val), "-r", str(r))
+        assert code == 0 and json.loads(text)["world"] == r
+    for argv in (("blocks", "--max-layers", "-1"), ("beta", "-r", "-1"),
+                 ("beta", "-r", "4")):
+        code, out, err = run(capsys, *argv[:1], "--frame", str(frame),
+                             "--valuation", str(val), *argv[1:])
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+    code, text, _ = run(capsys, "blocks", "--frame", str(frame),
+                        "--valuation", str(val), "--max-layers", "0")
+    assert code == 0 and json.loads(text)["layers"] == [["1111"]]
+    # argparse reads both as ints and stops at anything else
+    for argv in (("blocks", "--max-layers", "1.5"), ("beta", "-r", "1.0")):
+        with pytest.raises(SystemExit) as e:
+            main([*argv[:1], "--frame", str(frame), "--valuation", str(val),
+                  *argv[1:]])
+        assert e.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
 def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"
