@@ -9,19 +9,37 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 from . import constructions as C
 from .algebra import beta_formula, block_system, free_algebra_count
 from .checks import CHECKS, DEFAULT_SEED, report_json, run_all, run_check
-from .errors import BudgetExceeded, CapExceeded, KripkebenchError, size_text
+from .errors import (BudgetExceeded, CapExceeded, FormatError,
+                     KripkebenchError, size_text)
 from .formulas import parse, print_formula
 from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
                      load_valuation, store_frame)
 from .morphisms import (check_pmorphism, find_pmorphism, load_worldmap,
                         store_worldmap)
 from .semantics import DEFAULT_BUDGET, Model, refutes_witness
+
+
+# Integer options by destination.  argparse hands them over as text, so that
+# a malformed one is an ``error:`` line like every other malformed input.
+_INTEGER_OPTIONS = {"m": "-m", "a": "-a", "b": "-b", "budget": "--budget",
+                    "k": "-k", "cap": "--cap", "max_layers": "--max-layers",
+                    "r": "-r", "seed": "--seed"}
+
+
+def _read_integers(args) -> None:
+    for dest, flag in _INTEGER_OPTIONS.items():
+        text = getattr(args, dest, None)
+        if isinstance(text, str):  # given on the command line; defaults are ints
+            if not re.fullmatch(r"[+-]?[0-9]+", text):
+                raise FormatError(f"{flag} must be an integer, got {text!r}")
+            setattr(args, dest, int(text))
 
 
 def _read_frame(path: str):
@@ -179,9 +197,9 @@ def main(argv=None) -> int:
     b.add_argument("family", choices=[*C.FAMILIES, "product", "sum", "tensesum"])
     b.add_argument("--kind", default="both", choices=["both", "1", "2"])
     b.add_argument("--axis", type=int, default=1, choices=[1, 2])
-    b.add_argument("-m", type=int, default=1)
-    b.add_argument("-a", type=int, default=1)
-    b.add_argument("-b", type=int, default=1)
+    b.add_argument("-m", default=1)
+    b.add_argument("-a", default=1)
+    b.add_argument("-b", default=1)
     b.add_argument("--left", help="left/first operand frame JSON path")
     b.add_argument("--right", help="right/second operand frame JSON path")
     b.add_argument("-o", "--output")
@@ -190,7 +208,7 @@ def main(argv=None) -> int:
     v = sub.add_parser("valid", help="validity; exit 0 valid, 1 refuted, 2 budget")
     v.add_argument("--frame", required=True)
     v.add_argument("--formula", required=True)
-    v.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    v.add_argument("--budget", default=DEFAULT_BUDGET)
     v.set_defaults(fn=_cmd_valid)
 
     p = sub.add_parser("pmorph", help="check or find p-morphisms")
@@ -198,41 +216,42 @@ def main(argv=None) -> int:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--map")
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", default=1 << 20)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_pmorph)
 
     fa = sub.add_parser("freealg", help="count inequivalent k-formulas")
     fa.add_argument("--frames", required=True, help="comma-separated JSON paths")
-    fa.add_argument("-k", type=int, required=True)
-    fa.add_argument("--cap", type=int, default=1_000_000)
-    fa.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    fa.add_argument("-k", required=True)
+    fa.add_argument("--cap", default=1_000_000)
+    fa.add_argument("--budget", default=DEFAULT_BUDGET)
     fa.set_defaults(fn=_cmd_freealg)
 
     bl = sub.add_parser("blocks", help="layered block system of a model")
     bl.add_argument("--frame", required=True)
     bl.add_argument("--valuation", required=True)
-    bl.add_argument("--max-layers", type=int, default=None)
+    bl.add_argument("--max-layers", default=None)
     bl.set_defaults(fn=_cmd_blocks)
 
     be = sub.add_parser("beta", help="point-definability certificate")
     be.add_argument("--frame", required=True)
     be.add_argument("--valuation", required=True)
-    be.add_argument("-r", type=int, required=True)
+    be.add_argument("-r", required=True)
     be.set_defaults(fn=_cmd_beta)
 
     ck = sub.add_parser("check", help="run registry checks")
     group = ck.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--id")
-    ck.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ck.add_argument("--budget", type=int, default=None)
+    ck.add_argument("--seed", default=DEFAULT_SEED)
+    ck.add_argument("--budget", default=None)
     ck.add_argument("--json", action="store_true")
     ck.add_argument("-v", "--verbose", action="store_true")
     ck.set_defaults(fn=_cmd_check)
 
     args = top.parse_args(argv)
     try:
+        _read_integers(args)
         return args.fn(args)
     except (KripkebenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

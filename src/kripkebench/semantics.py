@@ -1,15 +1,23 @@
 """Formula evaluation on models, validity over (general) frames, and
 refutation-witness search.
 
-One walk evaluates every formula: a loop over the formula's node order
-(``formulas.nodes``, children before parents), which each call of
-``eval_formula``, ``valid`` and ``refutes_witness`` builds once and reuses
-for every block and every part it searches.  The walk only combines values
-with ``^``, ``&``, ``|`` and a preimage function, so it runs on a single
-model (int world masks) and on the search (numpy arrays of masks).  Search
-cells are the narrowest unsigned type that holds n bits (``uint8`` up to 8
-worlds, then 16, 32 and 64 bits, Python ints above), and up to 16 worlds a
-preimage is one ``take`` from a table indexed by the mask.
+One walk evaluates every formula: a loop over a node order
+(``formulas.nodes``, children before parents).  The walk only combines
+values with ``^``, ``&``, ``|`` and a preimage function, so it runs on a
+single model (int world masks) and on the search (numpy arrays of masks).
+Search cells are the narrowest unsigned type that holds n bits (``uint8``
+up to 8 worlds, then 16, 32 and 64 bits, Python ints above), and up to 16
+worlds a preimage is one ``take`` from a table indexed by the mask.
+
+``valid`` and ``refutes_witness`` read a plan built once per formula and
+cached (``_Plan``): the node order, the occurring variables and, on the
+first search that needs them, the modal regions.  A region is a part of
+the formula that is a function of one node's value, its base, and holds
+a modal step.  A search over more than one block on at most 16 worlds
+walks each region once over every mask of its base into a table, and
+each block evaluates the region with one ``take``, so verdicts and least
+witnesses stay bit for bit those of the plain node order.  A one-block
+search runs the plain order: tables would cost more than the block.
 
 Validity is brute force over valuations, enumerated only over the
 variables occurring in the formula; a variable-free formula is decided by
@@ -36,15 +44,15 @@ searched and to each part's world count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, FormatError
-from .formulas import (And, Bot, Box, Dia, Formula, Iff, Imp, Not, Or,
-                       ReachDia, Top, Var, nodes)
+from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
+                       Or, ReachBox, ReachDia, Top, Var, nodes)
 from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
                      restrict_frame, restrict_general, rt_closure)
 
@@ -82,16 +90,31 @@ class Model:
         return kripke_of(self.frame)
 
 
-def _walk(order: list[Formula], leaves: Mapping, full, pre: Callable):
+class _Gather(NamedTuple):
+    """A program step: ``node``'s value is ``table.take(value of base)``,
+    where ``table`` holds the value of ``region``, a node order ending in
+    ``node``, for every mask of ``base``."""
+
+    node: Formula
+    base: Formula
+    region: list[Formula]
+    table: np.ndarray | None = None  # a search fills it in
+
+
+def _walk(order: list, leaves: Mapping, full, pre: Callable, seed=()):
     """Extension of the last formula of ``order``, a node order from
-    ``nodes``: variable v is ``leaves.get(v, 0)`` and ``pre(mod, x)`` is
+    ``nodes`` or a search program: variable v is ``leaves.get(v, 0)``, the
+    nodes of ``seed`` (node -> value) are given, and ``pre(mod, x)`` is
     the set of worlds with a ``mod``-successor in x, where mod 0 is the
     reflexive-transitive closure of r1 | r2."""
-    val: dict[Formula, object] = {}
+    val: dict[Formula, object] = dict(seed)
     for g in order:  # the most frequent node kinds first
         t = type(g)
         if t is And:
             r = val[g.left] & val[g.right]
+        elif t is _Gather:
+            val[g.node] = r = g.table.take(val[g.base])
+            continue
         elif t is Dia:
             r = pre(g.mod, val[g.child])
         elif t is Imp:
@@ -228,21 +251,60 @@ def _maximal_parts(g: Frame | GeneralFrame) -> list:
     return [restrict_frame(g, m)[0] for m in tops]
 
 
-def _occurring(order: list[Formula]) -> list[int]:
-    return sorted({g.index for g in order if type(g) is Var})
+def _children(g: Formula) -> tuple:
+    arity = _ARITY[type(g)]
+    return () if arity == 0 else (g.child,) if arity == 1 else (g.left, g.right)
 
 
-def _search_refutation(g: Frame | GeneralFrame, order: list[Formula],
-                       occurring: list[int]) -> Witness | None:
-    """The least witness over the whole of ``g`` for the formula with node
-    order ``order``; the caller checks size."""
+class _Plan:
+    """What every search of one formula shares: its node order, its
+    occurring variables and, built on the first search that needs it, its
+    fused program."""
+
+    def __init__(self, f: Formula):
+        self.order = nodes(f)
+        self.occurring = sorted({g.index for g in self.order if type(g) is Var})
+
+    @cached_property
+    def fused(self) -> list:
+        """The node order with each gather in place of its region.  A
+        node's base is the node its value is a function of: a variable is
+        its own base and a constant has none; a unary node takes its
+        child's base and a binary node its children's common base,
+        constants aside, or itself when the two differ.  A node needed
+        outside its base's region whose region holds a modal step is a
+        gather, and the region's other nodes leave the program."""
+        base, modal = {}, {}
+        for g in self.order:
+            kids = _children(g)
+            bases = {base[c] for c in kids} - {None}
+            b = g if type(g) is Var or len(bases) > 1 else next(iter(bases), None)
+            base[g] = b
+            modal[g] = b is not None and b is not g and (
+                type(g) in (Dia, Box, ReachDia, ReachBox) or any(modal[c] for c in kids))
+        used = {self.order[-1]}
+        for g in reversed(self.order):
+            if g in used:
+                used.update((base[g],) if modal[g] else _children(g))
+        return [_Gather(g, base[g], [h for h in nodes(g) if h is not base[g]
+                                     and base[h] in (base[g], None)])
+                if modal[g] else g for g in self.order if g in used]
+
+
+_plan = lru_cache(maxsize=1024)(_Plan)
+
+
+def _search_refutation(g: Frame | GeneralFrame, plan: _Plan) -> Witness | None:
+    """The least witness over the whole of ``g`` for the formula planned by
+    ``plan``; the caller checks size."""
     frame = kripke_of(g)
     n, full = frame.n, frame.full
     if n == 0:
         return None  # everything holds vacuously on the empty frame
+    occurring = plan.occurring
     k = len(occurring)
     if not k:  # no valuation to choose: one evaluation decides
-        ext = _walk(order, {}, full, _preimage_fn(frame, preimage))
+        ext = _walk(plan.order, {}, full, _preimage_fn(frame, preimage))
         return None if ext == full else Witness((), _least_missing_world(ext, full))
 
     cands = g.algebra if isinstance(g, GeneralFrame) else full_algebra(n)
@@ -251,6 +313,11 @@ def _search_refutation(g: Frame | GeneralFrame, order: list[Formula],
     cand_arr = np.array(cands, dtype=dtype)
     cell_full = dtype.type(full)
     pre = _preimage_fn(frame, _array_image(n))
+    program = plan.order
+    if n <= 16 and c ** k > _BLOCK:
+        masks = np.arange(1 << n, dtype=dtype)
+        program = [h._replace(table=_walk(h.region, {}, cell_full, pre, {h.base: masks}))
+                   if type(h) is _Gather else h for h in plan.fused]
     # Axes before `a` are fixed per block, axis `a` is cut into ranges of
     # `step` candidates and the later axes are whole.
     a = next(j for j in range(k) if c ** (k - 1 - j) <= _BLOCK)
@@ -263,7 +330,7 @@ def _search_refutation(g: Frame | GeneralFrame, order: list[Formula],
             leaves.update((v, cand_arr[i]) for v, i in zip(occurring, head))
             leaves[occurring[a]] = cand_arr[lo:lo + step].reshape(
                 (-1,) + (1,) * (k - 1 - a))
-            res = _walk(order, leaves, cell_full, pre)
+            res = _walk(program, leaves, cell_full, pre)
             bad = np.flatnonzero(res != cell_full)
             if bad.size:
                 cell = np.unravel_index(bad[0], res.shape)
@@ -280,19 +347,17 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
 
     Above one block of the assignment space each maximal point-generated
     subframe is searched on its own, up to the first refuted one."""
-    order = nodes(f)
-    occurring = _occurring(order)
-    k = len(occurring)
+    plan = _plan(f)
+    k = len(plan.occurring)
     parts = _maximal_parts(g) if _space(g) ** k > _BLOCK else [g]
     _check_size(parts, k, budget)
-    return all(_search_refutation(p, order, occurring) is None for p in parts)
+    return all(_search_refutation(p, plan) is None for p in parts)
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,
                     budget: int = DEFAULT_BUDGET) -> Witness | None:
     """The lexicographically least falsifying (valuation, world) pair, or
     None when the formula is valid.  Always a search of the whole frame."""
-    order = nodes(f)
-    occurring = _occurring(order)
-    _check_size([g], len(occurring), budget)
-    return _search_refutation(g, order, occurring)
+    plan = _plan(f)
+    _check_size([g], len(plan.occurring), budget)
+    return _search_refutation(g, plan)

@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from kripkebench.cli import main
 from kripkebench.constructions import chain, lift, rect, tack, univ_chain
 from kripkebench.frames import load_frame, store_frame
@@ -141,13 +139,45 @@ def test_beta_every_world_and_bad_layer_counts(tmp_path, capsys):
     code, text, _ = run(capsys, "blocks", "--frame", str(frame),
                         "--valuation", str(val), "--max-layers", "0")
     assert code == 0 and json.loads(text)["layers"] == [["1111"]]
-    # argparse reads both as ints and stops at anything else
     for argv in (("blocks", "--max-layers", "1.5"), ("beta", "-r", "1.0")):
-        with pytest.raises(SystemExit) as e:
-            main([*argv[:1], "--frame", str(frame), "--valuation", str(val),
-                  *argv[1:]])
-        assert e.value.code == 2
-        assert "invalid int value" in capsys.readouterr().err
+        code, out, err = run(capsys, *argv[:1], "--frame", str(frame),
+                             "--valuation", str(val), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: {argv[1]} must be an integer, got '{argv[2]}'\n"
+
+
+def test_integer_options_share_one_error_shape(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(lift(chain(2))))
+    val = tmp_path / "v.json"
+    val.write_text('{"p0": "01"}')
+    model = ("--frame", str(frame), "--valuation", str(val))
+    commands = {
+        "-m": ("build", "chain"), "-a": ("build", "rect"), "-b": ("build", "rect"),
+        "-k": ("freealg", "--frames", str(frame)),
+        "--cap": ("freealg", "--frames", str(frame), "-k", "1"),
+        "--max-layers": ("blocks", *model), "-r": ("beta", *model),
+        "--seed": ("check", "--id", "C5"),
+    }
+    budgets = [("valid", "--frame", str(frame), "--formula", "p0"),
+               ("pmorph", "find", "--from", str(frame), "--to", str(frame)),
+               ("freealg", "--frames", str(frame), "-k", "1"),
+               ("check", "--id", "C5")]
+    cases = [(argv, flag) for flag, argv in commands.items()] + \
+        [(argv, "--budget") for argv in budgets]
+    for argv, flag in cases:
+        for text in ("1.0", "1.5", "x", "", "1e3", " 1", "0x10", "1_000"):
+            code, out, err = run(capsys, *argv, flag, text)
+            assert code == 2 and out == "", (argv, flag, text)
+            assert err == f"error: {flag} must be an integer, got {text!r}\n"
+    # integers still read as before, signs and leading zeros included
+    code, text, _ = run(capsys, "build", "chain", "-m", "+03")
+    assert code == 0 and json.loads(text)["n"] == 3
+    code, text, _ = run(capsys, "freealg", "--frames", str(frame), "-k", "01",
+                        "--cap", "100", "--budget", "1" + "0" * 40)
+    assert code == 0 and text.strip() == "16"
+    code, out, err = run(capsys, "blocks", *model, "--max-layers", "-1")
+    assert code == 2 and out == "" and "max_layers" in err
 
 def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"

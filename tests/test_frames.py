@@ -1,12 +1,15 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from kripkebench.algebra import generated_subalgebra
 from kripkebench.constructions import (chain, cluster, lift, lintgrz, rect,
                                        singleton, tack, univ_chain)
+from kripkebench.enumeration import all_preorders
 from kripkebench.errors import (EmptyRestriction, FormatError,
                                 UnknownProperty)
 from kripkebench.frames import (Frame, GeneralFrame, analyze, as_general,
@@ -149,6 +152,32 @@ def test_restriction_examples():
 
     with pytest.raises(EmptyRestriction):
         restriction(g, 0)
+
+
+def test_restriction_keeps_one_element_per_set_of_atoms_meeting_it():
+    # C13's falsifiable companion: restricting to a cluster or an up-set Y
+    # (the world-sets whose restriction is always a general frame) leaves
+    # 2^(number of atoms meeting Y) elements, not just 2 on a singleton
+    rng = random.Random(13)
+    sizes = set()
+    for n in range(1, 5):
+        for u in all_preorders(n):
+            F = lift(u)
+            clusters = {sum(1 << b for b in range(n) if u.rows[a] >> b & 1
+                            and u.rows[b] >> a & 1) for a in range(n)}
+            upsets = {Y for Y in range(1, 1 << n)
+                      if all(u.rows[a] & ~Y == 0 for a in worlds_of(Y))}
+            for k in (0, 1, 1, 2):
+                gens = [rng.randrange(1 << n) for _ in range(k)]
+                G = GeneralFrame(F, generated_subalgebra(F, gens).elements)
+                atoms = [a for a in G.algebra if a and not any(
+                    b and b != a and b & a == b for b in G.algebra)]
+                assert sum(atoms) == F.full
+                for Y in sorted(clusters | upsets):
+                    meeting = sum(1 for a in atoms if a & Y)
+                    sizes.add(meeting)
+                    assert len(restriction(G, Y).algebra) == 1 << meeting, (u, gens, Y)
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_world_sets_are_read_one_way():

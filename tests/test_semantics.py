@@ -417,9 +417,9 @@ def test_search_runs_once_per_distinct_maximal_part(monkeypatch):
     calls = []
     search_part = S._search_refutation
 
-    def counted(g, f, occurring):
+    def counted(g, *args):
         calls.append(g.n)
-        return search_part(g, f, occurring)
+        return search_part(g, *args)
 
     monkeypatch.setattr(S, "_search_refutation", counted)
     presym = named_formula("presym")
@@ -451,23 +451,127 @@ def test_search_runs_once_per_distinct_maximal_part(monkeypatch):
                     refutes_witness) == [9]
 
 
-def test_node_order_is_built_once_per_call(monkeypatch):
-    orders, walks = [], []
-    build, walk = S.nodes, S._walk
+def _spy_walks(monkeypatch):
+    """Record the program of every search walk and the region order of every
+    table walk (a walk given seed values)."""
+    programs, tables = [], []
+    walk = S._walk
+
+    def spied(order, leaves, full, pre, seed=()):
+        (tables if seed else programs).append(order)
+        return walk(order, leaves, full, pre, seed)
+
+    monkeypatch.setattr(S, "_walk", spied)
+    return programs, tables
+
+
+def test_plan_is_built_once_per_formula(monkeypatch):
+    orders = []
+    build = S.nodes
     monkeypatch.setattr(S, "nodes", lambda f: orders.append(f) or build(f))
-    monkeypatch.setattr(S, "_walk", lambda *args: walks.append(args[0]) or walk(*args))
+    programs, tables = _spy_walks(monkeypatch)
     presym = named_formula("presym")
     g = product(UniFrame(3, (0b001, 0b010, 0b100)), chain(3))
-    # valid walks each of three parts, refutes_witness 16 blocks of the frame
-    for search, verdict in ((valid, True), (refutes_witness, None)):
+    S._plan.cache_clear()
+
+    def search(run, *args):
         orders.clear()
-        walks.clear()
-        assert search(g, presym, budget=1 << 23) == verdict
-        assert len(orders) == 1 and len(walks) > 1
-        assert all(order is walks[0] for order in walks)
+        programs.clear()
+        tables.clear()
+        return run(*args, budget=1 << 23)
+
+    # valid walks each of three parts in one block: the plain order, and no
+    # region is worked out
+    assert search(valid, g, presym) is True
+    assert orders == [presym] and S._plan.cache_info().misses == 1
+    plan = S._plan(presym)
+    assert len(programs) == 3 and all(p is plan.order for p in programs)
+    assert tables == [] and "fused" not in vars(plan)
+    # refutes_witness walks the whole frame in 16 blocks: one table per
+    # gather, and every block runs the same program
+    assert search(refutes_witness, g, presym) is None
+    gathers = [h for h in plan.fused if type(h) is S._Gather]
+    assert S._plan.cache_info().misses == 1 and len(orders) == len(gathers) == 8
+    assert tables == [h.region for h in gathers]
+    assert len(programs) == 16 and all(p is programs[0] for p in programs)
+    assert [h.node for h in programs[0] if type(h) is S._Gather] == \
+        [h.node for h in gathers]
+    assert len(programs[0]) < len(plan.order)
+    # a second search of both builds nothing
+    assert search(refutes_witness, g, presym) is None
+    assert orders == [] and S._plan.cache_info().misses == 1
+    # a second formula is planned once as well; a rooted one-block search
+    # builds no table
+    f = parse("p0 -> <1><2>p0")
+    assert search(valid, lift(chain(3)), f) is True
+    assert search(refutes_witness, lift(chain(3)), f) is None
+    assert tables == [] and S._plan.cache_info().misses == 2
+    assert programs == [S._plan(f).order]
     orders.clear()
     eval_formula(Model(g, {0: 0b1}), presym)
     assert len(orders) == 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(frames(max_n=6), formulas(max_depth=3, max_vars=3, reach=True),
+       st.integers(0, 63), st.booleans())
+def test_fused_search_matches_unfused(f, phi, gen, general):
+    g = GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements) \
+        if general else f
+    k = len(variables(phi))
+    while _space(g) ** k <= S._BLOCK:
+        k += 1
+    phi = _mentioning(phi, k)
+    assume(_space(g) ** len(variables(phi)) * g.n <= 1 << 22)
+    fused = (_pair(refutes_witness(g, phi, budget=1 << 22)),
+             valid(g, phi, budget=1 << 22))
+    with pytest.MonkeyPatch.context() as mp:
+        # fusion off: every search runs the plain node order
+        mp.setattr(S._Plan, "fused", property(lambda plan: plan.order))
+        assert (_pair(refutes_witness(g, phi, budget=1 << 22)),
+                valid(g, phi, budget=1 << 22)) == fused
+
+
+def _replaced(f, old, new):
+    """``f`` with the node ``old`` replaced by ``new``."""
+    out = {}
+    for g in S.nodes(f):
+        if g is old:
+            out[g] = new
+        else:
+            cls, fields = g.__reduce__()
+            out[g] = cls(*(out[a] if isinstance(a, S.Formula) else a
+                           for a in fields))
+    return out[f]
+
+
+def test_every_table_is_its_region_over_every_mask(monkeypatch):
+    # each table, indexed by a mask x, is the region's extension with its
+    # base replaced by a fresh variable valued x
+    programs, _ = _spy_walks(monkeypatch)
+    bases = set()
+    formulas = [named_formula("presym"), named_formula("bh", [2, 1]),
+                named_formula("com"), parse("<1>(p0 & p1) -> [2](p0 & p1)"),
+                ReachDia(And(Var(0), Not(Dia(2, Var(1))))),
+                parse("[1](p0 | false) & (<2>true -> <1>p1)")]
+    for frame in (lift(chain(3)), product(chain(2), cluster(3)),
+                  _random_frame(5, 1), _random_frame(6, 2)):
+        k = next(k for k in range(20) if _space(frame) ** k > S._BLOCK)
+        for phi in formulas:
+            phi = _mentioning(phi, k)
+            programs.clear()
+            refutes_witness(frame, phi, budget=1 << 22)
+            gathers = [h for h in programs[0] if type(h) is S._Gather]
+            assert len(gathers) == len([h for h in S._plan(phi).fused
+                                        if type(h) is S._Gather]) > 0
+            for h in gathers:
+                bases.add(type(h.base))
+                region = _replaced(h.node, h.base, Var(99))
+                assert variables(region) == {99}, (phi, h.node)
+                assert [int(x) for x in h.table] == [
+                    eval_formula(Model(frame, {99: x}), region)
+                    for x in range(1 << frame.n)], (phi, h.node)
+    assert Var in bases and len(bases) > 1  # variables and binary nodes as bases
 
 
 def test_split_budget_sums_the_parts_before_any_search():
