@@ -26,20 +26,29 @@ from .morphisms import (check_pmorphism, find_pmorphism, load_worldmap,
 from .semantics import DEFAULT_BUDGET, Model, refutes_witness
 
 
-# Integer options by destination.  argparse hands them over as text, so that
-# a malformed one is an ``error:`` line like every other malformed input.
+# Integer options, and options with a fixed set of values (name, values), by
+# destination.  argparse hands them over unchecked, so that a malformed one
+# is an ``error:`` line like every other malformed input.
 _INTEGER_OPTIONS = {"m": "-m", "a": "-a", "b": "-b", "budget": "--budget",
                     "k": "-k", "cap": "--cap", "max_layers": "--max-layers",
-                    "r": "-r", "seed": "--seed"}
+                    "r": "-r", "seed": "--seed", "axis": "--axis"}
+_CHOICE_OPTIONS = {"family": ("family", (*C.FAMILIES, "product", "sum", "tensesum")),
+                   "kind": ("--kind", C.SUM_KINDS), "axis": ("--axis", (1, 2)),
+                   "action": ("action", ("check", "find"))}
 
 
-def _read_integers(args) -> None:
+def _read_options(args) -> None:
     for dest, flag in _INTEGER_OPTIONS.items():
         text = getattr(args, dest, None)
         if isinstance(text, str):  # given on the command line; defaults are ints
             if not re.fullmatch(r"[+-]?[0-9]+", text):
                 raise FormatError(f"{flag} must be an integer, got {text!r}")
             setattr(args, dest, int(text))
+    for dest, (name, choices) in _CHOICE_OPTIONS.items():
+        value = getattr(args, dest, None)
+        if value is not None and value not in choices:
+            raise FormatError(f"{name} must be one of "
+                              f"{', '.join(map(str, choices))}, got {value!r}")
 
 
 def _read_frame(path: str):
@@ -194,9 +203,9 @@ def main(argv=None) -> int:
     sub = top.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a frame and write its JSON")
-    b.add_argument("family", choices=[*C.FAMILIES, "product", "sum", "tensesum"])
-    b.add_argument("--kind", default="both", choices=["both", "1", "2"])
-    b.add_argument("--axis", type=int, default=1, choices=[1, 2])
+    b.add_argument("family", help=", ".join(_CHOICE_OPTIONS["family"][1]))
+    b.add_argument("--kind", default="both", help="both, 1 or 2")
+    b.add_argument("--axis", default=1, help="1 or 2")
     b.add_argument("-m", default=1)
     b.add_argument("-a", default=1)
     b.add_argument("-b", default=1)
@@ -212,7 +221,7 @@ def main(argv=None) -> int:
     v.set_defaults(fn=_cmd_valid)
 
     p = sub.add_parser("pmorph", help="check or find p-morphisms")
-    p.add_argument("action", choices=["check", "find"])
+    p.add_argument("action", help="check or find")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
     p.add_argument("--map")
@@ -251,7 +260,7 @@ def main(argv=None) -> int:
 
     args = top.parse_args(argv)
     try:
-        _read_integers(args)
+        _read_options(args)
         return args.fn(args)
     except (KripkebenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -276,21 +276,21 @@ def modal_depth(f: Formula) -> int:
     return f.depth
 
 
-def _rebuild(f: Formula, mapping: Mapping[int, Formula], swap: bool) -> Formula:
-    """``f`` with each variable in the map replaced, and with the two
-    modalities exchanged when ``swap``; each distinct node is rebuilt once."""
+def _rebuild(f: Formula, mapping: Mapping[Formula, Formula], swap: bool) -> Formula:
+    """``f`` with each node in the map replaced, and with the two modalities
+    exchanged when ``swap``; each distinct node is rebuilt once."""
     new: dict[Formula, Formula] = {}
     for g in nodes(f):
         t = type(g)
         arity = _ARITY[t]
-        if t is Dia or t is Box:
+        if g in mapping:
+            r = mapping[g]
+        elif t is Dia or t is Box:
             r = t(3 - g.mod if swap else g.mod, new[g.child])
         elif arity == 2:
             r = t(new[g.left], new[g.right])
         elif arity == 1:
             r = t(new[g.child])
-        elif t is Var:
-            r = mapping.get(g.index, g)
         else:
             r = g
         new[g] = r
@@ -299,7 +299,7 @@ def _rebuild(f: Formula, mapping: Mapping[int, Formula], swap: bool) -> Formula:
 
 def substitute(f: Formula, mapping: Mapping[int, Formula]) -> Formula:
     """Simultaneous substitution; variables absent from the map are kept."""
-    return _rebuild(f, mapping, False)
+    return _rebuild(f, {Var(v): h for v, h in mapping.items()}, False)
 
 
 def swap_modalities(f: Formula) -> Formula:

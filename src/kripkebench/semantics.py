@@ -39,20 +39,33 @@ frame: its lexicographically least witness is not the least witness of
 any one part.  The budget and the 24-world limit of the powerset apply
 before any search, to the sum of valuation x world cells over all parts
 searched and to each part's world count.
+
+On a part above one block, ``valid`` also factors out each maximal
+separable subformula, a proper one whose variables occur nowhere else in
+the formula (``bh(k-1,1)`` in ``bh(k,1)``).  The block loop collects its
+reachable extensions, its values under every valuation of its variables,
+and searches the outer formula with a fresh variable ranging over them:
+exact, as the outer formula reads the part only through its value.  Parts
+split in turn, so ``bh(4,1)`` on five worlds is three searches of at most
+32 x 32 cells.  ``refutes_witness`` is not factored, as its witness is
+over the formula's own variables; budget and limits are judged on the
+exhaustive space.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
+from math import prod
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, FormatError
 from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
-                       Or, ReachBox, ReachDia, Top, Var, nodes)
+                       Or, ReachBox, ReachDia, Top, Var, _rebuild, nodes)
 from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
                      restrict_frame, restrict_general, rt_closure)
 
@@ -258,8 +271,8 @@ def _children(g: Formula) -> tuple:
 
 class _Plan:
     """What every search of one formula shares: its node order, its
-    occurring variables and, built on the first search that needs it, its
-    fused program."""
+    occurring variables and, built on the first search that needs them, its
+    fused program and its split."""
 
     def __init__(self, f: Formula):
         self.order = nodes(f)
@@ -290,13 +303,48 @@ class _Plan:
                                      and base[h] in (base[g], None)])
                 if modal[g] else g for g in self.order if g in used]
 
+    @cached_property
+    def split(self) -> tuple[_Plan, dict[int, _Plan]] | None:
+        """The plan of the formula with each maximal separable part replaced
+        by a fresh variable, and each fresh variable's part's plan; None
+        when there is no such part.  A separable part mentions some but not
+        all of the variables, and every path from the root to one of them
+        passes through it: its paths in times its paths to the variable
+        are all the root's paths to the variable."""
+        order, root = self.order, self.order[-1]
+        below: dict[Formula, Counter] = {}  # node -> variable -> paths to it
+        for g in order:
+            below[g] = Counter({g.index: 1}) if type(g) is Var else \
+                sum((below[c] for c in _children(g)), Counter())
+        into = dict.fromkeys(order, 0)  # node -> paths from the root to it
+        into[root], top, fresh, outside = 1, below[root], {}, {root}
+        for g in reversed(order):  # parents first: into[g] is complete
+            for c in _children(g):
+                into[c] += into[g]
+            if g not in outside:
+                continue
+            if type(g) is not Var and 0 < len(below[g]) < len(top) and all(
+                    into[g] * m == top[v] for v, m in below[g].items()):
+                fresh[self.occurring[-1] + 1 + len(fresh)] = g
+            else:
+                outside.update(_children(g))
+        if not fresh:
+            return None
+        return _plan(_rebuild(root, {s: Var(v) for v, s in fresh.items()}, False)), \
+            {v: _plan(s) for v, s in fresh.items()}
+
 
 _plan = lru_cache(maxsize=1024)(_Plan)
 
 
-def _search_refutation(g: Frame | GeneralFrame, plan: _Plan) -> Witness | None:
+def _search_refutation(g: Frame | GeneralFrame, plan: _Plan,
+                       lists: Mapping[int, np.ndarray] = {},
+                       collect: bool = False) -> Witness | np.ndarray | None:
     """The least witness over the whole of ``g`` for the formula planned by
-    ``plan``; the caller checks size."""
+    ``plan``, or with ``collect`` the sorted array of its distinct
+    extensions.  Variable v ranges over ``lists[v]``, an array of
+    ``_cell_dtype(n)`` masks, when given, and over every candidate set
+    otherwise; the caller checks size."""
     frame = kripke_of(g)
     n, full = frame.n, frame.full
     if n == 0:
@@ -307,38 +355,57 @@ def _search_refutation(g: Frame | GeneralFrame, plan: _Plan) -> Witness | None:
         ext = _walk(plan.order, {}, full, _preimage_fn(frame, preimage))
         return None if ext == full else Witness((), _least_missing_world(ext, full))
 
-    cands = g.algebra if isinstance(g, GeneralFrame) else full_algebra(n)
-    c = len(cands)
     dtype = _cell_dtype(n)
-    cand_arr = np.array(cands, dtype=dtype)
+    cand_arr = np.array(g.algebra if isinstance(g, GeneralFrame) else full_algebra(n),
+                        dtype=dtype)
+    axes = [lists.get(v, cand_arr) for v in occurring] if lists else [cand_arr] * k
+    sizes = list(map(len, axes))
     cell_full = dtype.type(full)
     pre = _preimage_fn(frame, _array_image(n))
     program = plan.order
-    if n <= 16 and c ** k > _BLOCK:
+    if n <= 16 and prod(sizes) > _BLOCK:
         masks = np.arange(1 << n, dtype=dtype)
         program = [h._replace(table=_walk(h.region, {}, cell_full, pre, {h.base: masks}))
                    if type(h) is _Gather else h for h in plan.fused]
     # Axes before `a` are fixed per block, axis `a` is cut into ranges of
-    # `step` candidates and the later axes are whole.
-    a = next(j for j in range(k) if c ** (k - 1 - j) <= _BLOCK)
-    step = max(1, _BLOCK // c ** (k - 1 - a))
-    whole = {v: cand_arr.reshape((c,) + (1,) * (k - 1 - j))
-             for j, v in enumerate(occurring) if j > a}
-    for head in iproduct(range(c), repeat=a):
-        for lo in range(0, c, step):
+    # `step` values and the later axes, `tail` cells, are whole.
+    a, tail = k - 1, 1
+    while a and tail * sizes[a] <= _BLOCK:
+        tail *= sizes[a]
+        a -= 1
+    step = max(1, _BLOCK // tail)
+    whole = {v: x.reshape((-1,) + (1,) * (k - 1 - j))
+             for j, (v, x) in enumerate(zip(occurring, axes)) if j > a}
+    seen = []
+    for head in iproduct(*map(range, sizes[:a])):
+        for lo in range(0, sizes[a], step):
             leaves = dict(whole)
-            leaves.update((v, cand_arr[i]) for v, i in zip(occurring, head))
-            leaves[occurring[a]] = cand_arr[lo:lo + step].reshape(
+            leaves.update((v, x[i]) for v, x, i in zip(occurring, axes, head))
+            leaves[occurring[a]] = axes[a][lo:lo + step].reshape(
                 (-1,) + (1,) * (k - 1 - a))
             res = _walk(program, leaves, cell_full, pre)
+            if collect:
+                seen.append(np.unique(res))
+                continue
             bad = np.flatnonzero(res != cell_full)
             if bad.size:
                 cell = np.unravel_index(bad[0], res.shape)
                 index = head + (lo + int(cell[0]),) + tuple(map(int, cell[1:]))
                 return Witness(
-                    tuple((v, cands[i]) for v, i in zip(occurring, index)),
+                    tuple((v, int(x[i])) for v, x, i in zip(occurring, axes, index)),
                     _least_missing_world(int(res.flat[bad[0]]), full))
-    return None
+    return np.unique(np.concatenate(seen)) if collect else None
+
+
+def _factored(g: Frame | GeneralFrame, plan: _Plan) -> tuple[_Plan, dict]:
+    """The plan and lists ``valid`` searches on ``g``: above one block, the
+    outer formula of the split with each fresh variable ranging over its
+    part's reachable extensions."""
+    if _space(g) ** len(plan.occurring) <= _BLOCK or plan.split is None:
+        return plan, {}
+    outer, parts = plan.split
+    return outer, {v: _search_refutation(g, *_factored(g, part), collect=True)
+                   for v, part in parts.items()}
 
 
 def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -346,12 +413,16 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
     values from the frame's algebra (full powerset for Kripke frames).
 
     Above one block of the assignment space each maximal point-generated
-    subframe is searched on its own, up to the first refuted one."""
+    subframe is searched on its own, up to the first refuted one, with
+    each separable part factored out."""
     plan = _plan(f)
     k = len(plan.occurring)
-    parts = _maximal_parts(g) if _space(g) ** k > _BLOCK else [g]
+    if _space(g) ** k <= _BLOCK:  # one block: the whole frame as it is
+        _check_size([g], k, budget)
+        return _search_refutation(g, plan) is None
+    parts = _maximal_parts(g)
     _check_size(parts, k, budget)
-    return all(_search_refutation(p, plan) is None for p in parts)
+    return all(_search_refutation(p, *_factored(p, plan)) is None for p in parts)
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from kripkebench import constructions as C
 from kripkebench.cli import main
 from kripkebench.constructions import chain, lift, rect, tack, univ_chain
 from kripkebench.frames import load_frame, store_frame
@@ -178,6 +179,38 @@ def test_integer_options_share_one_error_shape(tmp_path, capsys):
     assert code == 0 and text.strip() == "16"
     code, out, err = run(capsys, "blocks", *model, "--max-layers", "-1")
     assert code == 2 and out == "" and "max_layers" in err
+
+def test_choice_options_share_one_error_shape(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(lift(chain(2))))
+    pair = ("--from", str(frame), "--to", str(frame))
+    families = ("tack, match, rect, lintgrz, univchain, singleton, chain, "
+                "cluster, tackpre, product, sum, tensesum")
+    cases = [
+        (("build", "nosuch"), f"family must be one of {families}, got 'nosuch'"),
+        (("build", "Chain"), f"family must be one of {families}, got 'Chain'"),
+        (("build", "match", "-m", "2", "--axis", "1.0"),
+         "--axis must be an integer, got '1.0'"),
+        (("build", "match", "-m", "2", "--axis", "3"),
+         "--axis must be one of 1, 2, got 3"),
+        (("build", "tack", "-m", "2", "--kind", "3"),
+         "--kind must be one of both, 1, 2, got '3'"),
+        (("build", "sum", "--kind", "Both"),
+         "--kind must be one of both, 1, 2, got 'Both'"),
+        (("pmorph", "frob", *pair), "action must be one of check, find, got 'frob'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n", argv
+    # good values still read as before, an axis as an integer
+    code, text, _ = run(capsys, "build", "match", "--axis", "02", "--kind", "1",
+                        "-m", "2")
+    assert code == 0 and text == store_frame(C.match_frame(2, "1", 2)).decode() + "\n"
+    identity = tmp_path / "id.json"
+    identity.write_text("[0, 1]")
+    code, text, _ = run(capsys, "pmorph", "check", *pair, "--map", str(identity))
+    assert code == 0 and text == "ok\n"
+
 
 def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"

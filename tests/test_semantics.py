@@ -1,6 +1,8 @@
 import random
+from itertools import product as iproduct
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -598,3 +600,136 @@ def test_split_lifts_the_world_limit_to_each_part():
         refutes_witness(F, f)
     with pytest.raises(FormatError, match="n <= 24"):
         valid(disjoint_union(lift(chain(25)), singleton()), f)
+
+
+# Separable parts: ``valid`` searches each part whose variables occur nowhere
+# else once, for its reachable extensions, and the outer formula over them.
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(frames(max_n=5), formulas(max_depth=4, max_vars=4, reach=True),
+       st.integers(0, 31), st.booleans(), st.booleans())
+def test_split_keeps_every_verdict(f, phi, gen, general, fresh):
+    g = GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements) \
+        if general else f
+    # above one block, with tautologies in the formula's own variables, which
+    # leave its parts as they are, or in one fresh variable more than that
+    # needs, which makes the formula a part of a part that splits in turn
+    own = len(variables(phi))
+    k = own
+    while _space(g) ** k <= S._BLOCK:
+        k += 1
+    pushed = phi
+    for v in range(4, 5 + k - own) if fresh else range(k):
+        pushed = And(pushed, Or(Var(v), Not(Var(v))))
+    assume(_space(g) ** len(variables(pushed)) * g.n <= 1 << 23)
+    verdict = valid(g, pushed, budget=1 << 23)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S._Plan, "split", property(lambda plan: None))
+        assert valid(g, pushed, budget=1 << 23) is verdict
+    if _space(g) ** own <= 256:
+        assert verdict is (oracle.least_witness(g, phi) is None)
+    else:
+        assert verdict is (refutes_witness(g, phi, budget=1 << 23) is None)
+
+
+def test_reachable_extensions_match_the_oracle():
+    general = lift(chain(5))
+    general = GeneralFrame(general, generated_subalgebra(
+        general, [0b00110, 0b10000]).elements)
+    assert len(general.algebra) ** 5 > S._BLOCK
+    cases = [(lift(chain(5)), named_formula("bh", [3, 1])),
+             (_random_frame(5, 3), named_formula("bh", [3, "*"])),
+             (product(chain(2), cluster(2)), named_formula("bh", [4, 2])),
+             (general, parse("(p0 -> <1>p0) & [1](p1 | <2>p2) & "
+                             "(p3 & [2]p4 -> <1>p3)"))]
+    for g, phi in cases:
+        frame = g.frame if isinstance(g, GeneralFrame) else g
+        plan = S._plan(phi)
+        _, lists = S._factored(g, plan)
+        assert lists.keys() == plan.split[1].keys() != set()
+        for v, extensions in lists.items():
+            part = plan.split[1][v]
+            expected = {oracle.extension(frame, dict(zip(part.occurring, combo)),
+                                         part.order[-1])
+                        for combo in iproduct(oracle.candidates(g),
+                                              repeat=len(part.occurring))}
+            assert [int(x) for x in extensions] == sorted(expected), (phi, v)
+        # a collection split in turn finds what the whole one finds
+        whole = S._search_refutation(g, plan, collect=True)
+        assert list(S._search_refutation(g, *S._factored(g, plan), collect=True)) \
+            == list(whole)
+
+
+def test_bh_splits_off_the_next_lower_height():
+    plan = S._plan(named_formula("bh", [4, 1]))
+    for k in (4, 3, 2):
+        outer, parts = plan.split
+        assert outer.order[-1] is parse(f"p{k} -> [1](<1>p{k} | p{k + 1})")
+        assert parts == {k + 1: S._plan(named_formula("bh", [k - 1, 1]))}
+        plan = parts[k + 1]
+    assert plan.split is None  # bh(1,1) has one variable
+
+
+def test_only_parts_whose_variables_occur_nowhere_else_split():
+    for text in ("p0 & <1>(p0 | p1)", "[1](p0 -> p1) & [2](p1 -> p0)",
+                 "<1>p0 -> p0", "true & <1>false"):
+        assert S._plan(parse(text)).split is None, text
+    # a part used twice is one node, replaced at both uses
+    shared = parse("<1>(p1 & [2]p2)")
+    outer, parts = S._plan(parse(f"(p0 -> [1]{shared}) & (<2>{shared} | p0)")).split
+    assert outer.order[-1] is parse("(p0 -> [1]p3) & (<2>p3 | p0)")
+    assert parts == {3: S._plan(shared)}
+    # two disjoint parts each split, numbered from the root down
+    outer, parts = S._plan(parse("[1]<2>p0 & (p2 -> <1>[2]p1) & <2>p2")).split
+    assert outer.order[-1] is parse("p4 & (p2 -> p3) & <2>p2")
+    assert parts == {3: S._plan(parse("<1>[2]p1")), 4: S._plan(parse("[1]<2>p0"))}
+    # fresh variables come after every occurring one: were they p0 and p1,
+    # p0 would range over the one extension of a tautology, and this would
+    # read valid
+    phi = parse("p0 -> [1](p0 & [2](p1 | ~p1) & <1>(p2 | ~p2))")
+    assert sorted(S._plan(phi).split[1]) == [3, 4]
+    assert valid(lift(chain(5)), phi) is False
+
+
+def test_one_block_search_never_builds_the_split():
+    S._plan.cache_clear()
+    bh = named_formula("bh", [4, 1])
+    assert valid(lift(chain(3)), bh) is True  # 8^4 cells, one block
+    assert valid(disjoint_union(lift(chain(3)), singleton()), bh) is True
+    assert refutes_witness(lift(chain(5)), bh, budget=1 << 23) is not None
+    assert "split" not in vars(S._plan(bh))
+    assert valid(lift(chain(5)), bh, budget=1 << 23) is False
+    assert "split" in vars(S._plan(bh))
+
+
+def test_block_cutting_with_unequal_lists():
+    # lists of 3, 40 and 700 masks over 10 worlds: 16384 // 700 = 23 values
+    # of the middle axis per block, so a block boundary falls inside it; the
+    # least witness sits in the second value of the first axis
+    rng, top = random.Random(7), 1 << 9
+    low = [rng.getrandbits(9) for _ in range(740)]
+    lists = [[0, top, rng.getrandbits(10)],
+             low[:30] + [top | 3] + [rng.getrandbits(10) for _ in range(9)],
+             low[30:530] + [top | 1] + [rng.getrandbits(10) for _ in range(199)]]
+    g, phi = lintgrz(10), parse("~(p0 & p1 & p2)")
+    arrays = {v: np.array(x, dtype=np.uint16) for v, x in enumerate(lists)}
+    expected = next((tuple(enumerate(combo)), S._least_missing_world(ext, g.full))
+                    for combo in iproduct(*lists)
+                    if (ext := eval_formula(Model(g, dict(enumerate(combo))), phi))
+                    != g.full)
+    assert expected == (((0, top), (1, top | 3), (2, top | 1)), 9)
+    assert _pair(S._search_refutation(g, S._plan(phi), arrays)) == expected
+    extensions = S._search_refutation(g, S._plan(phi), arrays, collect=True)
+    assert [int(x) for x in extensions] == sorted(
+        {g.full ^ (a & b & c) for a, b, c in iproduct(*lists)})
+
+
+def test_split_formulas_keep_the_exhaustive_budget_and_limit():
+    bh, need = named_formula("bh", [4, 1]), (1 << 5) ** 4 * 5
+    with pytest.raises(BudgetExceeded) as e:
+        valid(lift(chain(5)), bh, budget=need - 1)
+    assert e.value.needed == need
+    assert valid(lift(chain(5)), bh, budget=need) is False
+    assert S._plan(bh).split is not None
+    with pytest.raises(FormatError, match="n <= 24"):
+        valid(lift(chain(25)), named_formula("bh", [2, 1]))
