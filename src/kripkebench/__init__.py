@@ -30,7 +30,8 @@ from .frames import (Frame, FrameSpec, GeneralFrame, SkeletonInfo, UniFrame,
                      restriction, store_frame, uniframe)
 from .morphisms import (Violation, check_pmorphism, find_pmorphism,
                         tack_collapse, union_pmorphism)
-from .semantics import Model, Witness, eval_formula, refutes_witness, valid
+from .semantics import (Model, Witness, eval_formula, refutes_witness, valid,
+                        valid_each)
 
 __version__ = "0.1.0"
 

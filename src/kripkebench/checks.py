@@ -24,7 +24,7 @@ from .formulas import (Formula, Imp, P, dia_v, named_formula, print_formula,
 from .frames import (Frame, GeneralFrame, analyze, bitstring, frame_property,
                      restriction, rt_closure, store_frame, transpose_rows)
 from .morphisms import check_pmorphism, tack_collapse
-from .semantics import Model, eval_formula, valid
+from .semantics import Model, check_size, eval_formula, valid, valid_each
 
 DEFAULT_SEED = 1729
 
@@ -68,19 +68,31 @@ def _fmt(flag: bool) -> str:
     return "valid" if flag else "refuted"
 
 
+def _verdicts(frames: list, formulas: list, budget: int) -> list[tuple[bool, ...]]:
+    """``valid(F, f, budget)`` for each frame F (a row) and formula f (a
+    column).  Sizes are refused in the loop's order, frames then formulas,
+    before any search, so the first refusal is that of the plain loop."""
+    for F in frames:
+        for f in formulas:
+            check_size(F, f, budget)
+    return list(zip(*(valid_each(frames, f, budget) for f in formulas)))
+
+
 # --- check bodies ---------------------------------------------------------
 
 def _c1(params, rng, out):
     ok = True
-    for n in range(1, params["max_n"] + 1):
-        frames = all_preorders(n)
+    pres = [all_preorders(n) for n in range(1, params["max_n"] + 1)]
+    lifted = [C.lift(u) for us in pres for u in us]
+    bh = [named_formula("bh", [k, 1]) for k in range(params["max_k"] + 1)]
+    rows_of = iter(zip(lifted, _verdicts(lifted, bh, params["budget"])))
+    for n, frames in enumerate(pres, 1):
         out.append(f"n={n}: {len(frames)} preorders up to isomorphism")
         for idx, u in enumerate(frames):
-            F = C.lift(u)
+            F, row = next(rows_of)
             h = analyze(F).height
             verdicts = []
-            for k in range(params["max_k"] + 1):
-                v = valid(F, named_formula("bh", [k, 1]), budget=params["budget"])
+            for k, v in enumerate(row):
                 if v != (h <= k):
                     ok = False
                     out.append(f"  MISMATCH n={n} #{idx} k={k}")
@@ -121,10 +133,10 @@ def _c2(params, rng, out):
         pairs.append((f"rp({m})", named_formula("rp", [m, "v"]),
                       lambda F, m=m: frame_property(F, "rp", (m,))))
     mismatches = 0
-    for i, F in enumerate(frames):
+    rows = _verdicts(frames, [p[1] for p in pairs], params["budget"])
+    for i, (F, row) in enumerate(zip(frames, rows)):
         bits = []
-        for name, formula, prop in pairs:
-            sem = valid(F, formula, budget=params["budget"])
+        for (name, _, prop), sem in zip(pairs, row):
             fo = prop(F)
             if sem != fo:
                 mismatches += 1
@@ -149,12 +161,12 @@ def _c3(params, rng, out):
     ok = True
     pairs = _preorder_pairs(rng, params["max_n"], params["samples"])
     out.append(f"{len(pairs)} preorder pairs (exhaustive <=2, seeded <= {params['max_n']})")
-    for i, (a, b) in enumerate(pairs):
-        F = C.product(a, b)
+    products = [C.product(a, b) for a, b in pairs]
+    rows = _verdicts(products, [named_formula("com"), named_formula("chr")],
+                     params["budget"])
+    for i, ((a, b), F, (com_v, chr_v)) in enumerate(zip(pairs, products, rows)):
         com_p = frame_property(F, "com")
         cr_p = frame_property(F, "cr")
-        com_v = valid(F, named_formula("com"), budget=params["budget"])
-        chr_v = valid(F, named_formula("chr"), budget=params["budget"])
         if not (com_p and cr_p and com_v and chr_v):
             ok = False
             out.append(f"  FAIL pair #{i} ({a.n}x{b.n}): com_fo={com_p} cr_fo={cr_p} "
@@ -171,10 +183,11 @@ def _c4(params, rng, out):
     presym = named_formula("presym")
     out.append(f"{len(pres)}^2 = {len(pres)**2} products of preorders with "
                f"<= {params['max_n']} worlds each")
+    verdicts = iter(valid_each([C.product(a, b) for a in pres for b in pres],
+                               presym, params["budget"]))
     for i, a in enumerate(pres):
         for j, b in enumerate(pres):
-            F = C.product(a, b)
-            if not valid(F, presym, budget=params["budget"]):
+            if not next(verdicts):
                 ok = False
                 out.append(f"  FAIL product #{i},#{j} ({a.n}x{b.n})")
     out.append("presymmetry valid on every product" if ok else "failures above")
@@ -255,10 +268,11 @@ def _c7(params, rng, out):
 def _c8(params, rng, out):
     ok = True
     pres = [p for n in range(1, params["max_n"] + 1) for p in all_preorders(n)]
-    cas = named_formula("cas")
+    verdicts = iter(valid_each([C.product(a, b) for a in pres for b in pres],
+                               named_formula("cas"), params["budget"]))
     for i, a in enumerate(pres):
         for j, b in enumerate(pres):
-            if not valid(C.product(a, b), cas, budget=params["budget"]):
+            if not next(verdicts):
                 ok = False
                 out.append(f"  FAIL product #{i},#{j}")
     out.append(f"cas valid on all {len(pres)**2} products of preorders "
@@ -269,22 +283,22 @@ def _c8(params, rng, out):
 def _c9(params, rng, out):
     ok = True
     axioms = [named_formula(name) for name in ("com", "chr", "conv")]
-    for n in range(1, params["max_n"] + 1):
-        for u in linear_preorders(n):
-            F = Frame(n, u.rows, transpose_rows(u.rows, n))
-            com_p = frame_property(F, "com")
-            cr_p = frame_property(F, "cr")
-            tense_p = frame_property(F, "tense")
-            sem = all(valid(F, f, budget=params["budget"]) for f in axioms)
-            union = F.union()
-            closed = rt_closure(union, n) == union
-            line = (f"n={n} rows=[{','.join(bitstring(r, n) for r in u.rows)}]: "
-                    f"com={com_p} cr={cr_p} tense={tense_p} axioms={sem} "
-                    f"union-already-closed={closed}")
-            if not (com_p and cr_p and tense_p and sem and closed):
-                ok = False
-                line = "  FAIL " + line
-            out.append(line)
+    frames = [Frame(n, u.rows, transpose_rows(u.rows, n))
+              for n in range(1, params["max_n"] + 1) for u in linear_preorders(n)]
+    for F, row in zip(frames, _verdicts(frames, axioms, params["budget"])):
+        n, union = F.n, F.union()
+        com_p = frame_property(F, "com")
+        cr_p = frame_property(F, "cr")
+        tense_p = frame_property(F, "tense")
+        sem = all(row)
+        closed = rt_closure(union, n) == union
+        line = (f"n={n} rows=[{','.join(bitstring(r, n) for r in F.r1)}]: "
+                f"com={com_p} cr={cr_p} tense={tense_p} axioms={sem} "
+                f"union-already-closed={closed}")
+        if not (com_p and cr_p and tense_p and sem and closed):
+            ok = False
+            line = "  FAIL " + line
+        out.append(line)
     return ok
 
 

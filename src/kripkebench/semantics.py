@@ -50,6 +50,14 @@ split in turn, so ``bh(4,1)`` on five worlds is three searches of at most
 32 x 32 cells.  ``refutes_witness`` is not factored, as its witness is
 over the formula's own variables; budget and limits are judged on the
 exhaustive space.
+
+``valid_each`` decides one formula on a list of frames.  For a formula
+with variables, the Kripke frames with n > 0 worlds whose space is one
+block go in batches of one world count, ``_BLOCK >> n*k`` frames at most,
+and a batch is one walk with a leading frame axis: the leaves broadcast
+over it, and a preimage is one ``take`` from the frames' stacked tables,
+frame i's at entry ``i << n | x``.  The other frames (general, empty or
+above one block) are searched one at a time as ``valid`` searches them.
 """
 
 from __future__ import annotations
@@ -196,16 +204,19 @@ def _cell_dtype(n: int) -> np.dtype:
     return np.dtype(object)
 
 
-@lru_cache(maxsize=256)
-def _preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Preimage of every mask over n <= 16 worlds, indexed by the mask, in
+def _preimage_tables(relations: list, n: int) -> np.ndarray:
+    """Preimage of every mask over n <= 16 worlds under each relation (a
+    tuple of rows), all in one array: relation i's at ``i << n | mask``, in
     cells of ``_cell_dtype(n)``."""
     dtype = _cell_dtype(n)
-    table = np.zeros(1 << n, dtype=dtype)
-    masks = np.arange(1 << n, dtype=dtype)
-    for i, row in enumerate(rows):
-        table |= ((masks & row) != 0).astype(dtype) << i
-    return table
+    hit = (np.array(relations, dtype)[:, :, None] & np.arange(1 << n, dtype=dtype)) != 0
+    return (hit << np.arange(n, dtype=dtype)[:, None]).sum(1, dtype=dtype).ravel()
+
+
+@lru_cache(maxsize=256)
+def _preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """Preimage of every mask over n <= 16 worlds, indexed by the mask."""
+    return _preimage_tables([rows], n)
 
 
 def _array_image(n: int) -> Callable:
@@ -337,15 +348,17 @@ class _Plan:
 _plan = lru_cache(maxsize=1024)(_Plan)
 
 
-def _search_refutation(g: Frame | GeneralFrame, plan: _Plan,
+def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                        lists: Mapping[int, np.ndarray] = {},
                        collect: bool = False) -> Witness | np.ndarray | None:
     """The least witness over the whole of ``g`` for the formula planned by
     ``plan``, or with ``collect`` the sorted array of its distinct
     extensions.  Variable v ranges over ``lists[v]``, an array of
     ``_cell_dtype(n)`` masks, when given, and over every candidate set
-    otherwise; the caller checks size."""
-    frame = kripke_of(g)
+    otherwise; the caller checks size.  For a batch (a list of frames, see
+    the module docstring) it is the array of the frames' verdicts."""
+    batch = g if isinstance(g, list) else None
+    frame = kripke_of(g) if batch is None else batch[0]
     n, full = frame.n, frame.full
     if n == 0:
         return None  # everything holds vacuously on the empty frame
@@ -361,7 +374,17 @@ def _search_refutation(g: Frame | GeneralFrame, plan: _Plan,
     axes = [lists.get(v, cand_arr) for v in occurring] if lists else [cand_arr] * k
     sizes = list(map(len, axes))
     cell_full = dtype.type(full)
-    pre = _preimage_fn(frame, _array_image(n))
+    if batch is None:
+        pre = _preimage_fn(frame, _array_image(n))
+    else:  # frame i of the batch reads its tables from entry i << n on
+        offsets = (np.arange(len(batch)) << n).reshape((-1,) + (1,) * k)
+        tables = {}
+
+        def pre(mod: int, x):
+            if mod not in tables:
+                tables[mod] = _preimage_tables([h.relation(mod) if mod else rt_closure(
+                    h.union(), n) for h in batch], n)
+            return tables[mod].take(offsets + x)
     program = plan.order
     if n <= 16 and prod(sizes) > _BLOCK:
         masks = np.arange(1 << n, dtype=dtype)
@@ -387,6 +410,10 @@ def _search_refutation(g: Frame | GeneralFrame, plan: _Plan,
             if collect:
                 seen.append(np.unique(res))
                 continue
+            if batch is not None:  # one block: a verdict per frame; a value
+                # with no modal step has no frame axis, as all frames agree
+                res = np.broadcast_to(res, (len(batch), *sizes))
+                return (res == cell_full).reshape(len(batch), -1).all(1)
             bad = np.flatnonzero(res != cell_full)
             if bad.size:
                 cell = np.unravel_index(bad[0], res.shape)
@@ -408,6 +435,21 @@ def _factored(g: Frame | GeneralFrame, plan: _Plan) -> tuple[_Plan, dict]:
                    for v, part in parts.items()}
 
 
+def check_size(g: Frame | GeneralFrame, f: Formula,
+               budget: int = DEFAULT_BUDGET) -> list:
+    """Raise what ``valid(g, f, budget)`` raises before it searches, or
+    return what it searches: ``[g]`` when the space is one block, else the
+    maximal parts."""
+    k = len(_plan(f).occurring)
+    parts = [g] if _space(g) ** k <= _BLOCK else _maximal_parts(g)
+    _check_size(parts, k, budget)
+    return parts
+
+
+def _holds(parts: list, plan: _Plan) -> bool:
+    return all(_search_refutation(p, *_factored(p, plan)) is None for p in parts)
+
+
 def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff ``f`` evaluates to the full set under every valuation drawing
     values from the frame's algebra (full powerset for Kripke frames).
@@ -420,9 +462,29 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
     if _space(g) ** k <= _BLOCK:  # one block: the whole frame as it is
         _check_size([g], k, budget)
         return _search_refutation(g, plan) is None
-    parts = _maximal_parts(g)
-    _check_size(parts, k, budget)
-    return all(_search_refutation(p, *_factored(p, plan)) is None for p in parts)
+    return _holds(check_size(g, f, budget), plan)
+
+
+def valid_each(frames: list, f: Formula, budget: int = DEFAULT_BUDGET) -> list[bool]:
+    """``[valid(g, f, budget) for g in frames]``, with every size refused, in
+    frame order, before any search.  One walk decides each batch (see the
+    module docstring); every other frame is searched as ``valid`` does."""
+    plan = _plan(f)
+    k = len(plan.occurring)
+    parts = [check_size(g, f, budget) for g in frames]
+    batches: dict[int, list[int]] = {}  # world count -> frames to batch
+    for i, g in enumerate(frames):
+        if k and not isinstance(g, GeneralFrame) and g.n and 1 << g.n * k <= _BLOCK:
+            batches.setdefault(g.n, []).append(i)
+    verdicts = {}
+    for n, batch in batches.items():
+        step = _BLOCK >> n * k
+        for lo in range(0, len(batch), step):
+            chunk = batch[lo:lo + step]
+            verdicts.update(zip(chunk, _search_refutation(
+                [frames[i] for i in chunk], plan).tolist()))
+    return [verdicts[i] if i in verdicts else _holds(p, plan)
+            for i, p in enumerate(parts)]
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,

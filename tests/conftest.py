@@ -10,9 +10,10 @@ from kripkebench.frames import Frame
 
 
 def formulas(max_depth: int = 8, max_vars: int = 4, reach: bool = False):
-    """Random formulas; ``reach`` adds the ReachDia/ReachBox operators."""
+    """Random formulas; ``reach`` adds the ReachDia/ReachBox operators, and
+    with ``max_vars=0`` they are variable-free."""
     leaves = st.one_of(
-        st.integers(0, max_vars - 1).map(Var),
+        *([st.integers(0, max_vars - 1).map(Var)] if max_vars else []),
         st.just(Bot()),
         st.just(Top()),
     )

@@ -260,6 +260,18 @@ def test_check_budget_reaches_every_budgeted_check(capsys):
     assert "needs 32 world pairs, budget is 1" in err
 
 
+def test_check_budget_refusals_keep_the_loop_order(capsys):
+    # a check refuses the first (frame, formula) pair of its loop that is
+    # over the budget, whatever order its searches run in
+    for budget, needed in ((1000, {"C1": 1536, "C2": 1536, "C4": 1024}),
+                           (100000, {"C1": 262144, "C2": 262144, "C4": 2359296})):
+        for cid, cells in needed.items():
+            code, out, err = run(capsys, "check", "--id", cid, "--budget", str(budget))
+            assert (code, out) == (2, ""), cid
+            assert err == f"error: enumeration needs {cells} cells (valuations " \
+                f"times worlds), budget is {budget}\n", cid
+
+
 def test_check_json_shape(capsys):
     code, text, _ = run(capsys, "check", "--id", "C5", "--json")
     assert code == 0

@@ -13,11 +13,13 @@ from kripkebench.constructions import (chain, cluster, lift, lintgrz, product,
                                        rect, singleton, univ_chain)
 from kripkebench.enumeration import all_bimodal_frames
 from kripkebench.errors import BudgetExceeded, FormatError
-from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachDia, Var,
-                                  dia_star, named_formula, parse, variables)
+from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachBox, ReachDia,
+                                  Top, Var, dia_star, named_formula, parse,
+                                  variables)
 from kripkebench.frames import (Frame, GeneralFrame, UniFrame, frame_property,
                                 generated_subframe, rt_closure)
-from kripkebench.semantics import Model, eval_formula, refutes_witness, valid
+from kripkebench.semantics import (Model, eval_formula, refutes_witness, valid,
+                                   valid_each)
 
 import oracle
 from conftest import disjoint_union, formulas, frames
@@ -733,3 +735,88 @@ def test_split_formulas_keep_the_exhaustive_budget_and_limit():
     assert S._plan(bh).split is not None
     with pytest.raises(FormatError, match="n <= 24"):
         valid(lift(chain(25)), named_formula("bh", [2, 1]))
+
+
+# Batched verdicts: ``valid_each`` decides the Kripke frames of one world
+# count whose spaces are one block in one walk with a leading frame axis.
+
+def _general(f, gen):
+    return GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements)
+
+
+@st.composite
+def _corpora(draw):
+    """Frame lists mixing world counts, with several frames of a count: the
+    empty frame, one-block frames, general frames and, for three variables,
+    frames above one block (five worlds)."""
+    plain = st.one_of(frames(min_n=0, max_n=3), frames(min_n=4, max_n=5))
+    general = st.builds(_general, frames(max_n=4), st.integers(0, 15))
+    return draw(st.lists(st.one_of(plain, plain, general), min_size=1, max_size=12))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_corpora(), st.one_of(formulas(max_depth=3, max_vars=3, reach=True),
+                             formulas(max_depth=3, max_vars=0, reach=True),
+                             st.sampled_from(SPLIT_FORMULAS[:5])),
+       st.booleans())
+def test_valid_each_is_valid_frame_by_frame(gs, phi, above):
+    if above:  # three variables: five worlds are above one block
+        phi = _mentioning(phi, 3)
+    verdicts = valid_each(gs, phi, budget=1 << 22)
+    assert verdicts == [valid(g, phi, budget=1 << 22) for g in gs]
+    k = len(variables(phi))
+    for g, verdict in zip(gs, verdicts):
+        if _space(g) ** k * g.n <= 1 << 11:
+            assert verdict is (oracle.least_witness(g, phi) is None)
+
+
+def test_batches_fill_one_block_with_one_world_count(monkeypatch):
+    walked, batches = [], []
+    walk, search = S._walk, S._search_refutation
+
+    def spied_walk(order, leaves, full, pre, seed=()):
+        ext = walk(order, leaves, full, pre, seed)
+        walked.append(np.size(ext))
+        return ext
+
+    def spied_search(g, *args, **kwargs):
+        if isinstance(g, list):
+            batches.append([h.n for h in g])
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(S, "_walk", spied_walk)
+    monkeypatch.setattr(S, "_search_refutation", spied_search)
+    corpus = list(all_bimodal_frames(1)) + list(all_bimodal_frames(2)) + \
+        [_random_frame(n, seed) for n in (3, 4, 5) for seed in range(60)] + \
+        [Frame(0, (), ()), lift(chain(5)), _general(lift(chain(3)), 0b010),
+         disjoint_union(lift(chain(2)), lift(cluster(3)))]
+    for phi in (named_formula("com"), named_formula("rp", [1, "v"]),
+                named_formula("presym"), named_formula("bh", [3, 1]),
+                parse("p0 | ~p0"), ReachBox(Dia(1, Top()))):
+        k = len(variables(phi))
+        batches.clear()
+        assert valid_each(corpus, phi) == [valid(g, phi) for g in corpus]
+        assert all(len(set(b)) == 1 and len(b) << b[0] * k <= S._BLOCK
+                   for b in batches)
+        # exactly the Kripke frames with worlds and a one-block space
+        assert sorted(n for b in batches for n in b) == sorted(
+            g.n for g in corpus if k and type(g) is Frame and g.n
+            and _space(g) ** k <= S._BLOCK)
+        assert not k or max(map(len, batches)) > 1
+    assert max(walked) <= S._BLOCK
+
+
+def test_valid_each_refuses_in_frame_order_before_any_search(monkeypatch):
+    searched = []
+    search = S._search_refutation
+    monkeypatch.setattr(S, "_search_refutation", lambda g, *args, **kwargs:
+                        searched.append(g) or search(g, *args, **kwargs))
+    phi = named_formula("bh", [2, 1])
+    for budget, needed in (((1 << 10) * 5 - 1, (1 << 10) * 5), (9, 32)):
+        with pytest.raises(BudgetExceeded) as e:
+            valid_each([lift(chain(2)), lift(chain(5)), lift(chain(6))], phi,
+                       budget=budget)
+        assert e.value.needed == needed and searched == []
+    with pytest.raises(FormatError, match="n <= 24"):
+        valid_each([lift(chain(2)), lift(chain(25))], phi, budget=1 << 60)
+    assert searched == []
