@@ -4,49 +4,37 @@ Preorders are generated as (poset of clusters, cluster sizes).  The posets
 on k points are grown from the (k-1)-table, keeping the first child of each
 isomorphism type, which gives the tuple that growing every labelled prefix
 gives (``_posets`` says why); sizes run over all compositions, and
-duplicates are removed by canonical keys, whose search never permutes
-twins.  ``automorphism_generators`` finds a generating set of a frame's
-automorphism group by individualisation-refinement; free-algebra counts
-use it to skip valuations.  Bimodal frames are enumerated exhaustively for
-n <= 2; beyond that the samplers provide seeded pseudorandom corpora.
+duplicates are removed by canonical keys.  Keys and
+``automorphism_generators`` (whose generators let free-algebra counts skip
+valuations) search by individualisation-refinement after McKay and Piperno
+over one colour refinement, ``_equitable``; the key search treats each
+group of twins, worlds whose swap is an automorphism, as one world.
+Bimodal frames are enumerated exhaustively for n <= 2; beyond that the
+samplers provide seeded pseudorandom corpora.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
 from random import Random
 
 from .frames import (Frame, UniFrame, pull_rows, rt_closure, transpose_rows,
                      twins, worlds_of)
 
 
-def _color_classes(relations: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
-    """Worlds grouped by an iterated degree/loop invariant, classes ordered by
-    the (relabelling-invariant) color values.  Any isomorphism maps class i of
-    one frame onto class i of the other, so the canonical permutation search
-    only needs to assign each class's worlds to that class's index block."""
+def _adjacency(relations: tuple[tuple[int, ...], ...],
+               n: int) -> tuple[list[list[list[int]]], list[int]]:
+    """The successor lists of each relation, then its predecessor lists,
+    and a start colouring that ranks each world by its loop bit and its out-
+    and in-degree in each relation, which relabelling leaves as it is."""
     transposes = [transpose_rows(rows, n) for rows in relations]
-    colors: list = [
-        tuple((rows[w] >> w & 1, rows[w].bit_count(), t[w].bit_count())
-              for rows, t in zip(relations, transposes))
-        for w in range(n)
-    ]
-    for _ in range(n):
-        nxt = [
-            (colors[w],
-             tuple((tuple(sorted(colors[x] for x in worlds_of(rows[w]))),
-                    tuple(sorted(colors[x] for x in worlds_of(t[w]))))
-                   for rows, t in zip(relations, transposes)))
-            for w in range(n)
-        ]
-        if len(set(nxt)) == len(set(colors)):
-            break
-        colors = nxt
-    classes: dict = {}
-    for w in range(n):
-        classes.setdefault(colors[w], []).append(w)
-    return [classes[c] for c in sorted(classes)]
+    adjacency = [[worlds_of(row) for row in rows]
+                 for rows in (*relations, *transposes)]
+    invariants = [tuple((rows[w] >> w & 1, rows[w].bit_count(), t[w].bit_count())
+                        for rows, t in zip(relations, transposes))
+                  for w in range(n)]
+    ranks = {key: r for r, key in enumerate(sorted(set(invariants)))}
+    return adjacency, [ranks[key] for key in invariants]
 
 
 def _equitable(adjacency: list[list[list[int]]],
@@ -136,12 +124,8 @@ def automorphism_generators(relations: tuple[tuple[int, ...], ...],
     automorphism fixing 0..i-1 and sending i to v, if there is one.  Colour
     refinement runs again after each individualisation, so a frame with few
     automorphisms rules most candidates out without a search."""
-    adjacency = [[worlds_of(row) for row in rows] for rows in relations]
-    adjacency += [[worlds_of(row) for row in transpose_rows(rows, n)]
-                  for rows in relations]
-    loops = [sum((rows[w] >> w & 1) << i for i, rows in enumerate(relations))
-             for w in range(n)]
-    chain = [_equitable(adjacency, loops)]   # worlds 0..i-1 individualised
+    adjacency, start = _adjacency(relations, n)
+    chain = [_equitable(adjacency, start)]   # worlds 0..i-1 individualised
     for i in range(n):
         chain.append(_individualised(adjacency, chain[i][0], i))
     generators: list[tuple[int, ...]] = []
@@ -158,13 +142,13 @@ def automorphism_generators(relations: tuple[tuple[int, ...], ...],
             g = _automorphism(adjacency, child, right)
             if g is not None:
                 generators.append(g)
-                orbit = _orbit(i, generators)
+                orbit = _orbit([i], generators)
     return generators
 
 
-def _orbit(w: int, generators: list[tuple[int, ...]]) -> set[int]:
-    """The worlds that the generators carry w to."""
-    orbit, frontier = {w}, [w]
+def _orbit(worlds: list[int], generators: list[tuple[int, ...]]) -> set[int]:
+    """The worlds that the generators carry the given worlds to."""
+    orbit, frontier = set(worlds), list(worlds)
     while frontier:
         x = frontier.pop()
         for g in generators:
@@ -174,58 +158,70 @@ def _orbit(w: int, generators: list[tuple[int, ...]]) -> set[int]:
     return orbit
 
 
-def _arrangements(labels: list[int]):
-    """Each distinct ordering of the sorted list ``labels``, in lexicographic
-    order, by Knuth's algorithm L (TAOCP 7.2.1.2)."""
-    a = list(labels)
-    while True:
-        yield tuple(a)
-        j = len(a) - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        m = len(a) - 1
-        while a[j] >= a[m]:
-            m -= 1
-        a[j], a[m] = a[m], a[j]
-        a[j + 1:] = a[:j:-1]
-
-
-def _class_orders(relations: tuple[tuple[int, ...], ...],
-                  cls: list[int]) -> list[tuple[int, ...]]:
-    """One ordering of a colour class per arrangement of its twin groups.
-    Permuting twins is an automorphism of every relation, so it leaves the
-    pulled rows as they are: which twin stands at a position never matters,
-    only which group it comes from."""
+def _twin_groups(relations: tuple[tuple[int, ...], ...],
+                 cell: list[int]) -> list[list[int]]:
+    """The worlds of a colour cell grouped into mutual twins, worlds whose
+    swap maps every relation onto itself."""
     groups: list[list[int]] = []
-    for w in cls:
+    for w in cell:
         for group in groups:
             if all(twins(rows, group[0], w) for rows in relations):
                 group.append(w)
                 break
         else:
             groups.append([w])
-    labels = [g for g, group in enumerate(groups) for _ in group]
-    orders = []
-    for arrangement in _arrangements(labels):
-        nxt = [iter(group) for group in groups]
-        orders.append(tuple(next(nxt[g]) for g in arrangement))
-    return orders
+    return groups
+
+
+def _key_branches(adjacency: list[list[list[int]]], colors: list[int],
+                  fixed: list[int], groups: list[list[int]],
+                  automorphisms: list[tuple[int, ...]]):
+    """The refined colourings after individualising one world of each twin
+    group, but not of a group that an automorphism fixing ``fixed`` (found
+    so far) maps a tried world into: that subtree repeats a searched one."""
+    tried: list[int] = []
+    for group in groups:
+        if tried:
+            stabiliser = [g for g in automorphisms if all(g[w] == w for w in fixed)]
+            if not _orbit(tried, stabiliser).isdisjoint(group):
+                continue
+        tried.append(group[0])
+        yield _individualised(adjacency, colors, group[0])[0], fixed + [group[0]]
 
 
 def canonical_key(relations: tuple[tuple[int, ...], ...], n: int) -> tuple:
-    """Minimum relabelling of the relation tuple; equal keys mean isomorphic.
-    The search runs over the colour classes' twin-group arrangements, which
-    reach every relabelled relation tuple that a permutation search reaches."""
-    best = None
-    for parts in iproduct(*(_class_orders(relations, c)
-                            for c in _color_classes(relations, n))):
-        order = [w for part in parts for w in part]   # new world -> old world
-        candidate = tuple(pull_rows(rows, order) for rows in relations)
-        if best is None or candidate < best:
-            best = candidate
-    return (n, best)
+    """A key that two frames share iff they are isomorphic: n and the least
+    relation tuple pulled along the leaves of a search tree, which relabels
+    with the frame.  Depth first, the tree individualises worlds of the
+    first colour cell that is not one group of twins.  At a leaf every cell
+    is one, and twins may stand in any order; two leaves with equal rows
+    give an automorphism, which prunes later branches."""
+    adjacency, start = _adjacency(relations, n)
+    leaves: dict = {}   # leaf rows -> the world order that first gave them
+    automorphisms: list[tuple[int, ...]] = []
+    stack = [iter([(_equitable(adjacency, start)[0], [])])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        colors, fixed = node
+        cells: list[list[int]] = [[] for _ in range(n)]
+        for w, color in enumerate(colors):
+            cells[color].append(w)
+        groups = next((groups for groups in (_twin_groups(relations, cell)
+                                             for cell in cells if len(cell) > 1)
+                       if len(groups) > 1), None)
+        if groups is not None:
+            stack.append(_key_branches(adjacency, colors, fixed, groups,
+                                       automorphisms))
+            continue
+        order = sorted(range(n), key=colors.__getitem__)   # new -> old world
+        rows = tuple(pull_rows(r, order) for r in relations)
+        other = leaves.setdefault(rows, order)
+        if other is not order:
+            automorphisms.append(tuple(y for _, y in sorted(zip(other, order))))
+    return (n, min(leaves))
 
 
 def frame_key(f: Frame) -> tuple:

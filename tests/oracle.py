@@ -18,11 +18,13 @@ the cap of ``naive_free_algebra_count`` are checked against the library's
 single-model refinement run on the explicit disjoint union of the valued
 coordinate models, which shares no code with the vectorised count.
 
-``permutation_key`` tries every permutation of every colour class, where
-the library skips permutations of twins; it shares the colour refinement,
-so the two keys must agree bit for bit.  ``recursive_posets`` grows every
-labelled prefix point by point and keeps the first of each isomorphism
-type; the library grows only the first-seen (k-1)-posets.
+``permutation_key`` splits the worlds by their loop bits and degrees alone
+and tries every permutation inside each class, where the library searches
+a tree of refined colourings; its keys are other values than the
+library's, but two frames share one key iff they share the other.
+``recursive_posets`` grows every labelled prefix point by point and keeps
+the first of each isomorphism type; the library grows only the first-seen
+(k-1)-posets.
 ``automorphisms`` tries every permutation of the worlds, where the library
 searches a stabiliser chain by individualisation-refinement.
 ``reference_beta_formula`` builds a definability certificate from scratch
@@ -39,7 +41,6 @@ from itertools import permutations, product as iproduct
 
 from kripkebench.algebra import (DefinabilityCertificate, _refinements,
                                  block_system)
-from kripkebench.enumeration import _color_classes
 from kripkebench.errors import (FormatError, FormulaSyntaxError, NotDefinable,
                                 NotPretransitive)
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
@@ -375,11 +376,24 @@ def automorphisms(f) -> set[tuple[int, ...]]:
             if pull_rows(f.r1, p) == f.r1 and pull_rows(f.r2, p) == f.r2}
 
 
+def degree_classes(relations, n) -> list[list[int]]:
+    """The worlds grouped by their loop bit and their out- and in-degree in
+    each relation, the groups in the order of those values."""
+    classes: dict = {}
+    for w in range(n):
+        invariant = tuple((rows[w] >> w & 1, bin(rows[w]).count("1"),
+                           sum(row >> w & 1 for row in rows))
+                          for rows in relations)
+        classes.setdefault(invariant, []).append(w)
+    return [classes[c] for c in sorted(classes)]
+
+
 def permutation_key(relations, n) -> tuple:
     """Minimum relabelling of the relation tuple over every permutation of
-    every colour class."""
+    every degree class: an isomorphism keeps loops and degrees, so it maps
+    each class onto the same class of the other frame."""
     best = None
-    for parts in iproduct(*(permutations(c) for c in _color_classes(relations, n))):
+    for parts in iproduct(*(permutations(c) for c in degree_classes(relations, n))):
         order = [w for part in parts for w in part]   # new world -> old world
         candidate = tuple(pull_rows(rows, order) for rows in relations)
         if best is None or candidate < best:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 from random import Random
 
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.constructions import lift, rect, tack
-from kripkebench.enumeration import (_color_classes, _posets,
+from kripkebench.constructions import (chain, cluster, lift, product, rect,
+                                      tack)
+from kripkebench.enumeration import (_adjacency, _equitable, _posets,
                                      all_bimodal_frames, all_preorders,
                                      automorphism_generators, frame_key,
-                                     linear_preorders, random_frame)
+                                     iso_distinct, linear_preorders,
+                                     random_frame, random_preorder)
 from kripkebench.frames import (Frame, UniFrame, fibers, frame_property, pull,
                                 pull_rows, rt_closure)
 
@@ -57,6 +60,40 @@ def test_posets_match_the_recursive_oracle(k):
     assert _posets(k) == recursive_posets(k)
 
 
+def enumeration_tables() -> str:
+    """The posets, preorders, chains of clusters and bimodal frames of every
+    enumerated size, and the first frame of each class in a seeded corpus of
+    relabelled frames, some with one bit flipped."""
+    rng = Random(19)
+    bases = [random_frame(rng, rng.randint(1, 5)) for _ in range(60)]
+    bases += [lift(random_preorder(rng, rng.randint(2, 7))) for _ in range(60)]
+    corpus = []
+    for f in bases:
+        for _ in range(3):
+            r1, r2 = list(f.r1), list(f.r2)
+            if rng.random() < 0.3:
+                r1[rng.randrange(f.n)] ^= 1 << rng.randrange(f.n)
+            perm = rng.sample(range(f.n), f.n)
+            corpus.append(Frame(f.n, relabel(r1, perm), relabel(r2, perm)))
+    rng.shuffle(corpus)
+    kept = iso_distinct(corpus)
+    return repr((
+        [_posets(k) for k in range(8)],
+        [[u.rows for u in all_preorders(n)] for n in range(1, 8)],
+        [[u.rows for u in linear_preorders(n)] for n in range(1, 8)],
+        [[(f.r1, f.r2) for f in all_bimodal_frames(n)] for n in (1, 2)],
+        [next(i for i, g in enumerate(corpus) if g is f) for f in kept],
+    ))
+
+
+def test_enumeration_tables_are_pinned():
+    # These tables depend on canonical keys only through their equality,
+    # so a new key must leave them as they were, order and representatives
+    # included.
+    digest = hashlib.sha256(enumeration_tables().encode()).hexdigest()
+    assert digest == "6a4b250c16476ee51da1c8163354176f02567d035a210b39031f09a54b183e15"
+
+
 def test_linear_preorder_and_bimodal_counts():
     for n in range(1, 7):
         chains = linear_preorders(n)
@@ -91,12 +128,66 @@ def test_frame_key_separates_non_isomorphic():
 def test_frame_key_does_not_take_non_twins_for_twins():
     # The worlds of a 3-cycle share a colour but no two are twins, in r1
     # or in r2: a key that fixed their order would depend on the labels.
-    cycle = (0b010, 0b100, 0b001)
+    # A loop plus a 2-cycle has the same degrees in every relation.  The
+    # worlds of a 2-cycle and a 4-cycle share a colour and only the
+    # 2-cycle's are twins: a cell is a twin group only if all its worlds are.
+    cycle, split = (0b010, 0b100, 0b001), (0b001, 0b100, 0b010)
     for r1, r2 in ((cycle, (0, 0, 0)), ((0, 0, 0), cycle),
                    (cycle, (0b111,) * 3)):
         keys = {frame_key(Frame(3, relabel(r1, p), relabel(r2, p)))
                 for p in permutations(range(3))}
-        assert keys == {permutation_key((r1, r2), 3)}
+        assert len(keys) == 1
+        other = Frame(3, split if r1 == cycle else r1, split if r2 == cycle else r2)
+        assert frame_key(other) not in keys
+    mixed = cycles(2, 4)
+    keys = {frame_key(Frame(6, relabel(mixed.r1, p), mixed.r2))
+            for p in permutations(range(6))}
+    assert len(keys) == 1 and frame_key(cycles(3, 3)) not in keys
+
+
+def cycles(*sizes: int) -> Frame:
+    """Disjoint directed cycles of the given lengths in r1, r2 empty."""
+    return disjoint_union(*(Frame(m, tuple(1 << (i + 1) % m for i in range(m)),
+                                  (0,) * m) for m in sizes))
+
+
+def torus(m: int, steps) -> tuple[int, ...]:
+    """The Cayley digraph of Z_m x Z_m with the given steps."""
+    return tuple(sum(1 << (a + da) % m * m + (b + db) % m for da, db in steps)
+                 for a in range(m) for b in range(m))
+
+
+# Two strongly regular graphs with parameters (16, 6, 2, 2): colour
+# refinement gives every world of both one colour, and keeps giving the
+# non-neighbours of a Shrikhande world one colour, though the world's
+# stabiliser splits them into two orbits.
+SHRIKHANDE = torus(4, [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+ROOK = torus(4, [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)])
+
+
+def test_frame_key_of_symmetric_frames():
+    # Products of clusters, a tack and unions of cycles have colour cells
+    # with no twins and many automorphisms, so a search that tried every
+    # order of such a cell would take seconds to hours per frame.  In the
+    # union of the two strongly regular graphs, an automorphism found below
+    # a rook world need not fix a Shrikhande world, and pruning below the
+    # latter with it would lose leaves.
+    same = [product(left(a), cluster(b)) for left in (cluster, chain)
+            for a in range(1, 17) for b in range(1, 17 // a + 1) if a * b <= 16]
+    same += [tack("both", 3), tack("both", 4), cycles(3, 3, 6), cycles(3, 3, 3, 3),
+             Frame(32, ROOK + tuple(row << 16 for row in SHRIKHANDE), (0,) * 32)]
+    rng = Random(19)
+    for f in same:
+        key = frame_key(f)
+        for _ in range(3):
+            perm = rng.sample(range(f.n), f.n)
+            assert frame_key(Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm))) == key, f
+    apart = [(product(cluster(2), cluster(6)), product(cluster(3), cluster(4))),
+             (product(chain(3), cluster(4)), product(cluster(4), chain(3))),
+             (cycles(3, 3, 6), cycles(3, 3, 3, 3)),
+             (Frame(16, SHRIKHANDE, (0,) * 16), Frame(16, ROOK, (0,) * 16))]
+    for f, g in apart:
+        assert f.n == g.n and frame_key(f) != frame_key(g)
 
 
 @st.composite
@@ -123,9 +214,19 @@ def doubled_frames(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(frames(max_n=6), blown_up_preorders(), doubled_frames()))
-def test_frame_key_matches_the_permutation_oracle(f):
-    assert frame_key(f) == permutation_key((f.r1, f.r2), f.n)
+@given(st.one_of(frames(max_n=6), blown_up_preorders(), doubled_frames()),
+       st.data())
+def test_frame_key_matches_the_permutation_oracle(f, data):
+    # g is f relabelled, or f with one bit of one relation flipped and then
+    # relabelled: the keys must tell the pair apart exactly when the oracle's do
+    r1, r2 = list(f.r1), list(f.r2)
+    if data.draw(st.booleans()):
+        rows = (r1, r2)[data.draw(st.integers(0, 1))]
+        rows[data.draw(st.integers(0, f.n - 1))] ^= 1 << data.draw(st.integers(0, f.n - 1))
+    perm = data.draw(st.permutations(range(f.n)))
+    g = Frame(f.n, relabel(r1, perm), relabel(r2, perm))
+    same = permutation_key((f.r1, f.r2), f.n) == permutation_key((g.r1, g.r2), g.n)
+    assert (frame_key(f) == frame_key(g)) == same
 
 
 def generated_group(generators, n):
@@ -151,19 +252,23 @@ def test_automorphism_generators_generate_every_automorphism(f):
 
 
 @pytest.mark.parametrize("f, order", [(rect(3, 4), 3 * 2 * 4 * 3 * 2),
-                                      (tack("both", 3), 3 * 2 * 3 * 2)])
+                                      (tack("both", 3), 3 * 2 * 3 * 2),
+                                      (Frame(4, (0b0101, 0b1000, 0, 0), (0,) * 4), 1)])
 def test_automorphism_generators_reach_each_colour_class(f, order):
     # Aut(rect(a, b)) is S_a x S_b, transitive on the worlds; a tack adds a
-    # top that every automorphism fixes.  The generators must be
-    # automorphisms, and their orbits the colour classes.
+    # top that every automorphism fixes; the two sinks of the last frame
+    # differ only in whether the world that sees them has a loop.  The
+    # generators must be automorphisms, and their orbits the cells of the
+    # stable colouring.
     generators = automorphism_generators((f.r1, f.r2), f.n)
     for g in generators:
         assert sorted(g) == list(range(f.n))
         assert pull_rows(f.r1, g) == f.r1 and pull_rows(f.r2, g) == f.r2
     group = generated_group(generators, f.n)
-    for cls in _color_classes((f.r1, f.r2), f.n):
-        for w in cls:
-            assert sorted({p[w] for p in group}) == cls
+    colors, _ = _equitable(*_adjacency((f.r1, f.r2), f.n))
+    for w in range(f.n):
+        cell = [v for v in range(f.n) if colors[v] == colors[w]]
+        assert sorted({p[w] for p in group}) == cell
     assert len(group) == order
 
 
@@ -172,10 +277,7 @@ def test_automorphism_generators_past_colour_refinement():
     # same colour, even with one 3-cycle world individualised, so the
     # search must compare traces to avoid pairing a 3-cycle with the
     # 6-cycle.  The group is (C3 x C3) : C2 times C6.
-    def cycle(m):
-        return Frame(m, tuple(1 << (i + 1) % m for i in range(m)), (0,) * m)
-
-    f = disjoint_union(cycle(3), cycle(3), cycle(6))
+    f = cycles(3, 3, 6)
     rng = Random(12)
     for _ in range(20):
         perm = rng.sample(range(f.n), f.n)
