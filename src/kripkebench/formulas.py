@@ -28,14 +28,13 @@ them once, children before parents and ``f`` last.  Every walk over a
 formula -- ``variables``, ``substitute``, ``swap_modalities``,
 ``print_formula`` and evaluation in the semantics module -- is one loop
 over that list that works each node out from its children's results, so
-no walk recurses.  The parser reads a one-pass token list by precedence
+no walk recurses.  The parser reads one token at a time by precedence
 climbing (Pratt, "Top down operator precedence", 1973): one table gives
-each infix operator its precedence, associativity and node class, and
-another gives each prefix token its builder, which the registry's modality
-parameters also use.  It parses each distinct parenthesised group once per
-call, so its work follows the distinct groups, not the length of the text.
-Nesting past the recursion limit is a FormulaSyntaxError, unless it sits
-only inside repeats of a group already parsed, which are not re-entered.
+each infix operator its precedence and node class, and another gives each
+prefix token its builder, which the registry's modality parameters also
+use.  It jumps past a repeat of a group it has parsed, so its time and
+memory follow the text it reads.  Nesting past the recursion limit is a
+FormulaSyntaxError, unless it sits only inside repeats of parsed groups.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ import threading
 import weakref
 from functools import partial
 from inspect import signature
-from itertools import accumulate, islice, repeat
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
 
@@ -352,135 +350,132 @@ def print_formula(f: Formula) -> str:
 
 # --- parser -----------------------------------------------------------
 
-# \S takes any other character as a one-character token that has no kind
-_TOKEN_RE = re.compile(r"<->|->|<[12v*]>|\[[12v*]\]|p[0-9]+|true|false|[&|~()]|\S")
+# the tokens; any other character but whitespace is unrecognised input
+_TOKENS = r"<->|->|<[12v*]>|\[[12v*]\]|p[0-9]+|true|false|[&|~()]"
+# the leading whitespace and tokens, by a repeat that keeps no backtracking state
+_VALID = re.compile(rf"(?:\s|{_TOKENS})*+").match
+# the next token, or "" at the end of the text
+_SCAN = re.compile(rf"\s*+({_TOKENS}|\Z)").match
+_HEAD = 16  # a group's head: its text up to its first ) or _HEAD characters
 # prefix token text -> the builder it applies
 _PREFIX_OPS = {"~": Not, "<v>": dia_v, "<*>": dia_star, "[v]": box_v, "[*]": box_star,
                **{f"<{i}>": partial(Dia, i) for i in (1, 2)},
                **{f"[{i}]": partial(Box, i) for i in (1, 2)}}
-# infix kind -> (precedence, right-associative, node class)
-_INFIX = {"iff": (1, True, Iff), "imp": (2, True, Imp), "or": (3, False, Or),
-          "and": (4, False, And)}
-# token text -> kind; a token of two or more characters that is not listed
-# is a variable, and "" marks the end of the text
-_KIND = {"<->": "iff", "->": "imp", "&": "and", "|": "or", "(": "lpar", ")": "rpar",
-         "true": "true", "false": "false", "": "end", **dict.fromkeys(_PREFIX_OPS, "prefix")}
+# infix token text -> (precedence, least precedence of an infix operator in
+# its right operand, node class); no operator binds tighter than &, so the
+# right operand of & is a unary formula
+_INFIX = {"<->": (1, 1, Iff), "->": (2, 2, Imp), "|": (3, 4, Or), "&": (4, None, And)}
 
-_DEPTH_STEP = {"(": 1, ")": -1}
 _ATOM_EXPECTED = frozenset({"false", "true", "var", "~", "<i>", "[i]", "("})
 _INFIX_EXPECTED = frozenset({"&", "|", "->", "<->", ")", "end"})
 
 
 class _Parser:
-    """Precedence climbing over the token list.  The inside of a group is a
-    whole formula, so equal group text gives the same node wherever it
-    occurs: a group whose text was already parsed in this call is looked
-    up, not parsed again."""
+    """Precedence climbing, one token at a time: ``tok`` is the current
+    token, "" at the end, and ``pos`` the character just past it.  A group
+    is a whole formula, so equal group text gives the same node anywhere."""
+
+    __slots__ = ("text", "tok", "pos", "groups")
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokens = _TOKEN_RE.findall(text)
-        bad = [t for t in set(tokens).difference(_KIND) if len(t) == 1]
-        if bad:
-            i = min(map(tokens.index, bad))
-            raise FormulaSyntaxError("unrecognised input", self.offset(i),
-                                     _ATOM_EXPECTED | _INFIX_EXPECTED, tokens[i])
-        tokens.append("")
-        self.kinds = list(map(_KIND.get, tokens))  # None for a variable
-        # parenthesis depth after each token: the ) of the ( at i is the
-        # first later token back at depth depth[i] - 1
-        self.depth = list(accumulate(map(_DEPTH_STEP.get, tokens, repeat(0))))
-        self.i = 0
-        self.groups: dict[str, Formula] = {}  # group text -> its node
+        end = _VALID(text).end()
+        if end < len(text):
+            raise FormulaSyntaxError("unrecognised input", len(text[:end].encode("utf-8")),
+                                     _ATOM_EXPECTED | _INFIX_EXPECTED, text[end])
+        # head -> {length: (start, node)} of the last group closed: offsets, not text
+        self.groups: dict[str, dict[int, tuple[int, Formula]]] = {}
+        m = _SCAN(text)
+        self.tok, self.pos = m[1], m.end()
 
-    def offset(self, i: int) -> int:
-        """Byte offset of token ``i``; the end marker is at the end."""
-        pos = len(self.text)
-        for m in islice(_TOKEN_RE.finditer(self.text), i, i + 1):
-            pos = m.start()
-        return len(self.text[:pos].encode("utf-8"))
-
-    def fail(self, expected: frozenset[str]):
-        raise FormulaSyntaxError("unexpected token", self.offset(self.i), expected,
-                                 self.tokens[self.i] or "end of input")
-
-    def parse(self) -> Formula:
-        f = self.formula()
-        if self.kinds[self.i] != "end":
-            self.fail(_INFIX_EXPECTED - {")"})
-        return f
+    def fail(self, expected: frozenset[str], problem: str = "unexpected token") -> NoReturn:
+        offset = len(self.text[:self.pos - len(self.tok)].encode("utf-8"))
+        raise FormulaSyntaxError(problem, offset, expected, self.tok or "end of input") from None
 
     def formula(self, floor: int = 1) -> Formula:
         """The longest formula from the current token whose infix operators
         outside parentheses all have precedence ``floor`` or more."""
         left = self.unary()
-        op = _INFIX.get(self.kinds[self.i])
+        op = _INFIX.get(self.tok)
         while op and op[0] >= floor:
-            precedence, right_assoc, node = op
-            self.i += 1
-            left = node(left, self.formula(precedence if right_assoc else precedence + 1))
-            op = _INFIX.get(self.kinds[self.i])
+            _, right, node = op
+            m = _SCAN(self.text, self.pos)
+            self.tok, self.pos = m[1], m.end()
+            left = node(left, self.formula(right) if right else self.unary())
+            op = _INFIX.get(self.tok)
         return left
 
     def unary(self) -> Formula:
         # prefix operators are read in a loop, so a long run of them does
-        # not nest the parser
-        start = i = self.i
-        while self.kinds[i] == "prefix":
-            i += 1
-        self.i = i
-        f = self.atom()
-        for k in range(i - 1, start - 1, -1):
-            f = _PREFIX_OPS[self.tokens[k]](f)
+        # not nest the parser; a variable is read here, other atoms by atom
+        builders = []
+        while (build := _PREFIX_OPS.get(self.tok)) is not None:
+            builders.append(build)
+            m = _SCAN(self.text, self.pos)
+            self.tok, self.pos = m[1], m.end()
+        tok = self.tok
+        if tok[:1] == "p":
+            m = _SCAN(self.text, self.pos)
+            self.tok, self.pos = m[1], m.end()
+            f = Var(int(tok[1:]))
+        else:
+            f = self.atom()
+        while builders:
+            f = builders.pop()(f)
         return f
 
     def atom(self) -> Formula:
-        i = self.i
-        kind = self.kinds[i]
-        if kind is None:
-            self.i += 1
-            return Var(int(self.tokens[i][1:]))
-        if kind == "lpar":
-            try:
-                end = self.depth.index(self.depth[i] - 1, i)
-            except ValueError:  # an unclosed (: parsed on to its error
-                end = key = None
-            else:
-                key = " ".join(self.tokens[i + 1:end])
-            f = self.groups.get(key)
-            if f is not None:
-                self.i = end + 1
-                return f
-            self.i += 1
+        tok, text = self.tok, self.text
+        if tok == "(":
+            s = self.pos - 1
+            c = text.find(")", s, s + _HEAD)
+            head = text[s:s + _HEAD if c < 0 else c + 1]
+            groups = self.groups.get(head)
+            if groups is not None:
+                for length, (start, f) in groups.items():
+                    if text.startswith(text[start:start + length], s):
+                        m = _SCAN(text, s + length)
+                        self.tok, self.pos = m[1], m.end()
+                        return f
+            m = _SCAN(text, self.pos)
+            self.tok, self.pos = m[1], m.end()
             f = self.formula()
-            if self.kinds[self.i] != "rpar":
+            if self.tok != ")":
                 self.fail(frozenset({")"}) | _INFIX_EXPECTED - {"end", ")"})
-            self.i += 1
-            self.groups[key] = f
-            return f
-        if kind == "true" or kind == "false":
-            self.i += 1
-            return Top() if kind == "true" else Bot()
-        self.fail(_ATOM_EXPECTED)
+            if groups is None:
+                self.groups[head] = {self.pos - s: (s, f)}
+            else:
+                groups[self.pos - s] = (s, f)
+        elif tok == "true" or tok == "false":
+            f = Top() if tok == "true" else Bot()
+        else:
+            self.fail(_ATOM_EXPECTED)
+        m = _SCAN(text, self.pos)
+        self.tok, self.pos = m[1], m.end()
+        return f
 
 
 def parse(text: str) -> Formula:
     """Parse formula text.  Precedence ~/modal > & > | > -> > <->;
-    implication and equivalence associate to the right.  Each distinct
-    parenthesised group is parsed once per call, so the work follows the
-    distinct groups, not the length of the text.  A level of parentheses
-    takes three interpreter frames and an -> or <-> of a chain one, so
-    under the default recursion limit of 1000 about 330 levels of
-    parentheses and about 990 chained arrows parse.  Nesting past the limit
-    is a FormulaSyntaxError at the token where the parser ran out; a repeat
-    of a group already parsed is not entered again, so text that passes the
-    limit only inside such repeats may parse."""
+    implication and equivalence associate to the right.  One possessive
+    match finds unrecognised input ahead of any syntax error; then one
+    match reads each token.  A ( that repeats the text of a group closed
+    earlier in the call, looked up by the group's head (its text up to its
+    first ) or 16 characters) and length, gives that group's node unread.
+    A level of parentheses takes three interpreter frames and an -> or <->
+    of a chain one, so under the default recursion limit of 1000 about 330
+    levels of parentheses and about 990 chained arrows parse.  Nesting past
+    the limit is a FormulaSyntaxError at the token where the parser ran
+    out; a repeat of a group already parsed is not entered again, so text
+    that passes the limit only inside such repeats may parse."""
     parser = _Parser(text)
     try:
-        return parser.parse()
+        f = parser.formula()
     except RecursionError:
-        raise FormulaSyntaxError("nesting too deep", parser.offset(parser.i), _ATOM_EXPECTED,
-                                 parser.tokens[parser.i] or "end of input") from None
+        parser.fail(_ATOM_EXPECTED, "nesting too deep")
+    if parser.tok:
+        parser.fail(_INFIX_EXPECTED - {")"})
+    return f
 
 
 # --- named formulas ----------------------------------------------------

@@ -124,9 +124,11 @@ def test_parse_descends_once_per_distinct_group(monkeypatch):
 
     def counted(self, *floor):
         # the whole text and each group are entered at the start or after
-        # a (; an operand of an infix operator is entered after that operator
+        # a (; an operand of an infix operator is entered after that
+        # operator and a space
         nonlocal descents
-        descents += self.i == 0 or self.kinds[self.i - 1] == "lpar"
+        start = self.pos - len(self.tok)
+        descents += start == 0 or self.text[start - 1] == "("
         return formula(self, *floor)
 
     monkeypatch.setattr(F._Parser, "formula", counted)
@@ -134,6 +136,59 @@ def test_parse_descends_once_per_distinct_group(monkeypatch):
     # one descent for the whole text, then one for each distinct group
     # text, each of which is a distinct subformula
     assert descents <= len(nodes(f))
+
+
+# the parser's memo finds a group by its head (at most 16 characters) and
+# its length, so these siblings share heads and some share lengths
+_SIBLING = "(" + "p0 & " * 10
+
+
+@pytest.mark.parametrize("text", [
+    # siblings that differ only in their last token, some of one length
+    " | ".join(f"{_SIBLING}{last})" for last in ("p1", "p2", "p1", "true", "p2", "p13")),
+    f"{_SIBLING}<1>p1) -> {_SIBLING}<2>p1) -> {_SIBLING}<1>p1)",
+    # repeats that differ only in whitespace
+    "(p0 & <1>p1) -> (p0 &\t<1>p1) | (p0\n& <1>p1) & (p0 & <1>p1)",
+    "((p0 | p1)) & ( (p0 | p1) ) & ((p0 | p1)\n)",
+    # a repeat followed at once by an infix operator or )
+    "((p0 & p1)&(p0 & p1))|(p0 & p1)->(p0 & p1)<->((p0 & p1))",
+    "(p2)&(p2)&~(p2)",
+    # a repeat, then an error just past it
+    "(p0 & p1) & (p0 & p1) p2",
+    "(p0 & p1) & (p0 & p1))",
+    "(p0 & p1) & (p0 & p1)(",
+    # a repeat of a group that is never closed
+    "(p0 & p1) & (p0 & p1",
+    "(p0 & p1) | ((p0 & p1)",
+    "(p0 & p1) & (p0 & p1 | p2",
+    # unrecognised input after a syntax error, and after a repeat
+    "p0 p1 (p0 & p1) @",
+    "(p0 & p1) & (p0 & p1) ) é",
+])
+def test_parse_memo_corners(text):
+    assert_parsers_agree(text)
+
+
+def _second_parse_peak(text):
+    """The tracemalloc peak of parsing ``text`` with its nodes interned."""
+    first = parse(text)
+    tracemalloc.start()
+    try:
+        assert parse(text) is first
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_follows_the_text():
+    # 230 levels of parentheses around a 20,000-part conjunction: keys that
+    # copy each group's text would hold depth × length characters (41.6 MB
+    # here), where a memo of offsets holds a few hundred bytes per group
+    body = " & ".join(f"p{i}" for i in range(20_000))
+    deep = "(p1 & " * 230 + body + ")" * 230
+    flat_peak, deep_peak = _second_parse_peak(body), _second_parse_peak(deep)
+    assert deep_peak < 2 << 20
+    assert deep_peak - flat_peak <= 256 * (len(deep) - len(body))
 
 
 def test_substitute_examples():
