@@ -3,12 +3,15 @@
 Preorders are generated as (poset of clusters, cluster sizes).  The posets
 on k points are grown from the (k-1)-table, keeping the first child of each
 isomorphism type, which gives the tuple that growing every labelled prefix
-gives (``_posets`` says why); sizes run over all compositions, and
-duplicates are removed by canonical keys.  Keys and
+gives (``_posets`` says why); sizes run over all compositions.  After
+McKay's isomorph-free generation, no candidate is built that an
+automorphism of its poset maps to an earlier one, so no preorder is keyed,
+and of the children only those of different posets are.  Keys and
 ``automorphism_generators`` (whose generators let free-algebra counts skip
-valuations) search by individualisation-refinement after McKay and Piperno
-over one colour refinement, ``_equitable``; the key search treats each
-group of twins, worlds whose swap is an automorphism, as one world.
+valuations and give each poset its group) search by
+individualisation-refinement after McKay and Piperno over one colour
+refinement, ``_equitable``; the key search treats each group of twins,
+worlds whose swap is an automorphism, as one world.
 Bimodal frames are enumerated exhaustively for n <= 2; beyond that the
 samplers provide seeded pseudorandom corpora.
 """
@@ -18,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from random import Random
 
-from .frames import (Frame, UniFrame, pull_rows, rt_closure, transpose_rows,
-                     twins, worlds_of)
+from .frames import (Frame, UniFrame, mask_of, pull_rows, rt_closure,
+                     transpose_rows, twins, worlds_of)
 
 
 def _adjacency(relations: tuple[tuple[int, ...], ...],
@@ -228,10 +231,6 @@ def frame_key(f: Frame) -> tuple:
     return canonical_key((f.r1, f.r2), f.n)
 
 
-def uniframe_key(u: UniFrame) -> tuple:
-    return canonical_key((u.rows,), u.n)
-
-
 def iso_distinct(frames, key=frame_key):
     seen = set()
     out = []
@@ -241,6 +240,31 @@ def iso_distinct(frames, key=frame_key):
             seen.add(k)
             out.append(f)
     return out
+
+
+@lru_cache(maxsize=None)
+def _poset_group(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of the poset but the identity (world -> image),
+    ``automorphism_generators`` closed under composition.  The enumeration
+    keeps the least candidate of each orbit of this group: a missing map
+    would keep duplicate classes and a map that is no automorphism would
+    lose classes, so a generator that is none raises."""
+    k = len(rows)
+    generators = automorphism_generators((rows,), k)
+    for g in generators:
+        if pull_rows(rows, g) != rows:
+            raise RuntimeError(f"{g} is not an automorphism of {rows}")
+    identity = tuple(range(k))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    group.remove(identity)
+    return tuple(group)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +279,9 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
     order, because if a prefix Q is isomorphic to an earlier prefix Q* along
     phi, each child Q + S has the earlier isomorphic child Q* + phi(S): no
     first-seen k-poset grows from a prefix that was not itself first seen.
-    The cached calls for smaller tables nest at most k deep."""
+    ``_children`` leaves out the children that the keys would drop as
+    repeating an earlier child of the same parent.  The cached calls for
+    smaller tables nest at most k deep."""
     if k == 0:
         return ((),)
     return tuple(iso_distinct(_children(_posets(k - 1)),
@@ -264,12 +290,17 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
 
 def _children(table: tuple[tuple[int, ...], ...]):
     """Each poset of the table with a new maximal point above each of its
-    down-closed subsets."""
+    down-closed subsets S, but not where an automorphism g of the poset
+    gives a smaller mask g(S): the child over g(S) comes earlier and is
+    isomorphic to it, g extended by the new point fixed."""
     for rows in table:
         top = len(rows)
         below = transpose_rows(rows, top)   # the points below each point
+        group = _poset_group(rows)
         for subset in range(1 << top):
-            if all(below[w] & ~subset == 0 for w in worlds_of(subset)):
+            points = worlds_of(subset)
+            if (all(below[w] & ~subset == 0 for w in points)
+                    and all(mask_of(g[w] for w in points) >= subset for g in group)):
                 yield tuple(row | (subset >> j & 1) << top
                             for j, row in enumerate(rows)) + (1 << top,)
 
@@ -294,14 +325,25 @@ def _compositions(n: int, k: int):
 
 @lru_cache(maxsize=None)
 def all_preorders(n: int) -> tuple[UniFrame, ...]:
-    """All preorders on n worlds, one per isomorphism class."""
+    """All preorders on n worlds, one per isomorphism class: each poset P
+    of each table blown up by each composition s of n with s∘g >= s for
+    every g in Aut(P).
+
+    No key is needed.  The poset of clusters is an isomorphism invariant,
+    so preorders over different posets are not isomorphic, and (P, s) and
+    (P, s') are isomorphic exactly when s' = s∘g for some g in Aut(P).
+    Compositions come in ascending order, so the least of each orbit is the
+    first of its class, which keying every candidate would keep.  Over
+    k = n points the only composition is all ones."""
     if n < 1:
         raise ValueError("need at least one world")
-    return tuple(iso_distinct((_preorder_from(poset, sizes)
-                               for k in range(1, n + 1)
-                               for poset in _posets(k)
-                               for sizes in _compositions(n, k)),
-                              key=uniframe_key))
+    out = []
+    for k in range(1, n + 1):
+        for poset in _posets(k):
+            group = _poset_group(poset) if k < n else ()
+            out += (_preorder_from(poset, sizes) for sizes in _compositions(n, k)
+                    if all(tuple(sizes[i] for i in g) >= sizes for g in group))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

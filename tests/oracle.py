@@ -24,7 +24,10 @@ a tree of refined colourings; its keys are other values than the
 library's, but two frames share one key iff they share the other.
 ``recursive_posets`` grows every labelled prefix point by point and keeps
 the first of each isomorphism type; the library grows only the first-seen
-(k-1)-posets.
+(k-1)-posets, and leaves out children that a poset's automorphisms show to
+repeat.  ``keyed_preorders`` blows each of those posets up by every
+composition and keeps the first of each permutation key, where the library
+decides by the poset's automorphisms which compositions to keep.
 ``automorphisms`` tries every permutation of the worlds, where the library
 searches a stabiliser chain by individualisation-refinement.
 ``reference_beta_formula`` builds a definability certificate from scratch
@@ -434,6 +437,28 @@ def recursive_posets(k: int) -> tuple[tuple[int, ...], ...]:
         if key not in seen:
             seen.add(key)
             out.append(rows)
+    return tuple(out)
+
+
+def keyed_preorders(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of preorders on n worlds, one per isomorphism type: each
+    poset of ``recursive_posets``, in order, with point i blown up into a
+    cluster of sizes[i] worlds for each composition in ascending order,
+    keeping the first of each permutation key."""
+    seen, out = set(), []
+    for k in range(1, n + 1):
+        compositions = sorted(c for c in iproduct(range(1, n + 1), repeat=k)
+                              if sum(c) == n)
+        for poset in recursive_posets(k):
+            for sizes in compositions:
+                point = [i for i, size in enumerate(sizes) for _ in range(size)]
+                rows = tuple(sum(1 << y for y in range(n)
+                                 if poset[point[x]] >> point[y] & 1)
+                             for x in range(n))
+                key = permutation_key((rows,), n)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(rows)
     return tuple(out)
 
 

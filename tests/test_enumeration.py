@@ -8,8 +8,9 @@ import hypothesis.strategies as st
 
 from kripkebench.constructions import (chain, cluster, lift, product, rect,
                                       tack)
-from kripkebench.enumeration import (_adjacency, _equitable, _posets,
-                                     all_bimodal_frames, all_preorders,
+from kripkebench import enumeration
+from kripkebench.enumeration import (_adjacency, _equitable, _poset_group,
+                                     _posets, all_bimodal_frames, all_preorders,
                                      automorphism_generators, frame_key,
                                      iso_distinct, linear_preorders,
                                      random_frame, random_preorder)
@@ -17,7 +18,8 @@ from kripkebench.frames import (Frame, UniFrame, fibers, frame_property, pull,
                                 pull_rows, rt_closure)
 
 from conftest import disjoint_union, frames
-from oracle import automorphisms, permutation_key, recursive_posets
+from oracle import (automorphisms, keyed_preorders, permutation_key,
+                    recursive_posets)
 
 
 def relabel(rows, perm):
@@ -58,6 +60,44 @@ def test_poset_counts(k, count):
 def test_posets_match_the_recursive_oracle(k):
     # the same tuple in the same order as growing every labelled prefix
     assert _posets(k) == recursive_posets(k)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_poset_group_is_every_automorphism_but_the_identity(k):
+    # the enumeration keeps the least candidate of each orbit of this group,
+    # so it must be the whole group
+    for rows in _posets(k):
+        expected = automorphisms(Frame(k, rows, rows)) - {tuple(range(k))}
+        assert set(_poset_group(rows)) == expected
+        assert len(_poset_group(rows)) == len(expected)
+
+
+def test_poset_group_refuses_a_map_that_is_no_automorphism(monkeypatch):
+    # a chain is rigid: a generator that swaps its two points is a bug
+    monkeypatch.setattr(enumeration, "automorphism_generators",
+                        lambda relations, n: [(1, 0)])
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        _poset_group.__wrapped__((0b11, 0b10))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_preorders_match_the_keyed_oracle(n):
+    # the same representatives in the same order as keying every
+    # (poset, composition) pair and keeping the first of each class
+    assert tuple(u.rows for u in all_preorders(n)) == keyed_preorders(n)
+
+
+def test_preorders_are_decided_without_keys(monkeypatch):
+    # with the poset tables built, the poset groups decide which
+    # compositions to keep, and no preorder is keyed
+    for k in range(6):
+        _posets(k)
+    calls = []
+    key = enumeration.canonical_key
+    monkeypatch.setattr(enumeration, "canonical_key",
+                        lambda *args: calls.append(args) or key(*args))
+    assert all_preorders.__wrapped__(5) == all_preorders(5)
+    assert calls == []
 
 
 def enumeration_tables() -> str:

@@ -17,6 +17,7 @@ from kripkebench.frames import (Frame, GeneralFrame, analyze, as_general,
                                 generated_subframe, load_frame, load_valuation,
                                 mask_of, pull_rows, restriction, rt_closure,
                                 store_frame, twins, uniframe, worlds_of)
+from kripkebench.morphisms import load_worldmap
 
 from conftest import frames
 
@@ -97,6 +98,66 @@ def test_load_valuation_rejects_malformed_json():
     for data in (b'{"p0": "10"', b"\xff", "[]", '"10"'):
         with pytest.raises(FormatError):
             load_valuation(data, 2)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def frame_documents(draw):
+    """Dicts shaped like frame JSON with some fields bad: a world count that
+    is no integer or is negative, a relation or algebra field that is
+    absent, of the wrong type, with the wrong number of entries, with
+    non-binary digits or masks out of range, and extra fields.  A random
+    algebra is seldom closed."""
+    bad = draw(st.sets(st.sampled_from(("n", "r1", "r2", "algebra", "extra")),
+                       min_size=1, max_size=2))
+    n = draw(json_values if "n" in bad else st.integers(-1, 4))
+    size = n if isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= 4 else 2
+    good_set = (st.text(alphabet="01", min_size=size, max_size=size)
+                | st.integers(0, (1 << size) - 1))
+    bad_set = (st.text(alphabet="01x", max_size=size + 1)
+               | st.integers(-1, (1 << size) + 1) | json_values)
+    doc = {"n": n}
+    for field in ("r1", "r2", "algebra"):
+        if field in bad:
+            if draw(st.booleans()):
+                doc[field] = draw(json_values | st.lists(bad_set, max_size=size + 1))
+        elif field != "algebra":
+            doc[field] = draw(st.lists(good_set, min_size=size, max_size=size))
+        elif draw(st.booleans()):
+            doc[field] = draw(st.lists(good_set, max_size=6))
+    if "extra" in bad:
+        doc.update(draw(st.dictionaries(st.text(max_size=3), json_values, max_size=2)))
+    return doc
+
+
+valuation_documents = st.dictionaries(
+    st.from_regex(r"p[0-9]{1,3}", fullmatch=True) | st.text(max_size=4),
+    st.text(alphabet="01", max_size=5) | json_values, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values, frame_documents(), valuation_documents,
+       st.lists(st.integers() | json_values, max_size=5), st.integers(0, 4),
+       st.booleans())
+def test_loaders_raise_only_format_errors(doc, frame_doc, valuation_doc,
+                                          map_doc, n, as_text):
+    # any JSON value, and one shaped like each loader's input, as a document
+    # or as its text (NaN included), either loads or raises FormatError:
+    # nothing else may escape a loader
+    for load, shaped in ((load_frame, frame_doc),
+                         (lambda d: load_valuation(d, n), valuation_doc),
+                         (load_worldmap, map_doc)):
+        for data in (doc, shaped):
+            try:
+                load(json.dumps(data) if as_text else data)
+            except FormatError:
+                pass
 
 
 def test_analyze_examples():
