@@ -16,8 +16,10 @@ disjoint union of all its valued coordinate models.
 A single model is refined in pure Python (``_refinements``), which is
 cheaper than numpy's per-call cost on a few dozen worlds.  A free count
 refines the coordinates of every frame at once on numpy arrays
-(``_coordinate_classes``), since it runs on up to millions of worlds.  It
-keeps only the coordinates that no automorphism generator of their frame
+(``_coordinate_classes``), since it runs on up to millions of worlds: a
+sorting network makes each world's successor types a canonical set, and
+one packed int64 key per world ranks its type and sets.  It keeps only
+the coordinates that no automorphism generator of their frame
 (``enumeration.automorphism_generators``) maps to a smaller one: a
 valuation and its image along an automorphism give isomorphic valued
 models, whose worlds are bisimilar pairwise, and the least coordinate of
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,15 +197,6 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
 
 # --- free-algebra counting -------------------------------------------------
 
-def _successor_table(rows: Sequence[int], n: int) -> np.ndarray:
-    """n x D successor worlds of each world, D the largest out-degree,
-    padded with n (the column of the sentinel type)."""
-    succ = [worlds_of(row) for row in rows]
-    width = max(map(len, succ), default=0)
-    return np.array([s + [n] * (width - len(s)) for s in succ],
-                    dtype=np.intp).reshape(n, width)
-
-
 def _kept_coordinates(frame: Frame, k: int) -> np.ndarray:
     """The k-valuation coordinates of ``frame`` that no automorphism
     generator maps to a smaller one, ascending.
@@ -234,14 +227,55 @@ def _kept_coordinates(frame: Frame, k: int) -> np.ndarray:
     return coords
 
 
-def _coordinate_profiles(coords: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Variable profile of every world of the given k-valuation coordinates
-    (coordinates x n), bit i set when variable i holds."""
-    shifts = np.arange(n)
-    profiles = np.zeros((coords.size, n), dtype=np.int64)
-    for i in range(k):
-        profiles |= (coords[:, None] >> n * (k - 1 - i) + shifts & 1) << i
-    return profiles
+@lru_cache(maxsize=None)
+def _sorting_network(width: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge network on
+    ``width`` slots (Knuth's merge exchange): the one on the next power of
+    two without the comparators past ``width``, as +inf slots never move."""
+    pairs, top = [], 1 << (width - 1).bit_length() >> 1
+    p = top
+    while p:
+        q, r, d = top, 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(width - d) if i & p == r]
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _sort_columns(a: np.ndarray) -> None:
+    """Sort every column of the 2-d array ``a`` in place."""
+    low = np.empty(a.shape[1], a.dtype)
+    for i, j in _sorting_network(len(a)):
+        np.minimum(a[i], a[j], out=low)
+        np.maximum(a[i], a[j], out=a[j])
+        a[i] = low
+
+
+def _packed_ranks(first: np.ndarray, columns: Iterable[np.ndarray],
+                  base: int) -> tuple[np.ndarray, int]:
+    """Lexicographic ranks of the tuples read across ``first`` and then
+    ``columns`` (of one length, entries in [0, base)), and their number.
+
+    They fold into one int64 key, key * base + column.  A key below
+    ``bound`` folds to below bound * base, and the key is first replaced
+    by its ranks whenever that would pass 2^62, so no fold wraps.  A pair
+    that passes it even from ranks (in a free count, only with 2^31
+    entries or more) is ranked as a pair.
+    """
+    key, bound = first.astype(np.int64), base
+    for column in columns:
+        if bound * base > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+            if bound * base > 1 << 62:
+                _, key = np.unique(np.stack((key, column), 1), axis=0,
+                                   return_inverse=True)
+                bound = int(key.max()) + 1
+                continue
+        key, bound = key * base + column, bound * base
+    _, ranks = np.unique(key, return_inverse=True)
+    return ranks, int(ranks.max()) + 1
 
 
 def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
@@ -249,55 +283,55 @@ def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:
     coordinate model of ``frames`` (frames with worlds only), refined over
     the kept coordinates of each frame.
 
-    Each step keys every world of every coordinate by its current type
-    and the canonical sets of types met through r1 and through r2, and
-    gives the keys dense ids with one lexsort; the ids are not in
-    first-world order, only their number is used.  Types are shared
-    across frames, so equal valued models count once.
+    Types sit in one flat array and a sentinel slot holding ``count``.  Per
+    relation, a D x total index holds the slots of each world's successors,
+    padded with the sentinel slot.  Each step makes every gathered column a
+    set (sorted, repeats made the sentinel, sorted again) and ranks the
+    current type with the rows before the first all-padding one.  Types
+    are shared across frames, so equal valued models count once.
     """
     kept = [_kept_coordinates(f, k) for f in frames]
-    tables = [(f.n, c.size, _successor_table(f.r1, f.n),
-               _successor_table(f.r2, f.n)) for f, c in zip(frames, kept)]
-    width1 = max(s1.shape[1] for _, _, s1, _ in tables)
-    width2 = max(s2.shape[1] for _, _, _, s2 in tables)
-    total = sum(n * coords for n, coords, _, _ in tables)
+    ends = np.cumsum([f.n * c.size for f, c in zip(frames, kept)])
+    total = int(ends[-1])
+    # the slot of world 0 of each kept coordinate, frame by frame
+    starts = [np.arange(e - f.n * c.size, e, f.n)
+              for f, c, e in zip(frames, kept, ends)]
     dtype = np.int32 if total < np.iinfo(np.int32).max else np.int64
-    sentinel = np.iinfo(dtype).max
-    keys = np.empty((1 + width1 + width2, total), dtype)
-    types = keys[0]
-    _, types[:] = np.unique(np.concatenate(
-        [_coordinate_profiles(c, f.n, k).ravel() for f, c in zip(frames, kept)]),
-        return_inverse=True)
-    count = int(types.max()) + 1
+    indexes = []
+    for relation in (0, 1):
+        succ = [[worlds_of(row) for row in (f.r1, f.r2)[relation]] for f in frames]
+        index = np.full((max(len(s) for ss in succ for s in ss), total), total, dtype)
+        for start, ss in zip(starts, succ):
+            for w, s in enumerate(ss):
+                index[:len(s), start + w] = start + np.array(s)[:, None]
+        indexes.append(index)
+    # variable i holds at world w of coordinate c iff bit n(k-1-i) + w of c
+    # is set: the first types split by that profile
+    bits = (np.concatenate([(c[:, None] >> f.n * (k - 1 - i) + np.arange(f.n) & 1)
+                            .ravel() for f, c in zip(frames, kept)])
+            for i in range(k))
+    types = np.empty(total + 1, dtype)
+    types[:total], count = _packed_ranks(np.zeros(total, dtype), bits, 2)
+
+    def rows():
+        for index in indexes:
+            sets = types[index]
+            # blocks of 2^14 columns keep a comparator's rows in cache
+            for block in np.split(sets, range(1 << 14, total, 1 << 14), axis=1):
+                _sort_columns(block)
+                block[1:][block[1:] == block[:-1]] = count
+                _sort_columns(block)
+            for row in sets:
+                if row.min() == count:
+                    break
+                yield row
+
     while True:
-        base = 0
-        for n, coords, s1, s2 in tables:
-            size = n * coords
-            block = np.full((coords, n + 1), sentinel, dtype)
-            block[:, :n] = types[base:base + size].reshape(coords, n)
-            row = 1
-            for succ, width in ((s1, width1), (s2, width2)):
-                sets = np.take(block, succ, axis=1)  # C order, unlike block[:, succ]
-                # sorted, with repeats turned into sentinels that sort last,
-                # rows holding the same set of types are equal
-                sets.sort(axis=-1)
-                sets[..., 1:][sets[..., 1:] == sets[..., :-1]] = sentinel
-                sets.sort(axis=-1)
-                used = succ.shape[1]
-                keys[row:row + used, base:base + size] = sets.reshape(size, used).T
-                keys[row + used:row + width, base:base + size] = sentinel
-                row += width
-            base += size
-        order = np.lexsort(keys[::-1])
-        ordered = keys[:, order]
-        ids = np.zeros(total, dtype)
-        np.cumsum(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0),
-                  out=ids[1:])
-        types[order] = ids
-        refined = int(ids[-1]) + 1
+        types[total] = count
+        ranks, refined = _packed_ranks(types[:total], rows(), count + 1)
         if refined == count:
             return count
-        count = refined
+        types[:total], count = ranks, refined
 
 
 def free_algebra_count(frames: Sequence[Frame], k: int,

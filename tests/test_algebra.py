@@ -1,11 +1,14 @@
+from itertools import product as iproduct
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kripkebench.algebra import (SetAlgebra, _definers, _kept_coordinates,
-                                 _reachability, beta_formula, block_system,
+                                 _packed_ranks, _reachability, _sort_columns,
+                                 _sorting_network, beta_formula, block_system,
                                  free_algebra_count, generated_subalgebra,
                                  naive_free_algebra_count)
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
@@ -121,6 +124,53 @@ def test_free_algebra_count_past_the_naive_cap():
                   ([rect(3, 3)], 1)):
         assert free_algebra_count(fs, k, cap=1 << 4096) == \
             free_count_by_refinement(fs, k)
+
+
+def test_free_algebra_count_on_empty_universal_and_mixed_widths():
+    # no successors at all (no set rows), every world a successor of every
+    # world (rows without padding), and frames of different out-degrees
+    # sharing one type space
+    def uniform(n, row1, row2):
+        return Frame(n, (row1,) * n, (row2,) * n)
+    empty, universal = uniform(3, 0, 0), uniform(3, 0b111, 0b111)
+    half = uniform(2, 0, 0b11)
+    cases = [([empty], 2), ([universal], 2), ([half], 2),
+             ([Frame(4, (0,) * 4, (0,) * 4)], 1), ([uniform(4, 15, 15)], 1),
+             ([empty, universal, half], 1), ([universal, tack("both", 1)], 2),
+             ([half, singleton(), lift(chain(3)), tack("1", 2)], 1)]
+    for fs, k in cases:
+        assert free_algebra_count(fs, k, cap=1 << 4096) == \
+            free_count_by_refinement(fs, k), (fs, k)
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_sorting_network_sorts_like_sorted(width):
+    # every 0/1 column (which proves the network by the 0-1 principle) and
+    # random columns with repeats
+    bits = np.array(list(iproduct((0, 1), repeat=width)), np.int32).T
+    rng = Random(width)
+    ints = np.array([[rng.randrange(4) for _ in range(width)]
+                     for _ in range(200)], np.int32).T
+    for a in (bits, ints):
+        expected = [sorted(column) for column in a.T.tolist()]
+        _sort_columns(a)
+        assert a.T.tolist() == expected
+    assert all(i < j < width for i, j in _sorting_network(width))
+
+
+@pytest.mark.parametrize("base", [2, 5, 1 << 32, 1 << 61])
+def test_packed_ranks_are_the_ranks_of_the_tuples(base):
+    # at base 2^32, (1, 0, 0, 0) packs to 2^96, which wraps onto (0, 0, 0, 0)
+    # in int64; at base 2^61 even a ranked key times the base passes 2^62
+    rng = Random(base)
+    values = [0, 1, base - 1, base // 2]
+    tuples = [(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (base - 1,) * 4]
+    tuples += [tuple(rng.choice(values) for _ in range(4)) for _ in range(60)]
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    columns = [np.array(column, np.int64) for column in zip(*tuples)]
+    ids, count = _packed_ranks(columns[0], columns[1:], base)
+    assert ids.tolist() == [rank[t] for t in tuples]
+    assert count == len(rank)
 
 
 def relabelled(f, perm):
