@@ -6,12 +6,13 @@ isomorphism type, which gives the tuple that growing every labelled prefix
 gives (``_posets`` says why); sizes run over all compositions.  After
 McKay's isomorph-free generation, no candidate is built that an
 automorphism of its poset maps to an earlier one, so no preorder is keyed,
-and of the children only those of different posets are.  Keys and
-``automorphism_generators`` (whose generators let free-algebra counts skip
-valuations and give each poset its group) search by
-individualisation-refinement after McKay and Piperno over one colour
-refinement, ``_equitable``; the key search treats each group of twins,
-worlds whose swap is an automorphism, as one world.
+and of the children only those of different posets are.  One search by
+individualisation-refinement after McKay and Piperno, over one colour
+refinement (``_equitable``), gives both the keys and
+``automorphism_generators``: it treats each group of twins, worlds whose
+swap is an automorphism, as one world, and its generators are the twin
+swaps and the automorphisms between leaves with equal rows.  They let
+free-algebra counts skip valuations and give each poset its group.
 Bimodal frames are enumerated exhaustively for n <= 2; beyond that the
 samplers provide seeded pseudorandom corpora.
 """
@@ -40,113 +41,37 @@ def _adjacency(relations: tuple[tuple[int, ...], ...],
     return adjacency, [ranks[key] for key in invariants]
 
 
-def _equitable(adjacency: list[list[list[int]]],
-               colors: list[int]) -> tuple[list[int], list]:
+def _equitable(adjacency: list[list[list[int]]], colors: list[int]) -> list[int]:
     """Colour refinement of a world colouring until a step splits nothing.
 
     Each step keys a world by its colour and the sorted colours of its
-    neighbours in each adjacency, and recolours it by the key's rank.
-    Returns the stable colouring and its trace, the sorted key list of
-    every step: two colourings refined from comparable ones with equal
-    traces give each colour the same meaning."""
-    trace = []
+    neighbours in each adjacency, and recolours it by the key's rank, so a
+    colour below another stays below all that it splits into.  Every
+    colouring of the search (``_search``) is refined by it."""
     count = len(set(colors))
     while True:
         keys = [(color,) + tuple(tuple(sorted(colors[x] for x in succ[w]))
                                  for succ in adjacency)
                 for w, color in enumerate(colors)]
         ranks = {key: r for r, key in enumerate(sorted(set(keys)))}
-        trace.append(sorted(keys))
         colors = [ranks[key] for key in keys]
         if len(ranks) == count:
-            return colors, trace
+            return colors
         count = len(ranks)
 
 
 def _individualised(adjacency: list[list[list[int]]], colors: list[int],
-                    w: int) -> tuple[list[int], list]:
+                    w: int) -> list[int]:
     """The colouring with world w alone in a new colour, refined."""
     return _equitable(adjacency, [2 * c + (v == w) for v, c in enumerate(colors)])
 
 
-def _branches(adjacency: list[list[list[int]]], left: list[int],
-              right: list[int], cell: int):
-    """The pairs of refined colourings after individualising the first
-    world of ``cell`` on the left and each world of it on the right, where
-    the two traces agree."""
-    child, trace = _individualised(adjacency, left, left.index(cell))
-    for v, color in enumerate(right):
-        if color == cell:
-            other, other_trace = _individualised(adjacency, right, v)
-            if other_trace == trace:
-                yield child, other
-
-
-def _automorphism(adjacency: list[list[list[int]]], left: list[int],
-                  right: list[int]) -> tuple[int, ...] | None:
-    """An automorphism carrying each world of the colouring ``left`` to the
-    world of its colour in ``right`` (equal traces), or None.
-
-    The search individualises the first world of the first non-singleton
-    cell on the left and each world of that cell on the right, depth first,
-    until the colourings are discrete.  A discrete pair needs no check:
-    the last step of each trace keys every world by the colours of its
-    neighbours, which name worlds, so equal traces make the colour matching
-    an automorphism.  The stack holds one generator of branches per level,
-    so its depth costs no recursion."""
-    n = len(left)
-    stack = [iter([(left, right)])]
-    while stack:
-        pair = next(stack[-1], None)
-        if pair is None:
-            stack.pop()
-            continue
-        left, right = pair
-        sizes = [0] * n
-        for color in left:
-            sizes[color] += 1
-        cell = next((c for c, size in enumerate(sizes) if size > 1), None)
-        if cell is None:
-            where = [0] * n
-            for w, color in enumerate(right):
-                where[color] = w
-            return tuple(where[color] for color in left)
-        stack.append(_branches(adjacency, left, right, cell))
-    return None
-
-
-def automorphism_generators(relations: tuple[tuple[int, ...], ...],
-                            n: int) -> list[tuple[int, ...]]:
-    """Automorphisms (world -> image) that generate the frame's whole
-    automorphism group, found along a stabiliser chain after McKay and
-    Piperno's individualisation-refinement.
-
-    Level i holds the automorphisms that fix worlds 0..i-1.  Walking the
-    levels from the deepest up, world i gets, for each world v of its
-    refined colour cell that the generators so far do not carry it to, one
-    automorphism fixing 0..i-1 and sending i to v, if there is one.  Colour
-    refinement runs again after each individualisation, so a frame with few
-    automorphisms rules most candidates out without a search."""
-    adjacency, start = _adjacency(relations, n)
-    chain = [_equitable(adjacency, start)]   # worlds 0..i-1 individualised
-    for i in range(n):
-        chain.append(_individualised(adjacency, chain[i][0], i))
-    generators: list[tuple[int, ...]] = []
-    for i in reversed(range(n)):
-        colors = chain[i][0]
-        child, trace = chain[i + 1]
-        orbit = {i}
-        for v in range(n):
-            if v in orbit or colors[v] != colors[i]:
-                continue
-            right, right_trace = _individualised(adjacency, colors, v)
-            if right_trace != trace:
-                continue
-            g = _automorphism(adjacency, child, right)
-            if g is not None:
-                generators.append(g)
-                orbit = _orbit([i], generators)
-    return generators
+def _cells(colors: list[int]) -> list[list[int]]:
+    """The worlds of each colour of a refined colouring, by colour."""
+    cells: list[list[int]] = [[] for _ in colors]
+    for w, color in enumerate(colors):
+        cells[color].append(w)
+    return cells
 
 
 def _orbit(worlds: list[int], generators: list[tuple[int, ...]]) -> set[int]:
@@ -189,42 +114,70 @@ def _key_branches(adjacency: list[list[list[int]]], colors: list[int],
             if not _orbit(tried, stabiliser).isdisjoint(group):
                 continue
         tried.append(group[0])
-        yield _individualised(adjacency, colors, group[0])[0], fixed + [group[0]]
+        yield _individualised(adjacency, colors, group[0]), fixed + [group[0]]
 
 
-def canonical_key(relations: tuple[tuple[int, ...], ...], n: int) -> tuple:
-    """A key that two frames share iff they are isomorphic: n and the least
-    relation tuple pulled along the leaves of a search tree, which relabels
-    with the frame.  Depth first, the tree individualises worlds of the
-    first colour cell that is not one group of twins.  At a leaf every cell
-    is one, and twins may stand in any order; two leaves with equal rows
-    give an automorphism, which prunes later branches."""
+def _search(relations: tuple[tuple[int, ...], ...],
+            n: int) -> tuple[tuple, list[tuple[int, ...]]]:
+    """The frame's canonical key and generators of its automorphism group
+    (world -> image), from one individualisation-refinement search after
+    McKay and Piperno.
+
+    Depth first, the tree individualises worlds of the first colour cell
+    that is not one group of twins, one world per group.  At a leaf every
+    cell is one, and twins may stand in any order.  The key is n and the
+    least relation tuple pulled along the leaves, which relabels with the
+    frame.  The generators are the swaps of the first world of each twin
+    group of the root's cells with each of the others, and an
+    automorphism for each leaf whose rows an earlier leaf gave; they also
+    prune later branches.  Together they generate the group, by induction
+    up the way to the first leaf.  An automorphism fixing every world
+    individualised on the way keeps each leaf cell, a twin group, so twin
+    swaps give it.  At each level, let g fix the levels above and move the
+    way's world v to w.  If w's group was branched on, the first leaf below
+    it with the first leaf's rows gives a generator that fixes those levels
+    and sends v into w's group; if it was pruned, generators fixing those
+    levels carry a branched world there.  Up to a twin swap, g is one of
+    these times a map that fixes v as well."""
     adjacency, start = _adjacency(relations, n)
+    root = _equitable(adjacency, start)
+    generators = [tuple(t if x == group[0] else group[0] if x == t else x
+                        for x in range(n))
+                  for cell in _cells(root) if len(cell) > 1
+                  for group in _twin_groups(relations, cell) for t in group[1:]]
     leaves: dict = {}   # leaf rows -> the world order that first gave them
-    automorphisms: list[tuple[int, ...]] = []
-    stack = [iter([(_equitable(adjacency, start)[0], [])])]
+    stack = [iter([(root, [])])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
         colors, fixed = node
-        cells: list[list[int]] = [[] for _ in range(n)]
-        for w, color in enumerate(colors):
-            cells[color].append(w)
         groups = next((groups for groups in (_twin_groups(relations, cell)
-                                             for cell in cells if len(cell) > 1)
+                                             for cell in _cells(colors) if len(cell) > 1)
                        if len(groups) > 1), None)
         if groups is not None:
-            stack.append(_key_branches(adjacency, colors, fixed, groups,
-                                       automorphisms))
+            stack.append(_key_branches(adjacency, colors, fixed, groups, generators))
             continue
         order = sorted(range(n), key=colors.__getitem__)   # new -> old world
         rows = tuple(pull_rows(r, order) for r in relations)
         other = leaves.setdefault(rows, order)
         if other is not order:
-            automorphisms.append(tuple(y for _, y in sorted(zip(other, order))))
-    return (n, min(leaves))
+            generators.append(tuple(y for _, y in sorted(zip(other, order))))
+    return (n, min(leaves)), generators
+
+
+def canonical_key(relations: tuple[tuple[int, ...], ...], n: int) -> tuple:
+    """A key that two frames share iff they are isomorphic (``_search``)."""
+    return _search(relations, n)[0]
+
+
+def automorphism_generators(relations: tuple[tuple[int, ...], ...],
+                            n: int) -> list[tuple[int, ...]]:
+    """Automorphisms (world -> image) that generate the frame's whole
+    automorphism group: the key search's twin swaps and leaf automorphisms
+    (``_search``)."""
+    return _search(relations, n)[1]
 
 
 def frame_key(f: Frame) -> tuple:
@@ -350,6 +303,8 @@ def all_preorders(n: int) -> tuple[UniFrame, ...]:
 def linear_preorders(n: int) -> tuple[UniFrame, ...]:
     """Linear preorders (chains of clusters) on n worlds, up to isomorphism:
     one per composition of n."""
+    if n < 1:
+        raise ValueError("need at least one world")
     out = []
     for k in range(1, n + 1):
         for sizes in _compositions(n, k):

@@ -62,7 +62,7 @@ def test_posets_match_the_recursive_oracle(k):
     assert _posets(k) == recursive_posets(k)
 
 
-@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("k", range(7))
 def test_poset_group_is_every_automorphism_but_the_identity(k):
     # the enumeration keeps the least candidate of each orbit of this group,
     # so it must be the whole group
@@ -144,6 +144,9 @@ def test_linear_preorder_and_bimodal_counts():
     two = all_bimodal_frames(2)
     assert len(two) == 136
     assert len({frame_key(f) for f in two}) == 136
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one world"):
+            linear_preorders(n)
 
 
 def test_frame_key_invariant_under_relabelling():
@@ -305,7 +308,7 @@ def test_automorphism_generators_reach_each_colour_class(f, order):
         assert sorted(g) == list(range(f.n))
         assert pull_rows(f.r1, g) == f.r1 and pull_rows(f.r2, g) == f.r2
     group = generated_group(generators, f.n)
-    colors, _ = _equitable(*_adjacency((f.r1, f.r2), f.n))
+    colors = _equitable(*_adjacency((f.r1, f.r2), f.n))
     for w in range(f.n):
         cell = [v for v in range(f.n) if colors[v] == colors[w]]
         assert sorted({p[w] for p in group}) == cell
@@ -314,9 +317,9 @@ def test_automorphism_generators_reach_each_colour_class(f, order):
 
 def test_automorphism_generators_past_colour_refinement():
     # Colour refinement gives every world of two 3-cycles and a 6-cycle the
-    # same colour, even with one 3-cycle world individualised, so the
-    # search must compare traces to avoid pairing a 3-cycle with the
-    # 6-cycle.  The group is (C3 x C3) : C2 times C6.
+    # same colour, even with one 3-cycle world individualised, so only the
+    # leaves' rows, not the colours, keep a 3-cycle from being paired with
+    # the 6-cycle.  The group is (C3 x C3) : C2 times C6.
     f = cycles(3, 3, 6)
     rng = Random(12)
     for _ in range(20):
@@ -330,9 +333,12 @@ def test_automorphism_generators_past_colour_refinement():
 
 def test_automorphism_generators_of_small_frames():
     # a 3-cycle turns, a chain is rigid, and a frame without worlds has
-    # nothing to move
+    # nothing to move; the worlds of a cluster are twins, so the search
+    # never branches and twin swaps alone must give all of S_3
     cycle = Frame(3, (0b010, 0b100, 0b001), (0, 0, 0))
     assert len(generated_group(automorphism_generators((cycle.r1, cycle.r2), 3), 3)) == 3
+    twins3 = lift(cluster(3))
+    assert len(generated_group(automorphism_generators((twins3.r1, twins3.r2), 3), 3)) == 6
     chain3 = Frame(3, (0b111, 0b110, 0b100), (0b001, 0b010, 0b100))
     assert automorphism_generators((chain3.r1, chain3.r2), 3) == []
     assert automorphism_generators(((), ()), 0) == []
