@@ -37,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
-from .enumeration import automorphism_generators
+from .enumeration import _packed_ranks, automorphism_generators
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
 from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
@@ -250,32 +250,6 @@ def _sort_columns(a: np.ndarray) -> None:
         np.minimum(a[i], a[j], out=low)
         np.maximum(a[i], a[j], out=a[j])
         a[i] = low
-
-
-def _packed_ranks(first: np.ndarray, columns: Iterable[np.ndarray],
-                  base: int) -> tuple[np.ndarray, int]:
-    """Lexicographic ranks of the tuples read across ``first`` and then
-    ``columns`` (of one length, entries in [0, base)), and their number.
-
-    They fold into one int64 key, key * base + column.  A key below
-    ``bound`` folds to below bound * base, and the key is first replaced
-    by its ranks whenever that would pass 2^62, so no fold wraps.  A pair
-    that passes it even from ranks (in a free count, only with 2^31
-    entries or more) is ranked as a pair.
-    """
-    key, bound = first.astype(np.int64), base
-    for column in columns:
-        if bound * base > 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
-            bound = int(key.max()) + 1
-            if bound * base > 1 << 62:
-                _, key = np.unique(np.stack((key, column), 1), axis=0,
-                                   return_inverse=True)
-                bound = int(key.max()) + 1
-                continue
-        key, bound = key * base + column, bound * base
-    _, ranks = np.unique(key, return_inverse=True)
-    return ranks, int(ranks.max()) + 1
 
 
 def _coordinate_classes(frames: Sequence[Frame], k: int) -> int:

@@ -24,17 +24,14 @@ log = logging.getLogger(__name__)
 
 def bits_of(s: str) -> int:
     """Bitstring to mask, index 0 leftmost."""
-    mask = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            mask |= 1 << i
-        elif c != "0":
-            raise FormatError(f"non-binary digit {c!r} in bitstring {s!r}")
-    return mask
+    bad = s.strip("01")
+    if bad:
+        raise FormatError(f"non-binary digit {bad[0]!r} in bitstring {s!r}")
+    return int(s[::-1], 2) if s else 0
 
 
 def bitstring(mask: int, n: int) -> str:
-    return "".join("1" if mask >> i & 1 else "0" for i in range(n))
+    return format(mask & (1 << n) - 1, f"0{n}b")[::-1] if n else ""
 
 
 def mask_of(worlds: Iterable[int]) -> int:

@@ -7,15 +7,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from kripkebench.algebra import (SetAlgebra, _definers, _kept_coordinates,
-                                 _packed_ranks, _reachability, _sort_columns,
+                                 _reachability, _sort_columns,
                                  _sorting_network, beta_formula, block_system,
                                  free_algebra_count, generated_subalgebra,
                                  naive_free_algebra_count)
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        product, rect, singleton, tack,
                                        univ_chain)
-from kripkebench.enumeration import (random_frame, random_preorder,
-                                     random_valuation)
+from kripkebench.enumeration import (_packed_ranks, random_frame,
+                                     random_preorder, random_valuation)
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
                                 NotDefinable, NotPretransitive, size_text)
 from kripkebench.formulas import Top, modal_depth

@@ -1,7 +1,9 @@
 import hashlib
+from functools import lru_cache
 from itertools import permutations
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -9,8 +11,9 @@ import hypothesis.strategies as st
 from kripkebench.constructions import (chain, cluster, lift, product, rect,
                                       tack)
 from kripkebench import enumeration
-from kripkebench.enumeration import (_adjacency, _equitable, _poset_group,
-                                     _posets, all_bimodal_frames, all_preorders,
+from kripkebench.enumeration import (_adjacency, _equitable, _keys,
+                                     _packed_ranks, _poset_group, _posets,
+                                     all_bimodal_frames, all_preorders,
                                      automorphism_generators, frame_key,
                                      iso_distinct, linear_preorders,
                                      random_frame, random_preorder)
@@ -270,6 +273,126 @@ def test_frame_key_matches_the_permutation_oracle(f, data):
     g = Frame(f.n, relabel(r1, perm), relabel(r2, perm))
     same = permutation_key((f.r1, f.r2), f.n) == permutation_key((g.r1, g.r2), g.n)
     assert (frame_key(f) == frame_key(g)) == same
+
+
+# A loop and a 2-cycle: every world has one successor and one predecessor,
+# and only the loop bits of the start colours split the loop off the twins.
+SPLIT = Frame(3, (0b001, 0b100, 0b010), (0, 0, 0))
+# 0 below the twins 2 and 3, and 1 below 4: only the predecessors' colours
+# tell 4 from the twins.
+FORK = Frame(5, (0b01101, 0b10010, 0b00100, 0b01000, 0b10000), (0,) * 5)
+# frames whose refined cells are all twin groups, and frames whose cells are not
+LEAF_FRAMES = [Frame(0, (), ()), Frame(1, (1,), (0,)), lift(cluster(3)), SPLIT,
+               FORK, lift(chain(3)), product(chain(2), chain(2)),
+               product(chain(2), chain(3)), product(chain(3), chain(3))]
+BRANCHING_FRAMES = [cycles(3, 3), cycles(2, 4), cycles(3, 3, 6),
+                    cycles(3, 3, 3, 3), product(cluster(2), chain(2))]
+
+
+@lru_cache(maxsize=None)
+def oracle_class(f: Frame) -> tuple:
+    """The isomorphism class of f as ``permutation_key`` gives it, or, for a
+    union of cycles past 6 worlds (where the oracle would try 12! orders),
+    as its cycle lengths."""
+    if f.n <= 6 or any(f.r2):
+        return permutation_key((f.r1, f.r2), f.n)
+    assert sorted(f.r1) == [1 << w for w in range(f.n)]
+    lengths, seen = [], 0
+    for w in range(f.n):
+        length = 0
+        while not seen >> w & 1:
+            seen |= 1 << w
+            w, length = f.r1[w].bit_length() - 1, length + 1
+        lengths.append(length)
+    return "cycles", tuple(sorted(x for x in lengths if x))
+
+
+@st.composite
+def relabelled_copies(draw):
+    """Shuffled (original, copy) pairs: originals drawn from both lists, some
+    up to 6 worlds with one bit flipped, each relabelled one to three times."""
+    pairs = []
+    for f in draw(st.lists(st.sampled_from(LEAF_FRAMES + BRANCHING_FRAMES),
+                           min_size=1, max_size=6)):
+        if 0 < f.n <= 6 and draw(st.booleans()):
+            r1, r2 = list(f.r1), list(f.r2)
+            rows = (r1, r2)[draw(st.integers(0, 1))]
+            rows[draw(st.integers(0, f.n - 1))] ^= 1 << draw(st.integers(0, f.n - 1))
+            f = Frame(f.n, tuple(r1), tuple(r2))
+        for _ in range(draw(st.integers(1, 3))):
+            perm = draw(st.permutations(range(f.n)))
+            pairs.append((f, Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm))))
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_copies())
+def test_iso_distinct_keeps_the_first_frame_of_each_class(pairs):
+    # One call keys frames of several world counts, on both routes.  A copy
+    # is isomorphic to its original, and the oracle tells originals apart.
+    # The batched keys of each world count, however few its frames, must
+    # be equal exactly where the oracle's classes are, and each must be
+    # the key the frame gets alone, so that blocks of frames agree.
+    classes = [oracle_class(original) for original, _ in pairs]
+    expected = [i for i, c in enumerate(classes) if c not in classes[:i]]
+    copies = [copy for _, copy in pairs]
+    kept = iso_distinct(copies)
+    assert [next(i for i, g in enumerate(copies) if g is f) for f in kept] == expected
+    for n in {f.n for f in copies}:
+        batch = [(c, f) for c, f in zip(classes, copies) if f.n == n]
+        keys = _keys([(f.r1, f.r2) for _, f in batch], n)
+        assert all((k == j) == (c == d) for k, (c, _) in zip(keys, batch)
+                   for j, (d, _) in zip(keys, batch))
+        assert keys == [_keys([(f.r1, f.r2)], n)[0] for _, f in batch]
+
+
+def test_iso_distinct_searches_only_the_frames_that_branch(monkeypatch):
+    # Frames whose refined cells are all twin groups are keyed as one leaf
+    # each, in one batch per world count of at least _BATCH frames; only
+    # the others reach canonical_key, once each.  A kernel that refined too
+    # coarsely, or sent every frame to the search, would give the same
+    # answer.
+    rng = Random(24)
+    corpus = [(f in BRANCHING_FRAMES, Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm)))
+              for f in LEAF_FRAMES + BRANCHING_FRAMES
+              for perm in (rng.sample(range(f.n), f.n) for _ in range(enumeration._BATCH))]
+    rng.shuffle(corpus)
+    calls = []
+    key = enumeration.canonical_key
+    monkeypatch.setattr(enumeration, "canonical_key",
+                        lambda relations, n: calls.append(relations) or key(relations, n))
+    kept = iso_distinct(f for _, f in corpus)
+    assert len(kept) == len(LEAF_FRAMES) + len(BRANCHING_FRAMES)
+    assert sorted(calls) == sorted((f.r1, f.r2) for branching, f in corpus if branching)
+
+
+def test_keys_past_int64_masks_use_the_search(monkeypatch):
+    # 63 worlds do not fit an int64 row mask
+    f = lift(chain(63))
+    calls = []
+    key = enumeration.canonical_key
+    monkeypatch.setattr(enumeration, "canonical_key",
+                        lambda relations, n: calls.append(n) or key(relations, n))
+    assert len(set(_keys([(f.r1, f.r2)] * 2, 63))) == 1 and calls == [63, 63]
+
+
+def test_iso_distinct_searches_few_frames_one_by_one(monkeypatch):
+    # a world count with fewer frames than a batch never reaches numpy
+    monkeypatch.setattr(enumeration, "_keys", None)
+    frames = [lift(cluster(3)), lift(chain(3))] * (enumeration._BATCH // 2 - 1)
+    assert iso_distinct(frames) == frames[:2]
+
+
+def test_packed_ranks_first_column_may_pass_the_base():
+    # Colours lead the counts in _keys and pass the base.  Taken as below
+    # the base, 2^40 would fold on past 2^63 and wrap.
+    rng = Random(40)
+    tuples = [(rng.choice([0, 1, 1 << 40]), *(rng.randrange(1 << 12) for _ in range(3)))
+              for _ in range(60)]
+    rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+    columns = [np.array(column, np.int64) for column in zip(*tuples)]
+    ids, count = _packed_ranks(columns[0], columns[1:], 1 << 12)
+    assert ids.tolist() == [rank[t] for t in tuples] and count == len(rank)
 
 
 def generated_group(generators, n):

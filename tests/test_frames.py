@@ -369,6 +369,26 @@ def test_bitstring_helpers():
         bits_of("012")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 70))
+def test_bitstring_round_trips_the_low_bits(mask, n):
+    # world i is character i, and only the n low bits are written
+    s = bitstring(mask, n)
+    assert s == "".join("1" if mask >> i & 1 else "0" for i in range(n))
+    assert bits_of(s) == mask & (1 << n) - 1
+
+
+@pytest.mark.parametrize("s, bad", [("012", "2"), ("1_0", "_"), (" 10", " "),
+                                    ("+1", "+"), ("10 ", " "), ("0b1", "b"),
+                                    ("1٠", "٠"), ("x1y", "x")])
+def test_bits_of_names_the_first_non_binary_digit(s, bad):
+    # int() would read the underscore, the spaces, the sign and the Arabic-
+    # Indic zero; a bitstring holds only 0 and 1
+    with pytest.raises(FormatError) as err:
+        bits_of(s)
+    assert str(err.value) == f"non-binary digit {bad!r} in bitstring {s!r}"
+
+
 def test_store_frame_is_stable_bytes():
     f = tack("both", 2)
     assert store_frame(f) == store_frame(tack("both", 2))
