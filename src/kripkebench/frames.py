@@ -437,9 +437,9 @@ def frame_property(f: Frame, prop: str, params=()) -> bool:
                         return False
         return True
     if prop == "rp":
-        if len(params) != 1:
-            raise UnknownProperty("rp needs the chain length parameter m")
-        m = int(params[0])
+        if len(params) != 1 or type(params[0]) is not int or params[0] < 0:
+            raise UnknownProperty("rp needs a chain length parameter m, an int >= 0")
+        m = params[0]
         rows = f.union()
 
         def chain_ok(chain: tuple[int, ...]) -> bool:

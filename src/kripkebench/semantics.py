@@ -51,13 +51,18 @@ split in turn, so ``bh(4,1)`` on five worlds is three searches of at most
 over the formula's own variables; budget and limits are judged on the
 exhaustive space.
 
-``valid_each`` decides one formula on a list of frames.  For a formula
-with variables, the Kripke frames with n > 0 worlds whose space is one
-block go in batches of one world count, ``_BLOCK >> n*k`` frames at most,
-and a batch is one walk with a leading frame axis: the leaves broadcast
-over it, and a preimage is one ``take`` from the frames' stacked tables,
-frame i's at entry ``i << n | x``.  The other frames (general, empty or
-above one block) are searched one at a time as ``valid`` searches them.
+``valid_each`` decides one formula on a list of frames, each distinct part
+once: the parts are those ``check_size`` returns (a one-block frame is its
+own part), compared by equality.  This is exact, as a verdict on a part is
+a function of its relations, its algebra and the formula, and a frame is
+valid iff every part is.  For a formula with variables, the distinct
+Kripke parts with n > 0 worlds whose space is one block go in batches of
+one world count, ``_BLOCK >> n*k`` parts at most, and a batch is one walk
+with a leading frame axis: the leaves broadcast over it, and a preimage is
+one ``take`` from the parts' stacked tables, part i's at entry
+``i << n | x``.  Every other part (general, empty or above one block) is
+searched alone, as ``valid`` searches it, when a frame first needs it, so a
+frame still stops at its first refuted part.
 """
 
 from __future__ import annotations
@@ -262,17 +267,25 @@ def _check_size(parts: list, k: int, budget: int) -> None:
         raise BudgetExceeded(needed, budget, unit="cells (valuations times worlds)")
 
 
-def _maximal_parts(g: Frame | GeneralFrame) -> list:
-    """The subframes generated by single worlds that no other one contains,
-    in order of their least generating world; ``[g]`` when ``g`` is rooted."""
+@lru_cache(maxsize=1024)
+def _split(g: Frame | GeneralFrame) -> tuple | None:
+    """The maximal parts of ``g`` when it is not rooted, else None, so that a
+    rooted frame's parts are the frame itself and not an equal one."""
     frame = kripke_of(g)
     cones = list(dict.fromkeys(rt_closure(frame.union(), frame.n)))
     tops = [m for m in cones if not any(m != o and m & o == m for o in cones)]
     if len(tops) == 1:
-        return [g]
+        return None
     if isinstance(g, GeneralFrame):
-        return [restrict_general(g, m) for m in tops]
-    return [restrict_frame(g, m)[0] for m in tops]
+        return tuple(restrict_general(g, m) for m in tops)
+    return tuple(restrict_frame(g, m)[0] for m in tops)
+
+
+def _maximal_parts(g: Frame | GeneralFrame) -> list:
+    """The subframes generated by single worlds that no other one contains,
+    in order of their least generating world; ``[g]`` when ``g`` is rooted."""
+    parts = _split(g)
+    return [g] if parts is None else list(parts)
 
 
 def _children(g: Formula) -> tuple:
@@ -467,24 +480,28 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
 
 def valid_each(frames: list, f: Formula, budget: int = DEFAULT_BUDGET) -> list[bool]:
     """``[valid(g, f, budget) for g in frames]``, with every size refused, in
-    frame order, before any search.  One walk decides each batch (see the
-    module docstring); every other frame is searched as ``valid`` does."""
+    frame order, before any search.  Each distinct part of the frames is
+    decided once: the batched ones in one walk per batch, the others alone,
+    when a frame first needs them (see the module docstring)."""
     plan = _plan(f)
     k = len(plan.occurring)
     parts = [check_size(g, f, budget) for g in frames]
-    batches: dict[int, list[int]] = {}  # world count -> frames to batch
-    for i, g in enumerate(frames):
-        if k and not isinstance(g, GeneralFrame) and g.n and 1 << g.n * k <= _BLOCK:
-            batches.setdefault(g.n, []).append(i)
+    batches: dict[int, list] = {}  # world count -> distinct parts to batch
+    for p in dict.fromkeys(p for ps in parts for p in ps):
+        if k and not isinstance(p, GeneralFrame) and p.n and 1 << p.n * k <= _BLOCK:
+            batches.setdefault(p.n, []).append(p)
     verdicts = {}
     for n, batch in batches.items():
         step = _BLOCK >> n * k
         for lo in range(0, len(batch), step):
             chunk = batch[lo:lo + step]
-            verdicts.update(zip(chunk, _search_refutation(
-                [frames[i] for i in chunk], plan).tolist()))
-    return [verdicts[i] if i in verdicts else _holds(p, plan)
-            for i, p in enumerate(parts)]
+            verdicts.update(zip(chunk, _search_refutation(chunk, plan).tolist()))
+
+    def holds(p) -> bool:
+        if p not in verdicts:
+            verdicts[p] = _search_refutation(p, *_factored(p, plan)) is None
+        return verdicts[p]
+    return [all(map(holds, ps)) for ps in parts]
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,

@@ -201,6 +201,16 @@ def test_frame_property_examples():
         frame_property(rect(2, 2), "preorder", (3,))
 
 
+@pytest.mark.parametrize("m, ok", [(1.7, False), ("x", False), (-1, False),
+                                   (True, False), (1, True)])
+def test_rp_takes_only_a_nonnegative_int(m, ok):
+    if ok:
+        assert frame_property(lift(chain(3)), "rp", (m,))
+        return
+    with pytest.raises(UnknownProperty, match="rp needs"):
+        frame_property(lift(chain(3)), "rp", (m,))
+
+
 def test_restriction_examples():
     g = as_general(univ_chain(2))
     r = restriction(g, {1})

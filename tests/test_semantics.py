@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product as iproduct
 
 import hypothesis.strategies as st
@@ -11,13 +12,14 @@ import kripkebench.semantics as S
 from kripkebench.algebra import generated_subalgebra
 from kripkebench.constructions import (chain, cluster, lift, lintgrz, product,
                                        rect, singleton, univ_chain)
-from kripkebench.enumeration import all_bimodal_frames
+from kripkebench.enumeration import all_bimodal_frames, all_preorders
 from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachBox, ReachDia,
                                   Top, Var, dia_star, named_formula, parse,
                                   variables)
-from kripkebench.frames import (Frame, GeneralFrame, UniFrame, frame_property,
-                                generated_subframe, rt_closure)
+from kripkebench.frames import (Frame, GeneralFrame, UniFrame, as_general,
+                                frame_property, full_algebra, generated_subframe,
+                                kripke_of, rt_closure)
 from kripkebench.semantics import (Model, eval_formula, refutes_witness, valid,
                                    valid_each)
 
@@ -744,14 +746,29 @@ def _general(f, gen):
     return GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements)
 
 
+def _union(g, h):
+    """The disjoint union of two (general) frames; its algebra, when either
+    is general, is every union of a set of each."""
+    union = disjoint_union(kripke_of(g), kripke_of(h))
+    if type(g) is Frame and type(h) is Frame:
+        return union
+    sets = [x.algebra if type(x) is GeneralFrame else full_algebra(x.n)
+            for x in (g, h)]
+    return GeneralFrame(union, tuple(a | b << g.n for a in sets[0] for b in sets[1]))
+
+
 @st.composite
 def _corpora(draw):
     """Frame lists mixing world counts, with several frames of a count: the
     empty frame, one-block frames, general frames and, for three variables,
-    frames above one block (five worlds)."""
+    frames above one block (five worlds); then repeats of drawn frames and
+    disjoint unions of two, whose parts are those of drawn frames."""
     plain = st.one_of(frames(min_n=0, max_n=3), frames(min_n=4, max_n=5))
     general = st.builds(_general, frames(max_n=4), st.integers(0, 15))
-    return draw(st.lists(st.one_of(plain, plain, general), min_size=1, max_size=12))
+    drawn = draw(st.lists(st.one_of(plain, plain, general), min_size=1, max_size=12))
+    some = st.sampled_from(drawn)
+    shared = draw(st.lists(st.one_of(some, st.builds(_union, some, some)), max_size=6))
+    return draw(st.permutations(drawn + shared))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -781,7 +798,7 @@ def test_batches_fill_one_block_with_one_world_count(monkeypatch):
 
     def spied_search(g, *args, **kwargs):
         if isinstance(g, list):
-            batches.append([h.n for h in g])
+            batches.append(list(g))
         return search(g, *args, **kwargs)
 
     monkeypatch.setattr(S, "_walk", spied_walk)
@@ -796,14 +813,56 @@ def test_batches_fill_one_block_with_one_world_count(monkeypatch):
         k = len(variables(phi))
         batches.clear()
         assert valid_each(corpus, phi) == [valid(g, phi) for g in corpus]
-        assert all(len(set(b)) == 1 and len(b) << b[0] * k <= S._BLOCK
+        assert all(len({h.n for h in b}) == 1 and len(b) << b[0].n * k <= S._BLOCK
                    for b in batches)
-        # exactly the Kripke frames with worlds and a one-block space
-        assert sorted(n for b in batches for n in b) == sorted(
-            g.n for g in corpus if k and type(g) is Frame and g.n
-            and _space(g) ** k <= S._BLOCK)
+        # exactly the distinct Kripke parts with worlds and a one-block
+        # space, each batched once
+        parts = dict.fromkeys(p for g in corpus for p in S.check_size(g, phi))
+        assert Counter(h for b in batches for h in b) == Counter(
+            p for p in parts if k and type(p) is Frame and p.n
+            and _space(p) ** k <= S._BLOCK)
         assert not k or max(map(len, batches)) > 1
     assert max(walked) <= S._BLOCK
+
+
+def test_valid_each_searches_each_distinct_part_once(monkeypatch):
+    alone, batched = [], []  # parts searched alone (not collecting), batched
+    search = S._search_refutation
+
+    def spied(g, *args, **kwargs):
+        if isinstance(g, list):
+            batched.extend(g)
+        elif not kwargs.get("collect"):
+            alone.append(g)
+        return search(g, *args, **kwargs)
+
+    monkeypatch.setattr(S, "_search_refutation", spied)
+    pres = [p for n in range(1, 4) for p in all_preorders(n)]
+    products = [product(a, b) for a in pres for b in pres]
+    presym = named_formula("presym")
+    verdicts = valid_each(products, presym, budget=1 << 23)
+    assert len(products) == 169 and len(alone) == 25
+    searched = alone + batched
+    assert len(set(searched)) == len(searched)
+    assert verdicts == [valid(g, presym, budget=1 << 23) for g in products]
+    # a lone part is searched when a frame first needs it: the first two
+    # frames stop at their refuted first part R, so the singleton, which
+    # only the second needs, is never searched, and D3 is searched for the
+    # third frame
+    alone.clear()
+    R = lift(chain(2))
+    D2 = Frame(2, (0b01, 0b10), (0b11, 0b10))
+    D3 = Frame(3, (0b001, 0b010, 0b100), (0b111, 0b010, 0b100))
+    corpus = [as_general(disjoint_union(*parts)) for parts in
+              ((R, D3), (R, D2, singleton()), (D2, D3))]
+    phi = _mentioning(parse("p0 -> [1]p0"), 3)
+    assert valid_each(corpus, phi) == [False, False, True]
+    assert [kripke_of(p) for p in alone] == [R, D2, D3]
+    # a rooted frame's part is the frame itself, not an equal one
+    F = rect(3, 3)
+    assert S._maximal_parts(F) == [F]
+    G = Frame(F.n, F.r1, F.r2)
+    assert [p is G for p in S._maximal_parts(G)] == [True]
 
 
 def test_valid_each_refuses_in_frame_order_before_any_search(monkeypatch):
