@@ -24,7 +24,7 @@ from .formulas import (Formula, Imp, P, dia_v, named_formula, print_formula,
 from .frames import (Frame, GeneralFrame, analyze, bitstring, frame_property,
                      restriction, rt_closure, store_frame, transpose_rows)
 from .morphisms import check_pmorphism, tack_collapse
-from .semantics import Model, check_size, eval_formula, valid, valid_each
+from .semantics import Model, eval_formula, valid, valid_each
 
 DEFAULT_SEED = 1729
 
@@ -68,16 +68,6 @@ def _fmt(flag: bool) -> str:
     return "valid" if flag else "refuted"
 
 
-def _verdicts(frames: list, formulas: list, budget: int) -> list[tuple[bool, ...]]:
-    """``valid(F, f, budget)`` for each frame F (a row) and formula f (a
-    column).  Sizes are refused in the loop's order, frames then formulas,
-    before any search, so the first refusal is that of the plain loop."""
-    for F in frames:
-        for f in formulas:
-            check_size(F, f, budget)
-    return list(zip(*(valid_each(frames, f, budget) for f in formulas)))
-
-
 # --- check bodies ---------------------------------------------------------
 
 def _c1(params, rng, out):
@@ -85,7 +75,7 @@ def _c1(params, rng, out):
     pres = [all_preorders(n) for n in range(1, params["max_n"] + 1)]
     lifted = [C.lift(u) for us in pres for u in us]
     bh = [named_formula("bh", [k, 1]) for k in range(params["max_k"] + 1)]
-    rows_of = iter(zip(lifted, _verdicts(lifted, bh, params["budget"])))
+    rows_of = iter(zip(lifted, valid_each(lifted, bh, params["budget"])))
     for n, frames in enumerate(pres, 1):
         out.append(f"n={n}: {len(frames)} preorders up to isomorphism")
         for idx, u in enumerate(frames):
@@ -133,7 +123,7 @@ def _c2(params, rng, out):
         pairs.append((f"rp({m})", named_formula("rp", [m, "v"]),
                       lambda F, m=m: frame_property(F, "rp", (m,))))
     mismatches = 0
-    rows = _verdicts(frames, [p[1] for p in pairs], params["budget"])
+    rows = valid_each(frames, [p[1] for p in pairs], params["budget"])
     for i, (F, row) in enumerate(zip(frames, rows)):
         bits = []
         for (name, _, prop), sem in zip(pairs, row):
@@ -162,8 +152,8 @@ def _c3(params, rng, out):
     pairs = _preorder_pairs(rng, params["max_n"], params["samples"])
     out.append(f"{len(pairs)} preorder pairs (exhaustive <=2, seeded <= {params['max_n']})")
     products = [C.product(a, b) for a, b in pairs]
-    rows = _verdicts(products, [named_formula("com"), named_formula("chr")],
-                     params["budget"])
+    rows = valid_each(products, [named_formula("com"), named_formula("chr")],
+                      params["budget"])
     for i, ((a, b), F, (com_v, chr_v)) in enumerate(zip(pairs, products, rows)):
         com_p = frame_property(F, "com")
         cr_p = frame_property(F, "cr")
@@ -183,11 +173,11 @@ def _c4(params, rng, out):
     presym = named_formula("presym")
     out.append(f"{len(pres)}^2 = {len(pres)**2} products of preorders with "
                f"<= {params['max_n']} worlds each")
-    verdicts = iter(valid_each([C.product(a, b) for a in pres for b in pres],
-                               presym, params["budget"]))
+    rows = iter(valid_each([C.product(a, b) for a in pres for b in pres],
+                           [presym], params["budget"]))
     for i, a in enumerate(pres):
         for j, b in enumerate(pres):
-            if not next(verdicts):
+            if not all(next(rows)):
                 ok = False
                 out.append(f"  FAIL product #{i},#{j} ({a.n}x{b.n})")
     out.append("presymmetry valid on every product" if ok else "failures above")
@@ -268,11 +258,11 @@ def _c7(params, rng, out):
 def _c8(params, rng, out):
     ok = True
     pres = [p for n in range(1, params["max_n"] + 1) for p in all_preorders(n)]
-    verdicts = iter(valid_each([C.product(a, b) for a in pres for b in pres],
-                               named_formula("cas"), params["budget"]))
+    rows = iter(valid_each([C.product(a, b) for a in pres for b in pres],
+                           [named_formula("cas")], params["budget"]))
     for i, a in enumerate(pres):
         for j, b in enumerate(pres):
-            if not next(verdicts):
+            if not all(next(rows)):
                 ok = False
                 out.append(f"  FAIL product #{i},#{j}")
     out.append(f"cas valid on all {len(pres)**2} products of preorders "
@@ -285,7 +275,7 @@ def _c9(params, rng, out):
     axioms = [named_formula(name) for name in ("com", "chr", "conv")]
     frames = [Frame(n, u.rows, transpose_rows(u.rows, n))
               for n in range(1, params["max_n"] + 1) for u in linear_preorders(n)]
-    for F, row in zip(frames, _verdicts(frames, axioms, params["budget"])):
+    for F, row in zip(frames, valid_each(frames, axioms, params["budget"])):
         n, union = F.n, F.union()
         com_p = frame_property(F, "com")
         cr_p = frame_property(F, "cr")

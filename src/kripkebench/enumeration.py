@@ -198,10 +198,6 @@ def automorphism_generators(relations: tuple[tuple[int, ...], ...],
     return _search(relations, n)[1]
 
 
-def frame_key(f: Frame) -> tuple:
-    return canonical_key((f.r1, f.r2), f.n)
-
-
 def _packed_ranks(first: np.ndarray, columns: Iterable[np.ndarray],
                   base: int) -> tuple[np.ndarray, int]:
     """Lexicographic ranks of the tuples read across ``first`` and then

@@ -460,8 +460,8 @@ def frame_property(f: Frame, prop: str, params=()) -> bool:
     if prop == "tense":
         return f.r1 == transpose_rows(f.r2, f.n)
     if prop in ("preorder", "equivalence", "linear", "poset", "universal"):
-        if len(params) != 1 or params[0] not in (1, 2):
-            raise UnknownProperty(f"{prop} needs a modality parameter in {{1, 2}}")
+        if len(params) != 1 or type(params[0]) is not int or params[0] not in (1, 2):
+            raise UnknownProperty(f"{prop} needs a modality parameter, the int 1 or 2")
         rows = f.relation(params[0])
         if prop == "universal":
             return all(row == f.full for row in rows)

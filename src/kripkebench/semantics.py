@@ -51,15 +51,17 @@ split in turn, so ``bh(4,1)`` on five worlds is three searches of at most
 over the formula's own variables; budget and limits are judged on the
 exhaustive space.
 
-``valid_each`` decides one formula on a list of frames, each distinct part
-once: the parts are those ``check_size`` returns (a one-block frame is its
-own part), compared by equality.  This is exact, as a verdict on a part is
-a function of its relations, its algebra and the formula, and a frame is
-valid iff every part is.  For a formula with variables, the distinct
-Kripke parts with n > 0 worlds whose space is one block go in batches of
-one world count, ``_BLOCK >> n*k`` parts at most, and a batch is one walk
-with a leading frame axis: the leaves broadcast over it, and a preimage is
-one ``take`` from the parts' stacked tables, part i's at entry
+``valid_each`` decides a list of formulas on a list of frames, one row of
+verdicts per frame.  It refuses every (frame, formula) size, frame by
+frame, before any search, and then decides each formula on each distinct
+part once: the parts are those ``check_size`` returns (a one-block frame
+is its own part), compared by equality.  This is exact, as a verdict on a
+part is a function of its relations, its algebra and the formula, and a
+frame is valid iff every part is.  For a formula with variables, the
+distinct Kripke parts with n > 0 worlds whose space is one block go in
+batches of one world count, ``_BLOCK >> n*k`` parts at most, and a batch
+is one walk with a leading frame axis: the leaves broadcast over it, and a
+preimage is one ``take`` from the parts' stacked tables, part i's at entry
 ``i << n | x``.  Every other part (general, empty or above one block) is
 searched alone, as ``valid`` searches it, when a frame first needs it, so a
 frame still stops at its first refuted part.
@@ -459,8 +461,9 @@ def check_size(g: Frame | GeneralFrame, f: Formula,
     return parts
 
 
-def _holds(parts: list, plan: _Plan) -> bool:
-    return all(_search_refutation(p, *_factored(p, plan)) is None for p in parts)
+def _holds(p: Frame | GeneralFrame, plan: _Plan) -> bool:
+    """Whether the formula planned by ``plan`` is valid on the part ``p``."""
+    return _search_refutation(p, *_factored(p, plan)) is None
 
 
 def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:
@@ -471,21 +474,14 @@ def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> 
     subframe is searched on its own, up to the first refuted one, with
     each separable part factored out."""
     plan = _plan(f)
-    k = len(plan.occurring)
-    if _space(g) ** k <= _BLOCK:  # one block: the whole frame as it is
-        _check_size([g], k, budget)
-        return _search_refutation(g, plan) is None
-    return _holds(check_size(g, f, budget), plan)
+    return all(_holds(p, plan) for p in check_size(g, f, budget))
 
 
-def valid_each(frames: list, f: Formula, budget: int = DEFAULT_BUDGET) -> list[bool]:
-    """``[valid(g, f, budget) for g in frames]``, with every size refused, in
-    frame order, before any search.  Each distinct part of the frames is
-    decided once: the batched ones in one walk per batch, the others alone,
-    when a frame first needs them (see the module docstring)."""
-    plan = _plan(f)
+def _column(parts: list[list], plan: _Plan) -> list[bool]:
+    """For each frame, given by the parts ``check_size`` returns for it,
+    whether the formula planned by ``plan`` is valid on every part, each
+    distinct part decided once (see the module docstring)."""
     k = len(plan.occurring)
-    parts = [check_size(g, f, budget) for g in frames]
     batches: dict[int, list] = {}  # world count -> distinct parts to batch
     for p in dict.fromkeys(p for ps in parts for p in ps):
         if k and not isinstance(p, GeneralFrame) and p.n and 1 << p.n * k <= _BLOCK:
@@ -499,9 +495,22 @@ def valid_each(frames: list, f: Formula, budget: int = DEFAULT_BUDGET) -> list[b
 
     def holds(p) -> bool:
         if p not in verdicts:
-            verdicts[p] = _search_refutation(p, *_factored(p, plan)) is None
+            verdicts[p] = _holds(p, plan)
         return verdicts[p]
     return [all(map(holds, ps)) for ps in parts]
+
+
+def valid_each(frames: list, formulas: list,
+               budget: int = DEFAULT_BUDGET) -> list[tuple[bool, ...]]:
+    """``[tuple(valid(g, f, budget) for f in formulas) for g in frames]``,
+    with every size refused, in that (frame, formula) order, before any
+    search.  For each formula, each distinct part of the frames is decided
+    once: the batched ones in one walk per batch, the others alone, when a
+    frame first needs them (see the module docstring)."""
+    parts = [[check_size(g, f, budget) for f in formulas] for g in frames]
+    columns = [_column([row[j] for row in parts], _plan(f))
+               for j, f in enumerate(formulas)]
+    return [tuple(column[i] for column in columns) for i in range(len(frames))]
 
 
 def refutes_witness(g: Frame | GeneralFrame, f: Formula,

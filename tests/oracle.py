@@ -29,7 +29,8 @@ repeat.  ``keyed_preorders`` blows each of those posets up by every
 composition and keeps the first of each permutation key, where the library
 decides by the poset's automorphisms which compositions to keep.
 ``automorphisms`` tries every permutation of the worlds, where the library
-searches a stabiliser chain by individualisation-refinement.
+reads a generating set off its key search: the swaps of each group of
+twins, and an automorphism for each leaf whose rows an earlier leaf gave.
 ``reference_beta_formula`` builds a definability certificate from scratch
 on every call and evaluates beta whole; the library shares everything but
 alpha(r) among the roots of one model and subframe.  It uses the

@@ -211,6 +211,14 @@ def test_rp_takes_only_a_nonnegative_int(m, ok):
         frame_property(lift(chain(3)), "rp", (m,))
 
 
+@pytest.mark.parametrize("prop", ["preorder", "equivalence", "linear", "poset",
+                                  "universal"])
+@pytest.mark.parametrize("mod", [True, 1.0, 2.0, 0, 3])
+def test_modality_parameter_is_the_int_1_or_2(prop, mod):
+    with pytest.raises(UnknownProperty, match="needs a modality parameter"):
+        frame_property(rect(2, 2), prop, (mod,))
+
+
 def test_restriction_examples():
     g = as_general(univ_chain(2))
     r = restriction(g, {1})

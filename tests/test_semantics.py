@@ -739,8 +739,9 @@ def test_split_formulas_keep_the_exhaustive_budget_and_limit():
         valid(lift(chain(25)), named_formula("bh", [2, 1]))
 
 
-# Batched verdicts: ``valid_each`` decides the Kripke frames of one world
-# count whose spaces are one block in one walk with a leading frame axis.
+# The verdict matrix: ``valid_each`` decides frames x formulas, one row per
+# frame, and for each formula the Kripke frames of one world count whose
+# spaces are one block in one walk with a leading frame axis.
 
 def _general(f, gen):
     return GeneralFrame(f, generated_subalgebra(f, [gen & f.full]).elements)
@@ -772,19 +773,28 @@ def _corpora(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(_corpora(), st.one_of(formulas(max_depth=3, max_vars=3, reach=True),
-                             formulas(max_depth=3, max_vars=0, reach=True),
-                             st.sampled_from(SPLIT_FORMULAS[:5])),
-       st.booleans())
-def test_valid_each_is_valid_frame_by_frame(gs, phi, above):
-    if above:  # three variables: five worlds are above one block
-        phi = _mentioning(phi, 3)
-    verdicts = valid_each(gs, phi, budget=1 << 22)
-    assert verdicts == [valid(g, phi, budget=1 << 22) for g in gs]
-    k = len(variables(phi))
-    for g, verdict in zip(gs, verdicts):
-        if _space(g) ** k * g.n <= 1 << 11:
-            assert verdict is (oracle.least_witness(g, phi) is None)
+@given(_corpora(), st.lists(st.tuples(
+    st.one_of(formulas(max_depth=3, max_vars=3, reach=True),
+              formulas(max_depth=3, max_vars=0, reach=True),
+              st.sampled_from(SPLIT_FORMULAS[:5])),
+    st.booleans()), min_size=1, max_size=3))
+def test_valid_each_is_valid_frame_by_frame(gs, drawn):
+    # with the flag, three variables: five worlds are above one block
+    fs = [_mentioning(phi, 3) if above else phi for phi, above in drawn]
+    rows = valid_each(gs, fs, budget=1 << 22)
+    assert rows == [tuple(valid(g, f, budget=1 << 22) for f in fs) for g in gs]
+    for j, f in enumerate(fs):
+        k = len(variables(f))
+        for g, row in zip(gs, rows):
+            if _space(g) ** k * g.n <= 1 << 11:
+                assert row[j] is (oracle.least_witness(g, f) is None)
+
+
+def test_valid_each_of_no_frames_or_no_formulas():
+    gs = [lift(chain(2)), Frame(0, (), ()), rect(2, 2)]
+    assert valid_each(gs, []) == [(), (), ()]
+    assert valid_each([], [named_formula("com")]) == []
+    assert valid_each([], []) == []
 
 
 def test_batches_fill_one_block_with_one_world_count(monkeypatch):
@@ -812,7 +822,7 @@ def test_batches_fill_one_block_with_one_world_count(monkeypatch):
                 parse("p0 | ~p0"), ReachBox(Dia(1, Top()))):
         k = len(variables(phi))
         batches.clear()
-        assert valid_each(corpus, phi) == [valid(g, phi) for g in corpus]
+        assert valid_each(corpus, [phi]) == [(valid(g, phi),) for g in corpus]
         assert all(len({h.n for h in b}) == 1 and len(b) << b[0].n * k <= S._BLOCK
                    for b in batches)
         # exactly the distinct Kripke parts with worlds and a one-block
@@ -840,11 +850,11 @@ def test_valid_each_searches_each_distinct_part_once(monkeypatch):
     pres = [p for n in range(1, 4) for p in all_preorders(n)]
     products = [product(a, b) for a in pres for b in pres]
     presym = named_formula("presym")
-    verdicts = valid_each(products, presym, budget=1 << 23)
+    rows = valid_each(products, [presym], budget=1 << 23)
     assert len(products) == 169 and len(alone) == 25
     searched = alone + batched
     assert len(set(searched)) == len(searched)
-    assert verdicts == [valid(g, presym, budget=1 << 23) for g in products]
+    assert rows == [(valid(g, presym, budget=1 << 23),) for g in products]
     # a lone part is searched when a frame first needs it: the first two
     # frames stop at their refuted first part R, so the singleton, which
     # only the second needs, is never searched, and D3 is searched for the
@@ -856,7 +866,7 @@ def test_valid_each_searches_each_distinct_part_once(monkeypatch):
     corpus = [as_general(disjoint_union(*parts)) for parts in
               ((R, D3), (R, D2, singleton()), (D2, D3))]
     phi = _mentioning(parse("p0 -> [1]p0"), 3)
-    assert valid_each(corpus, phi) == [False, False, True]
+    assert valid_each(corpus, [phi]) == [(False,), (False,), (True,)]
     assert [kripke_of(p) for p in alone] == [R, D2, D3]
     # a rooted frame's part is the frame itself, not an equal one
     F = rect(3, 3)
@@ -873,9 +883,16 @@ def test_valid_each_refuses_in_frame_order_before_any_search(monkeypatch):
     phi = named_formula("bh", [2, 1])
     for budget, needed in (((1 << 10) * 5 - 1, (1 << 10) * 5), (9, 32)):
         with pytest.raises(BudgetExceeded) as e:
-            valid_each([lift(chain(2)), lift(chain(5)), lift(chain(6))], phi,
+            valid_each([lift(chain(2)), lift(chain(5)), lift(chain(6))], [phi],
                        budget=budget)
         assert e.value.needed == needed and searched == []
     with pytest.raises(FormatError, match="n <= 24"):
-        valid_each([lift(chain(2)), lift(chain(25))], phi, budget=1 << 60)
+        valid_each([lift(chain(2)), lift(chain(25))], [phi], budget=1 << 60)
     assert searched == []
+    # (frame 1, formula 2) needs 4^2 * 2 = 32 cells and (frame 2, formula 1)
+    # 2^6 * 6 = 384, both over the budget: the frame-major loop meets the
+    # first one first, a formula-major loop would meet the second
+    box = parse("p0 -> [1]p0")
+    with pytest.raises(BudgetExceeded) as e:
+        valid_each([lift(chain(2)), lift(chain(6))], [box, phi], budget=31)
+    assert e.value.needed == 32 and searched == []

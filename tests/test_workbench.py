@@ -1,8 +1,11 @@
 import json
+from random import Random
 
 import pytest
 
-from kripkebench.checks import (CHECKS, C7_FROZEN, ProfileRow, axiom_profile,
+import kripkebench.semantics as S
+from kripkebench.checks import (CHECKS, C7_FROZEN, DEFAULT_SEED, ProfileRow,
+                                _correspondence_corpus, axiom_profile,
                                 claims_text, report_json, run_check)
 from kripkebench.constructions import rect, singleton, tack
 from kripkebench.errors import UnknownCheck
@@ -25,6 +28,20 @@ def test_c1_small_params_transcript():
     # transcript enumerates every preorder with its verdict grid
     rows = [line for line in r.transcript if "height=" in line]
     assert len(rows) == 1 + 3 + 9
+
+
+def test_c2_sizes_each_frame_and_formula_once(monkeypatch):
+    # the verdict matrix sizes each (frame, formula) cell once, and not
+    # again in a pass of its own before the searches
+    sized = []
+    check_size = S.check_size
+    monkeypatch.setattr(S, "check_size", lambda g, f, budget:
+                        sized.append((g, f)) or check_size(g, f, budget))
+    assert run_check("C2").status == "pass"
+    params = CHECKS["C2"].params
+    corpus = _correspondence_corpus(params, Random(DEFAULT_SEED))
+    assert len(corpus) == 327
+    assert len(sized) == len(corpus) * (3 + params["max_m"] + 1)
 
 
 def test_c6_and_c7():
