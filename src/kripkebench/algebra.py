@@ -19,8 +19,8 @@ refines the coordinates of every frame at once on numpy arrays
 (``_coordinate_classes``), since it runs on up to millions of worlds: a
 sorting network makes each world's successor types a canonical set, and
 one packed int64 key per world ranks its type and sets.  It keeps only
-the coordinates that no automorphism generator of their frame
-(``enumeration.automorphism_generators``) maps to a smaller one: a
+the coordinates ``enumeration._kept_coordinates`` keeps, those that no
+automorphism generator of their frame maps to a smaller one: a
 valuation and its image along an automorphism give isomorphic valued
 models, whose worlds are bisimilar pairwise, and the least coordinate of
 each orbit is always kept, so the number of classes stays exact.
@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
-from .enumeration import _packed_ranks, automorphism_generators
+from .enumeration import _kept_coordinates, _packed_ranks
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
 from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
@@ -196,36 +196,6 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
 
 
 # --- free-algebra counting -------------------------------------------------
-
-def _kept_coordinates(frame: Frame, k: int) -> np.ndarray:
-    """The k-valuation coordinates of ``frame`` that no automorphism
-    generator maps to a smaller one, ascending.
-
-    Coordinate c is the c-th valuation in ``iproduct`` order, so variable
-    i's mask is bits n(k-1-i) .. n(k-i)-1 of c.  Each generator g, checked
-    to be an automorphism first, keeps c iff c <= c∘g, the valuation
-    pulled back along g; the least coordinate of each orbit passes every
-    such test.
-    """
-    n = frame.n
-    coords = np.arange(1 << n * k, dtype=np.int64)
-    if k == 0:
-        return coords
-    relations = (frame.r1, frame.r2)
-    for g in automorphism_generators(relations, n):
-        if any(pull_rows(rows, g) != rows for rows in relations):
-            continue    # a map that is no automorphism could drop an orbit
-        # bit w of each mask takes bit g[w]: bits moving alike move together
-        moves: dict[int, int] = {}
-        for j in range(k):
-            for w, x in enumerate(g):
-                moves[x - w] = moves.get(x - w, 0) | 1 << j * n + w
-        image = np.zeros_like(coords)
-        for shift, mask in moves.items():
-            image |= (coords >> shift if shift >= 0 else coords << -shift) & mask
-        coords = coords[coords <= image]
-    return coords
-
 
 @lru_cache(maxsize=None)
 def _sorting_network(width: int) -> tuple[tuple[int, int], ...]:

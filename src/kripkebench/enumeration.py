@@ -11,8 +11,9 @@ individualisation-refinement after McKay and Piperno, over one colour
 refinement (``_equitable``), gives both the keys and
 ``automorphism_generators``: it treats each group of twins, worlds whose
 swap is an automorphism, as one world, and its generators are the twin
-swaps and the automorphisms between leaves with equal rows.  They let
-free-algebra counts skip valuations and give each poset its group.
+swaps and the automorphisms between leaves with equal rows.  They give
+each poset its group, and ``_kept_coordinates`` drops the valuations they
+map lower, for free-algebra counts and the validity search.
 
 ``iso_distinct`` keys many frames at once, as the free counts refine many
 models: the frames of one world count are colour-refined together on
@@ -196,6 +197,36 @@ def automorphism_generators(relations: tuple[tuple[int, ...], ...],
     automorphism group: the key search's twin swaps and leaf automorphisms
     (``_search``)."""
     return _search(relations, n)[1]
+
+
+def _kept_coordinates(frame: Frame, k: int) -> np.ndarray:
+    """The k-valuation coordinates of ``frame`` that no automorphism
+    generator maps to a smaller one, ascending.
+
+    Coordinate c is the c-th valuation in ``iproduct`` order, so variable
+    i's mask is bits n(k-1-i) .. n(k-i)-1 of c.  Each generator g, checked
+    to be an automorphism first, keeps c iff c <= c∘g, the valuation
+    pulled back along g; the least coordinate of each orbit passes every
+    such test.
+    """
+    n = frame.n
+    coords = np.arange(1 << n * k, dtype=np.int64)
+    if k == 0:
+        return coords
+    relations = (frame.r1, frame.r2)
+    for g in automorphism_generators(relations, n):
+        if any(pull_rows(rows, g) != rows for rows in relations):
+            continue    # a map that is no automorphism could drop an orbit
+        # bit w of each mask takes bit g[w]: bits moving alike move together
+        moves: dict[int, int] = {}
+        for j in range(k):
+            for w, x in enumerate(g):
+                moves[x - w] = moves.get(x - w, 0) | 1 << j * n + w
+        image = np.zeros_like(coords)
+        for shift, mask in moves.items():
+            image |= (coords >> shift if shift >= 0 else coords << -shift) & mask
+        coords = coords[coords <= image]
+    return coords
 
 
 def _packed_ranks(first: np.ndarray, columns: Iterable[np.ndarray],

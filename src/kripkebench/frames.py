@@ -439,24 +439,18 @@ def frame_property(f: Frame, prop: str, params=()) -> bool:
     if prop == "rp":
         if len(params) != 1 or type(params[0]) is not int or params[0] < 0:
             raise UnknownProperty("rp needs a chain length parameter m, an int >= 0")
-        m = params[0]
+        # rp(m) fails iff a path x0 .. x(m+1) of distinct worlds has no step
+        # x(i) -> x(j), j >= i + 2.  A stack entry is a prefix: its worlds,
+        # the rows of all but its last world, that world and its length.
         rows = f.union()
-
-        def chain_ok(chain: tuple[int, ...]) -> bool:
-            if len(set(chain)) < len(chain):
-                return True
-            for i in range(m + 1):
-                for j in range(i + 1, m + 1):
-                    if rows[chain[i]] >> chain[j + 1] & 1:
-                        return True
-            return False
-
-        def extend(chain: tuple[int, ...]) -> bool:
-            if len(chain) == m + 2:
-                return chain_ok(chain)
-            return all(extend(chain + (y,)) for y in worlds_of(rows[chain[-1]]))
-
-        return all(extend((x,)) for x in range(f.n))
+        stack = [(1 << x, 0, x, 1) for x in range(f.n)]
+        while stack:
+            used, shadow, last, length = stack.pop()
+            if length == params[0] + 2:
+                return False
+            stack += [(used | 1 << y, shadow | rows[last], y, length + 1)
+                      for y in worlds_of(rows[last] & ~used & ~shadow)]
+        return True
     if prop == "tense":
         return f.r1 == transpose_rows(f.r2, f.n)
     if prop in ("preorder", "equivalence", "linear", "poset", "universal"):

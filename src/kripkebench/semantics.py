@@ -51,6 +51,14 @@ split in turn, so ``bh(4,1)`` on five worlds is three searches of at most
 over the formula's own variables; budget and limits are judged on the
 exhaustive space.
 
+If such a Kripke part's formula does not split and has k >= 2 variables,
+its first variable ranges over ``enumeration._kept_coordinates(part, 1)``
+alone, which holds the least mask of each orbit of the part's
+automorphisms: exact for verdicts, as an automorphism's image of a
+refuting valuation refutes.  ``refutes_witness``, collecting searches,
+general frames (whose algebra the automorphisms may not keep) and
+batches walk every mask.
+
 ``valid_each`` decides a list of formulas on a list of frames, one row of
 verdicts per frame.  It refuses every (frame, formula) size, frame by
 frame, before any search, and then decides each formula on each distinct
@@ -78,6 +86,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from .enumeration import _kept_coordinates
 from .errors import BudgetExceeded, FormatError
 from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
                        Or, ReachBox, ReachDia, Top, Var, _rebuild, nodes)
@@ -462,8 +471,13 @@ def check_size(g: Frame | GeneralFrame, f: Formula,
 
 
 def _holds(p: Frame | GeneralFrame, plan: _Plan) -> bool:
-    """Whether the formula planned by ``plan`` is valid on the part ``p``."""
-    return _search_refutation(p, *_factored(p, plan)) is None
+    """Whether the formula planned by ``plan`` is valid on the part ``p``,
+    orbit-restricted where the module docstring says."""
+    plan, lists = _factored(p, plan)
+    k = len(plan.occurring)
+    if not lists and k > 1 and not isinstance(p, GeneralFrame) and _space(p) ** k > _BLOCK:
+        lists = {plan.occurring[0]: _kept_coordinates(p, 1).astype(_cell_dtype(p.n))}
+    return _search_refutation(p, plan, lists) is None
 
 
 def valid(g: Frame | GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> bool:

@@ -1,6 +1,6 @@
 """Independent test oracles for formula walks, formula parsing, formula
 evaluation, refutation search, subalgebra atoms, free-algebra counts,
-canonical keys and poset enumeration.
+canonical keys, poset enumeration and the rp frame condition.
 
 The formula walks here recurse over the formula as a tree, visiting a
 shared subformula once per occurrence; the library loops over its node
@@ -31,6 +31,9 @@ decides by the poset's automorphisms which compositions to keep.
 ``automorphisms`` tries every permutation of the worlds, where the library
 reads a generating set off its key search: the swaps of each group of
 twins, and an automorphism for each leaf whose rows an earlier leaf gave.
+``rp_holds`` decides rp(m) by growing every path of m + 2 worlds one world
+tuple at a time and testing each for a repeat or a shortcut; the library
+walks only paths of distinct worlds, on a stack of bitmasks.
 ``reference_beta_formula`` builds a definability certificate from scratch
 on every call and evaluates beta whole; the library shares everything but
 alpha(r) among the roots of one model and subframe.  It uses the
@@ -371,6 +374,29 @@ def free_count_by_refinement(frames, k) -> int:
     for types in _refinements(adj1, adj2, profiles):
         pass
     return 1 << max(types) + 1
+
+
+def rp_holds(f, m: int) -> bool:
+    """rp(m) by enumerating every path x0 .. x(m+1) of r1 | r2 steps, one
+    world tuple at a time: it holds iff every such path repeats a world or
+    has a step x(i) -> x(j+1) for some i < j <= m."""
+    rows = union_rows(f.r1, f.r2)
+
+    def chain_ok(chain: tuple[int, ...]) -> bool:
+        if len(set(chain)) < len(chain):
+            return True
+        for i in range(m + 1):
+            for j in range(i + 1, m + 1):
+                if rows[chain[i]] >> chain[j + 1] & 1:
+                    return True
+        return False
+
+    def extend(chain: tuple[int, ...]) -> bool:
+        if len(chain) == m + 2:
+            return chain_ok(chain)
+        return all(extend(chain + (y,)) for y in worlds_of(rows[chain[-1]]))
+
+    return all(extend((x,)) for x in range(f.n))
 
 
 def automorphisms(f) -> set[tuple[int, ...]]:

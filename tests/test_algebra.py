@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kripkebench.algebra import (SetAlgebra, _definers, _kept_coordinates,
-                                 _reachability, _sort_columns,
-                                 _sorting_network, beta_formula, block_system,
-                                 free_algebra_count, generated_subalgebra,
-                                 naive_free_algebra_count)
+from kripkebench.algebra import (SetAlgebra, _definers, _reachability,
+                                 _sort_columns, _sorting_network, beta_formula,
+                                 block_system, free_algebra_count,
+                                 generated_subalgebra, naive_free_algebra_count)
 from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        product, rect, singleton, tack,
                                        univ_chain)
-from kripkebench.enumeration import (_packed_ranks, random_frame,
-                                     random_preorder, random_valuation)
+import kripkebench.enumeration as enumeration
+from kripkebench.enumeration import (_kept_coordinates, _packed_ranks,
+                                     random_frame, random_preorder,
+                                     random_valuation)
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
                                 NotDefinable, NotPretransitive, size_text)
 from kripkebench.formulas import Top, modal_depth
@@ -217,7 +218,8 @@ def coordinate_image(c, g, n, k):
 
 
 @pytest.mark.parametrize("f, k", [(tack("both", 2), 2), (rect(2, 3), 1),
-                                  (lift(cluster(3)), 2)])
+                                  (lift(cluster(3)), 2), (rect(3, 3), 1),
+                                  (product(cluster(3), chain(3)), 1)])
 def test_kept_coordinates_hold_each_orbit_least(f, k):
     # every automorphism orbit of valuations keeps its least coordinate,
     # and the kept coordinates are fewer than all of them
@@ -227,6 +229,21 @@ def test_kept_coordinates_hold_each_orbit_least(f, k):
     for c in range(total):
         assert min(coordinate_image(c, g, f.n, k) for g in autos) in kept
     assert len(kept) < total
+
+
+def test_kept_coordinates_skip_a_map_that_is_no_automorphism(monkeypatch):
+    # swapping worlds 0 and 1 of rect(3, 3) alone moves them across columns;
+    # fed in as a generator it must be skipped, or it would drop {1, 3}, the
+    # least mask of its orbit (two worlds in different rows and columns), for
+    # {0, 3}, which is in another orbit (two worlds in one column)
+    f = rect(3, 3)
+    kept = _kept_coordinates(f, 1).tolist()
+    assert 0b1010 in kept
+    generators = enumeration.automorphism_generators
+    monkeypatch.setattr(enumeration, "automorphism_generators",
+                        lambda relations, n: generators(relations, n) +
+                        [(1, 0) + tuple(range(2, n))])
+    assert _kept_coordinates(f, 1).tolist() == kept
 
 
 @pytest.mark.parametrize("fs, k, atoms", [

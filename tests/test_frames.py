@@ -19,6 +19,7 @@ from kripkebench.frames import (Frame, GeneralFrame, analyze, as_general,
                                 store_frame, twins, uniframe, worlds_of)
 from kripkebench.morphisms import load_worldmap
 
+import oracle
 from conftest import frames
 
 
@@ -188,6 +189,12 @@ def test_frame_property_examples():
     assert frame_property(lift(chain(4)), "rp", (1,))
     assert not frame_property(rect(2, 2), "rp", (1,))
     assert frame_property(rect(2, 2), "rp", (3,))
+    # the path 0 -> 1 -> 2 -> 3 refutes rp(0..2); the shortcut 0 -> 2 mends
+    # rp(2), but 1 -> 2 -> 3 still refutes rp(1)
+    for r1, verdicts in (((0b0010, 0b0100, 0b1000, 0), [False, False, False, True]),
+                         ((0b0110, 0b0100, 0b1000, 0), [False, False, True, True])):
+        path = Frame(4, r1, (0, 0, 0, 0))
+        assert [frame_property(path, "rp", (m,)) for m in range(4)] == verdicts
     assert frame_property(univ_chain(3), "preorder", (1,))
     assert frame_property(univ_chain(3), "universal", (2,))
     assert frame_property(univ_chain(3), "linear", (1,))
@@ -209,6 +216,22 @@ def test_rp_takes_only_a_nonnegative_int(m, ok):
         return
     with pytest.raises(UnknownProperty, match="rp needs"):
         frame_property(lift(chain(3)), "rp", (m,))
+
+
+@st.composite
+def sparse_frames(draw, max_n):
+    """Frames whose relations keep each pair with probability 1/4, so that
+    long paths without shortcuts are common."""
+    n = draw(st.integers(0, max_n))
+    rows = [draw(st.integers(0, (1 << n) - 1)) & draw(st.integers(0, (1 << n) - 1))
+            for _ in range(2 * n)]
+    return Frame(n, tuple(rows[:n]), tuple(rows[n:]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(frames(max_n=6), sparse_frames(6)), st.integers(0, 3))
+def test_rp_matches_the_path_oracle(f, m):
+    assert frame_property(f, "rp", (m,)) is oracle.rp_holds(f, m)
 
 
 @pytest.mark.parametrize("prop", ["preorder", "equivalence", "linear", "poset",

@@ -11,15 +11,16 @@ import kripkebench.semantics as S
 
 from kripkebench.algebra import generated_subalgebra
 from kripkebench.constructions import (chain, cluster, lift, lintgrz, product,
-                                       rect, singleton, univ_chain)
-from kripkebench.enumeration import all_bimodal_frames, all_preorders
+                                       rect, singleton, tack, univ_chain)
+from kripkebench.enumeration import (_kept_coordinates, all_bimodal_frames,
+                                     all_preorders, automorphism_generators)
 from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachBox, ReachDia,
                                   Top, Var, dia_star, named_formula, parse,
                                   variables)
 from kripkebench.frames import (Frame, GeneralFrame, UniFrame, as_general,
                                 frame_property, full_algebra, generated_subframe,
-                                kripke_of, rt_closure)
+                                kripke_of, pull, rt_closure)
 from kripkebench.semantics import (Model, eval_formula, refutes_witness, valid,
                                    valid_each)
 
@@ -645,7 +646,12 @@ def test_reachable_extensions_match_the_oracle():
              (_random_frame(5, 3), named_formula("bh", [3, "*"])),
              (product(chain(2), cluster(2)), named_formula("bh", [4, 2])),
              (general, parse("(p0 -> <1>p0) & [1](p1 | <2>p2) & "
-                             "(p3 & [2]p4 -> <1>p3)"))]
+                             "(p3 & [2]p4 -> <1>p3)")),
+             # a symmetric frame whose part, equivalent to p0, has three
+             # variables that do not split, above one block: its extensions
+             # are every set, not only the least of each orbit
+             (tack("both", 2), parse("p3 -> [1](p3 | ((p0 & p1 & p2) | "
+                                     "(p0 & ~p1) | (p0 & p1 & ~p2)))"))]
     for g, phi in cases:
         frame = g.frame if isinstance(g, GeneralFrame) else g
         plan = S._plan(phi)
@@ -896,3 +902,147 @@ def test_valid_each_refuses_in_frame_order_before_any_search(monkeypatch):
     with pytest.raises(BudgetExceeded) as e:
         valid_each([lift(chain(2)), lift(chain(6))], [box, phi], budget=31)
     assert e.value.needed == 32 and searched == []
+
+
+# The orbit-restricted first axis: a lone search of a Kripke part above one
+# block, for a formula with k >= 2 variables that does not split, lets its
+# first variable range over the masks ``_kept_coordinates(part, 1)`` keeps.
+
+def _spy_lone_searches(monkeypatch):
+    """Record (part, plan, lists) of every lone search that is not
+    collecting."""
+    seen = []
+    search = S._search_refutation
+
+    def spied(g, plan, lists={}, collect=False):
+        if not isinstance(g, list) and not collect:
+            seen.append((g, plan, lists))
+        return search(g, plan, lists, collect)
+
+    monkeypatch.setattr(S, "_search_refutation", spied)
+    return seen
+
+
+# (frame, formulas it refutes, formulas it validates), each above one block
+# on the frame.  The last refuted one's least witness makes every variable
+# empty, a mask that every automorphism fixes; on rect(3, 3), where every
+# world reaches every world, it is the only refutation
+_SYMMETRIC = [
+    (rect(3, 3),
+     ("p0 & p1 -> [1](p0 & p1) & [2](p0 & p1)", "<1>p0 & <1>p1 -> <1>(p0 & p1)",
+      "p0 -> [1](p1 -> <2>p0)", "<*>p0 | <*>(p1 & ~p0)"),
+     ("p0 & p1 -> <1>(p0 & p1)",)),
+    (product(cluster(3), chain(3)),
+     ("p0 & p1 -> [1](p0 & p1) & [2](p0 & p1)", "<1>p0 & <1>p1 -> <1>(p0 & p1)",
+      "p0 -> [1](p1 -> <2>p0)", "<*>p0 | <*>(p1 & ~p0)"),
+     ("p0 & <2>p1 -> <1>(p0 | p1)",)),
+    (tack("both", 2),
+     ("p0 & p1 & p2 -> [1](p0 | <2>p2)", "<*>p0 | <*>(p1 & ~p0) | <*>(p2 & ~p0)"),
+     ("<1>(p0 & p1) & <2>(p1 & p2) -> <1><2>p0",
+      "p0 & p1 & p2 -> <2>(p2 & p1 & p0)")),
+    # three worlds are one block up to four variables
+    (lift(cluster(3)),
+     ("p0 & p1 & p2 & p3 & p4 -> <1>(p0 & ~p1)", "<*>p0 | <*>(~p0 & p1 & p2 & p3 & p4)"),
+     ("p0 & p1 & p2 & p3 & p4 -> <2>(p1 & p0)",)),
+]
+
+
+@pytest.mark.parametrize("F, refuted, held", _SYMMETRIC)
+def test_orbit_restriction_keeps_every_verdict(monkeypatch, F, refuted, held):
+    searches = _spy_lone_searches(monkeypatch)
+    kept = _kept_coordinates(F, 1).tolist()
+    assert len(kept) < 1 << F.n
+    texts = refuted + held
+    phis = [parse(text) for text in texts]
+    for phi, verdict in zip(phis, [False] * len(refuted) + [True] * len(held)):
+        plan = S._plan(phi)
+        assert len(plan.occurring) >= 2 and plan.split is None
+        assert _space(F) ** len(plan.occurring) > S._BLOCK
+        searches.clear()
+        assert valid(F, phi, budget=1 << 22) is verdict, phi
+        # the one search ran with the first variable over the kept masks
+        [(part, _, lists)] = searches
+        assert part is F and list(lists) == [plan.occurring[0]]
+        assert lists[plan.occurring[0]].tolist() == kept
+        assert lists[plan.occurring[0]].dtype == S._cell_dtype(F.n)
+        # the oracle searches every valuation; a 9-world valid formula takes
+        # it seconds, so there the exhaustive library search stands in
+        if verdict and F.n == 9:
+            assert refutes_witness(F, phi, budget=1 << 22) is None
+        else:
+            assert verdict is (oracle.least_witness(F, phi) is None), phi
+    verdicts = tuple(text not in refuted for text in texts)
+    assert valid_each([F, F], phis, budget=1 << 22) == [verdicts, verdicts]
+
+
+def test_one_block_and_one_variable_searches_are_not_restricted(monkeypatch):
+    searches = _spy_lone_searches(monkeypatch)
+    # lift(cluster(3)) at k = 3 is one block, and one variable on 17 worlds
+    # is above one block but keeps its whole axis
+    for F, text, verdict in ((lift(cluster(3)), "p0 & p1 & p2 -> <1>(p0 & ~p1)", False),
+                             (lift(cluster(17)), "p0 -> [1]p0", False),
+                             (lift(cluster(17)), "p0 -> <1>p0", True)):
+        searches.clear()
+        assert valid(F, parse(text), budget=1 << 23) is verdict
+        assert [lists for _, _, lists in searches] == [{}]
+
+
+def test_refutes_witness_stays_exhaustive():
+    # the least witness's first mask {8} is not the least of its orbit,
+    # {0}, which is the one kept: refutes_witness still finds it
+    F, phi = rect(3, 3), parse("p0 & p1 -> [1](p0 & p1) & [2](p0 & p1)")
+    w = refutes_witness(F, phi, budget=1 << 22)
+    assert (w.valuation, w.world) == oracle.least_witness(F, phi) == \
+        (((0, 256), (1, 256)), 8)
+    kept = _kept_coordinates(F, 1).tolist()
+    assert 256 not in kept and 1 in kept
+    assert valid(F, phi, budget=1 << 22) is False
+
+
+def test_general_frames_are_not_restricted(monkeypatch):
+    # lift(cluster(4)) with the algebra of the atoms {0, 1}, {2} and {3}:
+    # the swap of worlds 1 and 2 is an automorphism of the frame that maps
+    # {0, 1} out of the algebra.  Three atoms realise at most three of the
+    # four (p0, p1) types, so the formula holds on the general frame and
+    # fails on the frame, where p0 = {0, 2} and p1 = {0, 1} realise all four
+    F = lift(cluster(4))
+    G = GeneralFrame(F, (0, 0b0011, 0b0100, 0b1000, 0b0111, 0b1011, 0b1100, 0b1111))
+    assert any(pull(a, g) not in G.algebra
+               for g in automorphism_generators((F.r1, F.r2), F.n) for a in G.algebra)
+    phi = parse("~(<1>(p0 & p1) & <1>(p0 & ~p1) & <1>(~p0 & p1) & <1>(~p0 & ~p1)) "
+                "| (p0 & p2 & p3 & p4 & ~p0)")
+    plan = S._plan(phi)
+    assert len(plan.occurring) == 5 and plan.split is None
+    assert len(G.algebra) ** 5 > S._BLOCK
+    searches = _spy_lone_searches(monkeypatch)
+    assert valid(G, phi) is (oracle.least_witness(G, phi) is None) is True
+    assert valid_each([G], [phi]) == [(True,)]
+    assert [lists for _, _, lists in searches] == [{}, {}]
+    # the frame itself is restricted, and refuted with a kept first mask
+    searches.clear()
+    assert valid(F, phi, budget=1 << 22) is False
+    [(_, _, lists)] = searches
+    assert 0b0101 in lists[0].tolist()
+
+
+def test_c4_walks_the_kept_first_masks_of_its_lone_parts(monkeypatch):
+    # C4's 169 products search 25 nine-world parts alone, at k = 2: their
+    # first variable walks 4,591 masks of 25 x 512
+    walked, walk = [], S._walk
+
+    def spied(order, leaves, full, pre, seed=()):
+        if not seed and full == 511:
+            walked.append(np.size(leaves[0]))
+        return walk(order, leaves, full, pre, seed)
+
+    monkeypatch.setattr(S, "_walk", spied)
+    searches = _spy_lone_searches(monkeypatch)
+    pres = [p for n in range(1, 4) for p in all_preorders(n)]
+    presym = named_formula("presym")
+    assert S._plan(presym).occurring == [0, 1]
+    rows = valid_each([product(a, b) for a in pres for b in pres], [presym],
+                      budget=1 << 23)
+    assert rows == [(True,)] * 169 and len(searches) == 25
+    assert sum(walked) == 4591 == sum(len(_kept_coordinates(part, 1))
+                                      for part, _, _ in searches)
+    assert {part.n for part, _, _ in searches} == {9}
