@@ -41,14 +41,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, FormatError, NotDefinable, NotPretransitive
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, CapExceeded, FormatError,
+                     NotDefinable, NotPretransitive)
 from .enumeration import _kept_coordinates, _packed_ranks
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
 from .frames import (Frame, _parse_set, all_unions, bitstring, compose_rows,
                      diagonal, fibers, preimage, pull, pull_rows,
                      restrict_frame, rt_closure, union_rows, worlds_of)
-from .semantics import DEFAULT_BUDGET, Model, eval_formula
+from .semantics import Model, eval_formula
 
 
 @dataclass(frozen=True)

@@ -167,21 +167,24 @@ def _c3(params, rng, out):
     return ok
 
 
-def _c4(params, rng, out):
-    ok = True
+def _failing_products(params, formula: Formula) -> tuple[int, list]:
+    """The number of preorders with at most ``max_n`` worlds, and each
+    (i, a, j, b) such that ``formula`` is not valid on the product of the
+    i-th preorder ``a`` with the j-th preorder ``b``."""
     pres = [p for n in range(1, params["max_n"] + 1) for p in all_preorders(n)]
-    presym = named_formula("presym")
-    out.append(f"{len(pres)}^2 = {len(pres)**2} products of preorders with "
+    pairs = [(i, a, j, b) for i, a in enumerate(pres) for j, b in enumerate(pres)]
+    rows = valid_each([C.product(a, b) for _, a, _, b in pairs], [formula],
+                      params["budget"])
+    return len(pres), [pair for pair, (v,) in zip(pairs, rows) if not v]
+
+
+def _c4(params, rng, out):
+    count, failures = _failing_products(params, named_formula("presym"))
+    out.append(f"{count}^2 = {count**2} products of preorders with "
                f"<= {params['max_n']} worlds each")
-    rows = iter(valid_each([C.product(a, b) for a in pres for b in pres],
-                           [presym], params["budget"]))
-    for i, a in enumerate(pres):
-        for j, b in enumerate(pres):
-            if not all(next(rows)):
-                ok = False
-                out.append(f"  FAIL product #{i},#{j} ({a.n}x{b.n})")
-    out.append("presymmetry valid on every product" if ok else "failures above")
-    return ok
+    out.extend(f"  FAIL product #{i},#{j} ({a.n}x{b.n})" for i, a, j, b in failures)
+    out.append("failures above" if failures else "presymmetry valid on every product")
+    return not failures
 
 
 def _c5(params, rng, out):
@@ -256,18 +259,11 @@ def _c7(params, rng, out):
 
 
 def _c8(params, rng, out):
-    ok = True
-    pres = [p for n in range(1, params["max_n"] + 1) for p in all_preorders(n)]
-    rows = iter(valid_each([C.product(a, b) for a in pres for b in pres],
-                           [named_formula("cas")], params["budget"]))
-    for i, a in enumerate(pres):
-        for j, b in enumerate(pres):
-            if not all(next(rows)):
-                ok = False
-                out.append(f"  FAIL product #{i},#{j}")
-    out.append(f"cas valid on all {len(pres)**2} products of preorders "
-               f"with <= {params['max_n']} worlds" if ok else "failures above")
-    return ok
+    count, failures = _failing_products(params, named_formula("cas"))
+    out.extend(f"  FAIL product #{i},#{j}" for i, _, j, _ in failures)
+    out.append("failures above" if failures else f"cas valid on all {count**2} "
+               f"products of preorders with <= {params['max_n']} worlds")
+    return not failures
 
 
 def _c9(params, rng, out):
@@ -325,11 +321,14 @@ def _c11(params, rng, out):
     return ok
 
 
-def match_axiom_suite() -> tuple[list[tuple[str, Formula]], dict[str, list[tuple[str, Formula]]]]:
-    """The formula lists checked on axis-1 match frames.  An axis-2 family is
-    the modality swap of the axis-1 family with the sum kind exchanged (the
-    cross block changes relation when the modalities swap), so its list is
-    the swap of the exchanged kind's list."""
+_SWAP_KIND = {"1": "2", "2": "1", "both": "both"}
+
+
+def match_suite_rows() -> list[tuple[int, str, str, Formula]]:
+    """(axis, kind, name, formula) for all six match-frame families.  An
+    axis-2 family is the modality swap of the axis-1 family with the sum
+    kind exchanged (the cross block changes relation when the modalities
+    swap), so its list is the swap of the exchanged kind's axis-1 list."""
     common = [
         ("dd", named_formula("dd")),
         ("presym(2)", named_formula("presym", [2])),
@@ -343,15 +342,6 @@ def match_axiom_suite() -> tuple[list[tuple[str, Formula]], dict[str, list[tuple
         "both": [("mck(2)", named_formula("mck", [2])),
                  ("match12_ax", named_formula("match12_ax"))],
     }
-    return common, per_kind
-
-
-_SWAP_KIND = {"1": "2", "2": "1", "both": "both"}
-
-
-def match_suite_rows() -> list[tuple[int, str, str, Formula]]:
-    """(axis, kind, name, formula) for all six match-frame families."""
-    common, per_kind = match_axiom_suite()
     rows = []
     for kind in ("1", "2", "both"):
         for name, f in common + per_kind[kind]:

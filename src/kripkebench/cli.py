@@ -14,16 +14,10 @@ import sys
 from pathlib import Path
 
 from . import constructions as C
-from .algebra import beta_formula, block_system, free_algebra_count
-from .checks import CHECKS, DEFAULT_SEED, report_json, run_all, run_check
-from .errors import (BudgetExceeded, CapExceeded, FormatError,
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, CapExceeded, FormatError,
                      KripkebenchError, size_text)
-from .formulas import parse, print_formula
 from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
                      load_valuation, store_frame)
-from .morphisms import (check_pmorphism, find_pmorphism, load_worldmap,
-                        store_worldmap)
-from .semantics import DEFAULT_BUDGET, Model, refutes_witness
 
 
 # Integer options, and options with a fixed set of values (name, values), by
@@ -88,6 +82,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_valid(args) -> int:
+    from .formulas import parse
+    from .semantics import refutes_witness
     g = _read_frame(args.frame)
     f = parse(args.formula)
     try:
@@ -107,6 +103,8 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_pmorph(args) -> int:
+    from .morphisms import (check_pmorphism, find_pmorphism, load_worldmap,
+                            store_worldmap)
     g, h = _read_frame(args.src), _read_frame(args.dst)
     if args.action == "check":
         if not args.map:
@@ -133,6 +131,7 @@ def _cmd_pmorph(args) -> int:
 
 
 def _cmd_freealg(args) -> int:
+    from .algebra import free_algebra_count
     frames = [kripke_of(_read_frame(p)) for p in args.frames.split(",")]
     try:
         count = free_algebra_count(frames, args.k, cap=args.cap,
@@ -149,6 +148,8 @@ def _cmd_freealg(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    from .algebra import block_system
+    from .semantics import Model
     g = _read_frame(args.frame)
     frame = kripke_of(g)
     model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
@@ -164,6 +165,9 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from .algebra import beta_formula
+    from .formulas import print_formula
+    from .semantics import Model
     g = _read_frame(args.frame)
     frame = kripke_of(g)
     model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
@@ -179,16 +183,18 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+    seed = checks.DEFAULT_SEED if args.seed is None else args.seed
     overrides = {}
     if args.budget is not None:
-        overrides = {cid: {"budget": args.budget}
-                     for cid, check in CHECKS.items() if "budget" in check.params}
+        overrides = {cid: {"budget": args.budget} for cid, check
+                     in checks.CHECKS.items() if "budget" in check.params}
     if args.all:
-        records = run_all(seed=args.seed, params=overrides)
+        records = checks.run_all(seed=seed, params=overrides)
     else:
-        records = [run_check(args.id, overrides.get(args.id), seed=args.seed)]
+        records = [checks.run_check(args.id, overrides.get(args.id), seed=seed)]
     if args.json:
-        sys.stdout.write(report_json(records).decode("utf-8"))
+        sys.stdout.write(checks.report_json(records).decode("utf-8"))
     else:
         for r in records:
             print(f"{r.id}: {r.status}")
@@ -252,7 +258,7 @@ def main(argv=None) -> int:
     group = ck.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--id")
-    ck.add_argument("--seed", default=DEFAULT_SEED)
+    ck.add_argument("--seed", default=None)
     ck.add_argument("--budget", default=None)
     ck.add_argument("--json", action="store_true")
     ck.add_argument("-v", "--verbose", action="store_true")

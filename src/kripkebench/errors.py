@@ -48,6 +48,11 @@ class NotTense(KripkebenchError, ValueError):
     """Tense-sum operand whose relations are not mutual converses."""
 
 
+# default budget of validity searches and free-algebra counts, in the unit
+# each one's BudgetExceeded names
+DEFAULT_BUDGET = 1 << 20
+
+
 class BudgetExceeded(KripkebenchError):
     """An enumeration would exceed the configured budget.
 

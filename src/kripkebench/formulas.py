@@ -270,10 +270,6 @@ def variables(f: Formula) -> frozenset[int]:
     return frozenset(g.index for g in nodes(f) if type(g) is Var)
 
 
-def modal_depth(f: Formula) -> int:
-    return f.depth
-
-
 def _rebuild(f: Formula, mapping: Mapping[Formula, Formula], swap: bool) -> Formula:
     """``f`` with each node in the map replaced, and with the two modalities
     exchanged when ``swap``; each distinct node is rebuilt once."""
@@ -615,7 +611,3 @@ def named_formula(name: str, params=()) -> Formula:
         raise ArityMismatch(f"{name} takes {' or '.join(map(str, counts))} "
                             f"parameter(s), got {len(params)}")
     return entry[1](*params)
-
-
-def registry_names() -> tuple[str, ...]:
-    return tuple(NAMED_FORMULAS)

@@ -12,7 +12,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyRestriction, FormatError, UnknownProperty
@@ -279,7 +278,6 @@ def all_unions(atoms: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=32)
 def full_algebra(n: int) -> tuple[int, ...]:
     """Every subset of n worlds, in bitstring order."""
     return all_unions(diagonal(n))
@@ -348,7 +346,10 @@ def load_valuation(data, n: int) -> dict[int, int]:
         if not isinstance(bstr, str) or len(bstr) != n:
             raise FormatError(f"valuation of {key} must be a bitstring of "
                               f"length {n}, got {bstr!r}")
-        out[int(key[1:])] = bits_of(bstr)
+        index = int(key[1:])
+        if index in out:
+            raise FormatError(f"valuation key {key!r} names variable p{index} again")
+        out[index] = bits_of(bstr)
     return out
 
 

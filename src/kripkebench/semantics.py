@@ -87,13 +87,11 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .enumeration import _kept_coordinates
-from .errors import BudgetExceeded, FormatError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, FormatError
 from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
                        Or, ReachBox, ReachDia, Top, Var, _rebuild, nodes)
-from .frames import (Frame, GeneralFrame, full_algebra, kripke_of, preimage,
-                     restrict_frame, restrict_general, rt_closure)
-
-DEFAULT_BUDGET = 1 << 20
+from .frames import (Frame, GeneralFrame, kripke_of, preimage, restrict_frame,
+                     restrict_general, rt_closure)
 
 # cells per evaluated block of the assignment space
 _BLOCK = 1 << 14
@@ -218,6 +216,22 @@ def _cell_dtype(n: int) -> np.dtype:
         if n <= bits:
             return np.dtype(f"uint{bits}")
     return np.dtype(object)
+
+
+@lru_cache(maxsize=16)
+def _all_sets(n: int) -> np.ndarray:
+    """Every subset of n worlds as ``_cell_dtype(n)`` masks, in bitstring
+    order (that of ``frames.full_algebra``): each world doubles the sets so
+    far, the last one, world 0, most significant.  Cached read-only; the
+    arrays for distinct n sum to under twice the largest."""
+    dtype = _cell_dtype(n)
+    sets = np.zeros(1 << n, dtype)
+    size = 1
+    for w in reversed(range(n)):
+        np.bitwise_or(sets[:size], dtype.type(1 << w), out=sets[size:2 * size])
+        size *= 2
+    sets.flags.writeable = False
+    return sets
 
 
 def _preimage_tables(relations: list, n: int) -> np.ndarray:
@@ -393,8 +407,8 @@ def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
         return None if ext == full else Witness((), _least_missing_world(ext, full))
 
     dtype = _cell_dtype(n)
-    cand_arr = np.array(g.algebra if isinstance(g, GeneralFrame) else full_algebra(n),
-                        dtype=dtype)
+    cand_arr = (np.array(g.algebra, dtype=dtype) if isinstance(g, GeneralFrame)
+                else _all_sets(n))
     axes = [lists.get(v, cand_arr) for v in occurring] if lists else [cand_arr] * k
     sizes = list(map(len, axes))
     cell_full = dtype.type(full)

@@ -19,7 +19,7 @@ from kripkebench.enumeration import (_kept_coordinates, _packed_ranks,
                                      random_valuation)
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
                                 NotDefinable, NotPretransitive, size_text)
-from kripkebench.formulas import Top, modal_depth
+from kripkebench.formulas import Top
 from kripkebench.frames import (Frame, as_general, preimage, pull, pull_rows,
                                 worlds_of)
 from kripkebench.morphisms import blow_up
@@ -431,7 +431,7 @@ def test_beta_examples():
     m = Model(lift(chain(2)), {0: 0b10})
     cert = beta_formula(m, 0)
     assert eval_formula(m, cert.beta) == 0b01
-    assert cert.depth == modal_depth(cert.beta)
+    assert cert.depth == cert.beta.depth
 
     m2 = Model(rect(2, 2), {0: 0b0001})
     for r in range(4):

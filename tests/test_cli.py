@@ -73,6 +73,30 @@ def test_check_leaves_stderr_empty(tmp_path):
     assert done.stderr == ""
 
 
+def test_light_commands_load_only_what_they_run(tmp_path):
+    # building a frame and checking a map need neither numpy nor the
+    # evaluator, and importing the package loads none of its modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    (tmp_path / "map.json").write_text("[0, 1]")
+    heavy = {"numpy", "kripkebench.semantics", "kripkebench.algebra",
+             "kripkebench.enumeration", "kripkebench.checks"}
+    for argv in (("build", "chain", "-m", "2", "-o", "chain2.json"),
+                 ("pmorph", "check", "--from", "chain2.json", "--to",
+                  "chain2.json", "--map", "map.json")):
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                               "kripkebench.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = {line.rsplit("|", 1)[1].strip()
+                  for line in done.stderr.splitlines() if line.startswith("import time:")}
+        assert "kripkebench.frames" in loaded and not heavy & loaded, argv
+    done = subprocess.run([sys.executable, "-c", "import kripkebench, sys; print("
+                           "sorted(m for m in sys.modules if m.startswith('kripkebench.')))"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout == "[]\n", done.stderr
+
+
 def test_pmorph(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -336,11 +360,13 @@ def test_bad_valuations_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"
     frame.write_bytes(store_frame(univ_chain(2)))
     val = tmp_path / "v.json"
-    for text in ('{"p0": "1"}', '{"p0": "101"}', '{"pX": "10"}', '{"p0": '):
+    for text in ('{"p0": "1"}', '{"p0": "101"}', '{"pX": "10"}', '{"p0": ',
+                 '{"p0": "10", "p00": "01"}'):
         val.write_text(text)
-        code, out, err = run(capsys, "blocks", "--frame", str(frame),
-                             "--valuation", str(val))
-        assert code == 2 and out == "" and err.startswith("error:"), text
+        for argv in (("blocks",), ("beta", "-r", "0")):
+            code, out, err = run(capsys, *argv, "--frame", str(frame),
+                                 "--valuation", str(val))
+            assert code == 2 and out == "" and err.startswith("error:"), (text, argv)
 
 
 def test_bad_world_maps_exit_2(tmp_path, capsys):

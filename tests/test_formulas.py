@@ -17,10 +17,10 @@ from kripkebench.checks import beta_corpus
 from kripkebench.constructions import chain, lift
 from kripkebench import formulas as F
 from kripkebench.errors import ArityMismatch, FormulaSyntaxError, UnknownName
-from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or, Top,
-                                  Var, box_star, box_v, conj, dia_star, dia_v,
-                                  modal_depth, named_formula, nodes, parse,
-                                  print_formula, registry_names, substitute,
+from kripkebench.formulas import (NAMED_FORMULAS, And, Bot, Box, Dia, Iff,
+                                  Imp, Not, Or, Top, Var, box_star, box_v,
+                                  conj, dia_star, dia_v, named_formula, nodes,
+                                  parse, print_formula, substitute,
                                   swap_modalities, variables)
 from kripkebench.semantics import Model, eval_formula, refutes_witness, valid
 
@@ -205,14 +205,14 @@ def test_substitute_examples():
 @given(formulas(max_depth=5), formulas(max_depth=4), formulas(max_depth=4))
 def test_substitution_depth_bound(f, g0, g1):
     sub = {0: g0, 1: g1}
-    bound = modal_depth(f) + max(modal_depth(g0), modal_depth(g1))
-    assert modal_depth(substitute(f, sub)) <= bound
+    bound = f.depth + max(g0.depth, g1.depth)
+    assert substitute(f, sub).depth <= bound
 
 
 def test_modal_depth_examples():
-    assert modal_depth(parse("p0 & ~p1")) == 0
-    assert modal_depth(parse("<1>[2]p0")) == 2
-    assert modal_depth(named_formula("bh", [2, 1])) == 3
+    assert parse("p0 & ~p1").depth == 0
+    assert parse("<1>[2]p0").depth == 2
+    assert named_formula("bh", [2, 1]).depth == 3
 
 
 def test_named_formula_examples():
@@ -283,7 +283,7 @@ def test_every_registry_name_is_instantiable():
         "bh": [1, 1], "rp": [1, "v"], "presym": [], "mck": [1], "dot3": [1],
         "triv_ax": [1], "s4_ax": [1], "s5_ax": [1],
     }
-    for name in registry_names():
+    for name in NAMED_FORMULAS:
         named_formula(name, instantiations.get(name, []))
 
 
@@ -317,7 +317,7 @@ def assert_node_order(f):
 def assert_walks_agree(f, frame, valuation):
     sub = {0: Dia(1, Var(2)), 2: Not(Var(0))}
     assert variables(f) == oracle.tree_variables(f)
-    assert modal_depth(f) == oracle.tree_depth(f)
+    assert f.depth == oracle.tree_depth(f)
     key = oracle.tree_key
     assert key(substitute(f, sub)) == key(oracle.tree_substitute(f, sub))
     assert key(swap_modalities(f)) == key(oracle.tree_swap(f))
@@ -438,7 +438,7 @@ def test_deep_and_wide_formulas_go_through_every_walk():
     deep = negated(Dia(1, Var(0)))
     text = "~" * 5000 + "<1>p0"
     assert len(nodes(deep)) == 5002
-    assert variables(deep) == {0} and modal_depth(deep) == 1
+    assert variables(deep) == {0} and deep.depth == 1
     assert print_formula(deep) == str(deep) == text
     assert parse(text) is deep and hash(parse(text)) == hash(deep)
     assert substitute(deep, {0: Var(1)}) is negated(Dia(1, Var(1)))
@@ -452,7 +452,7 @@ def test_deep_and_wide_formulas_go_through_every_walk():
     wide_text = print_formula(parts[0])
     for p in parts[1:]:
         wide_text = f"({wide_text} & {print_formula(p)})"
-    assert variables(wide) == {0, 1, 2} and modal_depth(wide) == 1
+    assert variables(wide) == {0, 1, 2} and wide.depth == 1
     assert print_formula(wide) == wide_text
     assert substitute(wide, {0: Top()}) is \
         conj(part(i, lambda v: Var(v) if v else Top()) for i in range(3000))
@@ -475,7 +475,7 @@ def test_deep_and_wide_formulas_go_through_every_walk():
 def test_parser_depth():
     # a run of prefix operators is read in a loop, whatever its length
     assert print_formula(parse("~" * 1200 + "p0")) == "~" * 1200 + "p0"
-    assert modal_depth(parse("<1>[v]" * 600 + "p0")) == 1200
+    assert parse("<1>[v]" * 600 + "p0").depth == 1200
     assert parse("(" * 50 + "p0" + ")" * 50) == Var(0)
     # a parenthesis costs three interpreter frames, so about 330 levels parse
     body = "<1>p0 -> <1>p0 -> p1"

@@ -95,6 +95,13 @@ def test_load_valuation_rejects_non_variable_key():
             load_valuation({key: "10"}, 2)
 
 
+def test_load_valuation_rejects_a_variable_named_twice():
+    # the key pattern reads p00 as variable 0, like p0
+    for doc in ('{"p0": "10", "p00": "01"}', '{"p01": "10", "p1": "01"}'):
+        with pytest.raises(FormatError, match="names variable p[01] again"):
+            load_valuation(doc, 2)
+
+
 def test_load_valuation_rejects_malformed_json():
     for data in (b'{"p0": "10"', b"\xff", "[]", '"10"'):
         with pytest.raises(FormatError):

@@ -231,11 +231,18 @@ def test_search_matches_oracle_on_wide_general_frames(n):
         assert valid(g, phi) == (expected is None), text
 
 
+def test_kripke_candidate_axis_is_the_full_algebra():
+    for n in range(11):
+        axis = S._all_sets(n)
+        assert axis.dtype == S._cell_dtype(n) and not axis.flags.writeable
+        assert axis.tolist() == list(full_algebra(n)), n
+
+
 def test_variable_free_formulas_need_no_candidates(monkeypatch):
     def no_candidates(n):
         raise AssertionError("candidate sets built for a variable-free formula")
 
-    monkeypatch.setattr(S, "full_algebra", no_candidates)
+    monkeypatch.setattr(S, "_all_sets", no_candidates)
     assert valid(lintgrz(20), parse("[1]true"))
     assert valid(lintgrz(30), parse("[1]true & <2>true"))
     w = refutes_witness(lintgrz(30), parse("<2>[1]false | [1]<1>false"))
