@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: build (frame constructors), valid (validity / refutation with
-witness), pmorph (check or find p-morphisms), freealg, blocks, beta, and
-check (the registry runner).
+witness), pmorph (check or find p-morphisms), freealg, blocks, beta, check
+(the registry runner) and profile (the registry formulas on one frame).
 """
 
 from __future__ import annotations
@@ -204,6 +204,13 @@ def _cmd_check(args) -> int:
     return 0 if all(r.status != "fail" for r in records) else 1
 
 
+def _cmd_profile(args) -> int:
+    from . import checks
+    for row in checks.axiom_profile(_read_frame(args.frame), budget=args.budget):
+        print(f"{row.label:<14} {row.status:<16} {row.formula[:90]}")
+    return 0
+
+
 def main(argv=None) -> int:
     top = argparse.ArgumentParser(prog="kripkebench")
     sub = top.add_subparsers(dest="command", required=True)
@@ -263,6 +270,11 @@ def main(argv=None) -> int:
     ck.add_argument("--json", action="store_true")
     ck.add_argument("-v", "--verbose", action="store_true")
     ck.set_defaults(fn=_cmd_check)
+
+    pr = sub.add_parser("profile", help="verdict of each registry formula on a frame")
+    pr.add_argument("--frame", required=True)
+    pr.add_argument("--budget", default=1 << 22)
+    pr.set_defaults(fn=_cmd_profile)
 
     args = top.parse_args(argv)
     try:

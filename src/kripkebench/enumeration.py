@@ -22,11 +22,9 @@ twins is one leaf, and its rows in colour order are its key; only the
 others go to the search.  The refinement treats isomorphic frames alike,
 so they take the same route, and every key is a relabelled copy of its
 frame, so equal keys mean isomorphic frames.  A leaf key does not depend
-on the other frames refined with it, but it is not the search's key of
-the frame, so all frames of one world count take one route: fewer than
-eight are searched one by one, which is faster than numpy there.
-Bimodal frames are enumerated exhaustively for n <= 2; beyond that the
-samplers provide seeded pseudorandom corpora.
+on the other frames refined with it.  Bimodal frames are enumerated
+exhaustively for n <= 2; beyond that the samplers provide seeded
+pseudorandom corpora.
 """
 
 from __future__ import annotations
@@ -331,18 +329,10 @@ def _keys(batch: Sequence[tuple[tuple[int, ...], ...]], n: int) -> list[tuple]:
             for relations, is_leaf, pulled_rows in zip(batch, leaf, leaf_rows.tolist())]
 
 
-# Below this many frames of one shape, numpy's per-call cost makes ``_keys``
-# slower than searching each frame (measured on poset children and bimodal
-# frames), and it would be the only numpy code a small enumeration touches.
-_BATCH = 8
-
-
 def iso_distinct(frames, relations=attrgetter("r1", "r2")):
     """The first of the frames of each isomorphism class, in input order.
     ``relations`` reads an item's relation tuple.  The items of one world
-    count and number of relations are keyed together, by ``_keys``, or by
-    ``canonical_key`` when they are fewer than ``_BATCH``: the two give an
-    item different keys, so one shape takes one route."""
+    count and number of relations are keyed together, by ``_keys``."""
     frames = list(frames)
     batches: dict = {}
     for i, f in enumerate(frames):
@@ -350,10 +340,7 @@ def iso_distinct(frames, relations=attrgetter("r1", "r2")):
         batches.setdefault((len(rels[0]), len(rels)), []).append((i, rels))
     first: dict = {}
     for (n, _), batch in batches.items():
-        rows = [rels for _, rels in batch]
-        keys = (_keys(rows, n) if len(rows) >= _BATCH
-                else [canonical_key(rels, n) for rels in rows])
-        for (i, _), key in zip(batch, keys):
+        for (i, _), key in zip(batch, _keys([rels for _, rels in batch], n)):
             first.setdefault(key, i)
     return [frames[i] for i in sorted(first.values())]
 
@@ -462,7 +449,6 @@ def all_preorders(n: int) -> tuple[UniFrame, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def linear_preorders(n: int) -> tuple[UniFrame, ...]:
     """Linear preorders (chains of clusters) on n worlds, up to isomorphism:
     one per composition of n."""
@@ -476,7 +462,6 @@ def linear_preorders(n: int) -> tuple[UniFrame, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def all_bimodal_frames(n: int) -> tuple[Frame, ...]:
     """All bimodal frames on n worlds up to isomorphism (n <= 2 only; the
     labelled space grows as 2^(2 n^2))."""

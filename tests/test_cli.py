@@ -5,8 +5,10 @@ import sys
 from pathlib import Path
 
 from kripkebench import constructions as C
+from kripkebench.checks import axiom_profile
 from kripkebench.cli import main
-from kripkebench.constructions import chain, lift, rect, tack, univ_chain
+from kripkebench.constructions import (chain, lift, rect, singleton, tack,
+                                       univ_chain)
 from kripkebench.frames import load_frame, store_frame
 
 
@@ -187,7 +189,7 @@ def test_integer_options_share_one_error_shape(tmp_path, capsys):
     budgets = [("valid", "--frame", str(frame), "--formula", "p0"),
                ("pmorph", "find", "--from", str(frame), "--to", str(frame)),
                ("freealg", "--frames", str(frame), "-k", "1"),
-               ("check", "--id", "C5")]
+               ("check", "--id", "C5"), ("profile", "--frame", str(frame))]
     cases = [(argv, flag) for flag, argv in commands.items()] + \
         [(argv, "--budget") for argv in budgets]
     for argv, flag in cases:
@@ -361,12 +363,53 @@ def test_bad_valuations_exit_2(tmp_path, capsys):
     frame.write_bytes(store_frame(univ_chain(2)))
     val = tmp_path / "v.json"
     for text in ('{"p0": "1"}', '{"p0": "101"}', '{"pX": "10"}', '{"p0": ',
-                 '{"p0": "10", "p00": "01"}'):
+                 '{"p0": "10", "p00": "01"}', '{"p0": "10", "p0": "01"}'):
         val.write_text(text)
         for argv in (("blocks",), ("beta", "-r", "0")):
             code, out, err = run(capsys, *argv, "--frame", str(frame),
                                  "--valuation", str(val))
             assert code == 2 and out == "" and err.startswith("error:"), (text, argv)
+
+
+def test_repeated_frame_keys_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_text('{"n": 2, "r1": ["11", "01"], "r2": ["11", "11"], "r2": ["10", "01"]}')
+    val = tmp_path / "v.json"
+    val.write_text('{"p0": "10"}')
+    code, out, err = run(capsys, "blocks", "--frame", str(frame), "--valuation", str(val))
+    assert (code, out, err) == (2, "", "error: invalid JSON: repeated key 'r2'\n")
+
+
+def test_profile_prints_each_row(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    for f in (tack("1", 2), singleton()):
+        frame.write_bytes(store_frame(f))
+        code, out, err = run(capsys, "profile", "--frame", str(frame))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{r.label:<14} {r.status:<16} {r.formula[:90]}\n"
+                              for r in axiom_profile(f))
+
+
+def test_profile_budget_marks_rows(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    frame.write_bytes(store_frame(rect(3, 3)))
+    code, out, _ = run(capsys, "profile", "--frame", str(frame), "--budget", "64")
+    rows = [line.split() for line in out.splitlines()]
+    assert code == 0 and len(rows) == len(axiom_profile(singleton()))
+    assert all(row[1] == "budget-exceeded" for row in rows if "presym" in row[0])
+
+
+def test_profile_bad_frames_exit_2(tmp_path, capsys):
+    frame = tmp_path / "f.json"
+    for text in ('{"n": 2, "r1": ["1"], "r2": ["11", "11"]}', '{"n": 2',
+                 '{"n": 1, "n": 1, "r1": ["1"], "r2": ["1"]}', "[]",
+                 '{"n": 2, "r1": ["11", "01"], "r2": ["10", "01"], "algebra": ["00"]}'):
+        frame.write_text(text)
+        code, out, err = run(capsys, "profile", "--frame", str(frame))
+        assert code == 2 and out == "" and err.startswith("error:"), text
+        assert err.count("\n") == 1, text
+    code, out, err = run(capsys, "profile", "--frame", str(tmp_path / "absent.json"))
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bad_world_maps_exit_2(tmp_path, capsys):

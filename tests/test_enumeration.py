@@ -349,22 +349,24 @@ def test_iso_distinct_keeps_the_first_frame_of_each_class(pairs):
 
 def test_iso_distinct_searches_only_the_frames_that_branch(monkeypatch):
     # Frames whose refined cells are all twin groups are keyed as one leaf
-    # each, in one batch per world count of at least _BATCH frames; only
-    # the others reach canonical_key, once each.  A kernel that refined too
+    # each, in one batch per world count, however few its frames; only the
+    # others reach canonical_key, once each.  A kernel that refined too
     # coarsely, or sent every frame to the search, would give the same
     # answer.
-    rng = Random(24)
-    corpus = [(f in BRANCHING_FRAMES, Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm)))
-              for f in LEAF_FRAMES + BRANCHING_FRAMES
-              for perm in (rng.sample(range(f.n), f.n) for _ in range(enumeration._BATCH))]
-    rng.shuffle(corpus)
-    calls = []
     key = enumeration.canonical_key
-    monkeypatch.setattr(enumeration, "canonical_key",
-                        lambda relations, n: calls.append(relations) or key(relations, n))
-    kept = iso_distinct(f for _, f in corpus)
-    assert len(kept) == len(LEAF_FRAMES) + len(BRANCHING_FRAMES)
-    assert sorted(calls) == sorted((f.r1, f.r2) for branching, f in corpus if branching)
+    for copies, seed in ((8, 24), (1, 25)):
+        rng = Random(seed)
+        corpus = [(f in BRANCHING_FRAMES,
+                   Frame(f.n, relabel(f.r1, perm), relabel(f.r2, perm)))
+                  for f in LEAF_FRAMES + BRANCHING_FRAMES
+                  for perm in (rng.sample(range(f.n), f.n) for _ in range(copies))]
+        rng.shuffle(corpus)
+        calls = []
+        monkeypatch.setattr(enumeration, "canonical_key",
+                            lambda relations, n: calls.append(relations) or key(relations, n))
+        kept = iso_distinct(f for _, f in corpus)
+        assert len(kept) == len(LEAF_FRAMES) + len(BRANCHING_FRAMES)
+        assert sorted(calls) == sorted((f.r1, f.r2) for branching, f in corpus if branching)
 
 
 def test_keys_past_int64_masks_use_the_search(monkeypatch):
@@ -375,13 +377,6 @@ def test_keys_past_int64_masks_use_the_search(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_key",
                         lambda relations, n: calls.append(n) or key(relations, n))
     assert len(set(_keys([(f.r1, f.r2)] * 2, 63))) == 1 and calls == [63, 63]
-
-
-def test_iso_distinct_searches_few_frames_one_by_one(monkeypatch):
-    # a world count with fewer frames than a batch never reaches numpy
-    monkeypatch.setattr(enumeration, "_keys", None)
-    frames = [lift(cluster(3)), lift(chain(3))] * (enumeration._BATCH // 2 - 1)
-    assert iso_distinct(frames) == frames[:2]
 
 
 def test_packed_ranks_first_column_may_pass_the_base():

@@ -108,6 +108,28 @@ def test_load_valuation_rejects_malformed_json():
             load_valuation(data, 2)
 
 
+def test_loaders_reject_a_repeated_key():
+    # json.loads alone keeps the last value of a repeated key
+    for doc in ('{"n": 2, "r1": ["11", "01"], "r2": ["11", "11"], "r2": ["10", "01"]}',
+                b'{"n": 1, "n": 1, "r1": ["1"], "r2": ["1"]}',
+                '{"n": 1, "r1": ["1"], "r2": ["1"], "x": [{"a": 1, "a": 1}]}'):
+        with pytest.raises(FormatError, match="repeated key"):
+            load_frame(doc)
+    for doc in ('{"p0": "10", "p0": "01"}', '{"p0": "10", "p1": "01", "p0": "10"}'):
+        with pytest.raises(FormatError, match="repeated key 'p0'"):
+            load_valuation(doc, 2)
+    # a key may recur in another object
+    assert load_frame('{"n": 1, "r1": ["1"], "r2": ["1"], "x": {"n": 2}}') == singleton()
+
+
+def test_general_frame_sorts_its_algebra_in_bitstring_order():
+    # world 0 is the most significant: the bit tuples from world 0 up
+    full = as_general(tack("both", 2))
+    shuffled = tuple(random.Random(5).sample(full.algebra, len(full.algebra)))
+    by_bits = sorted(shuffled, key=lambda m: [m >> i & 1 for i in range(5)])
+    assert GeneralFrame(full.frame, shuffled).algebra == tuple(by_bits) == full.algebra
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
