@@ -119,7 +119,7 @@ def generated_subalgebra(frame: Frame, gens: Sequence[int | str],
     listed directly in bitstring order.  Raises CapExceeded carrying the
     exact size when it is larger than ``cap``.
     """
-    gens = [_parse_set(g, frame.n, f"generator {i}") for i, g in enumerate(gens)]
+    gens = [_parse_set(g, frame.n, "generator {}", i) for i, g in enumerate(gens)]
     for types in _model_refinements(frame, gens):
         pass
     atoms = _blocks(types)

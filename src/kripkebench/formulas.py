@@ -32,9 +32,10 @@ no walk recurses.  The parser reads one token at a time by precedence
 climbing (Pratt, "Top down operator precedence", 1973): one table gives
 each infix operator its precedence and node class, and another gives each
 prefix token its builder, which the registry's modality parameters also
-use.  It jumps past a repeat of a group it has parsed, so its time and
-memory follow the text it reads.  Nesting past the recursion limit is a
-FormulaSyntaxError, unless it sits only inside repeats of parsed groups.
+use.  It jumps past a repeat of a group it has parsed and looks for
+unrecognised input only when a parse fails, so its time and memory follow
+the text it reads.  Nesting past the recursion limit is a FormulaSyntaxError,
+unless it sits only inside repeats of parsed groups.
 """
 
 from __future__ import annotations
@@ -348,10 +349,10 @@ def print_formula(f: Formula) -> str:
 
 # the tokens; any other character but whitespace is unrecognised input
 _TOKENS = r"<->|->|<[12v*]>|\[[12v*]\]|p[0-9]+|true|false|[&|~()]"
-# the leading whitespace and tokens, by a repeat that keeps no backtracking state
+# the leading whitespace and tokens, possessively; only a failed parse runs it
 _VALID = re.compile(rf"(?:\s|{_TOKENS})*+").match
-# the next token, or "" at the end of the text
-_SCAN = re.compile(rf"\s*+({_TOKENS}|\Z)").match
+# the next token, "" at the end of the text, or a character no table knows
+_SCAN = re.compile(rf"\s*+({_TOKENS}|\Z|.)").match
 _HEAD = 16  # a group's head: its text up to its first ) or _HEAD characters
 # prefix token text -> the builder it applies
 _PREFIX_OPS = {"~": Not, "<v>": dia_v, "<*>": dia_star, "[v]": box_v, "[*]": box_star,
@@ -375,16 +376,16 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
-        end = _VALID(text).end()
-        if end < len(text):
-            raise FormulaSyntaxError("unrecognised input", len(text[:end].encode("utf-8")),
-                                     _ATOM_EXPECTED | _INFIX_EXPECTED, text[end])
         # head -> {length: (start, node)} of the last group closed: offsets, not text
         self.groups: dict[str, dict[int, tuple[int, Formula]]] = {}
         m = _SCAN(text)
         self.tok, self.pos = m[1], m.end()
 
     def fail(self, expected: frozenset[str], problem: str = "unexpected token") -> NoReturn:
+        end = _VALID(self.text).end()
+        if end < len(self.text):
+            self.tok, self.pos = self.text[end], end + 1
+            expected, problem = _ATOM_EXPECTED | _INFIX_EXPECTED, "unrecognised input"
         offset = len(self.text[:self.pos - len(self.tok)].encode("utf-8"))
         raise FormulaSyntaxError(problem, offset, expected, self.tok or "end of input") from None
 
@@ -410,7 +411,7 @@ class _Parser:
             m = _SCAN(self.text, self.pos)
             self.tok, self.pos = m[1], m.end()
         tok = self.tok
-        if tok[:1] == "p":
+        if tok[:1] == "p" and tok[1:]:
             m = _SCAN(self.text, self.pos)
             self.tok, self.pos = m[1], m.end()
             f = Var(int(tok[1:]))
@@ -453,11 +454,12 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse formula text.  Precedence ~/modal > & > | > -> > <->;
-    implication and equivalence associate to the right.  One possessive
-    match finds unrecognised input ahead of any syntax error; then one
-    match reads each token.  A ( that repeats the text of a group closed
-    earlier in the call, looked up by the group's head (its text up to its
-    first ) or 16 characters) and length, gives that group's node unread.
+    implication and equivalence associate to the right.  One match reads
+    each token; only a parse that fails runs one possessive match over the
+    text, and reports its first unrecognised character ahead of any syntax
+    error.  A ( that repeats the text of a group closed earlier in the
+    call, looked up by the group's head (its text up to its first ) or 16
+    characters) and length, gives that group's node unread.
     A level of parentheses takes three interpreter frames and an -> or <->
     of a chain one, so under the default recursion limit of 1000 about 330
     levels of parentheses and about 990 chained arrows parse.  Nesting past

@@ -196,23 +196,24 @@ def uniframe(n: int, rows) -> UniFrame:
     return UniFrame(n, _parse_rows(rows, n, "rows"))
 
 
-def _parse_set(s, n: int, what: str) -> int:
-    """A world-set given as a bitstring of length n or as an integer mask."""
+def _parse_set(s, n: int, what: str, *args) -> int:
+    """A world-set given as a bitstring of length n or as an integer mask.
+    An error names it ``what.format(*args)``, formatted only when raised."""
     if isinstance(s, str):
         if len(s) != n:
-            raise FormatError(f"{what} has length {len(s)}, expected {n}")
+            raise FormatError(f"{what.format(*args)} has length {len(s)}, expected {n}")
         return bits_of(s)
     if not isinstance(s, int) or isinstance(s, bool):
-        raise FormatError(f"{what} must be a bitstring or an integer, got {s!r}")
+        raise FormatError(f"{what.format(*args)} must be a bitstring or an integer, got {s!r}")
     if s < 0 or s >> n:
-        raise FormatError(f"{what} out of range for {n} worlds")
+        raise FormatError(f"{what.format(*args)} out of range for {n} worlds")
     return s
 
 
 def _parse_rows(rows, n: int, what: str) -> tuple[int, ...]:
     if len(rows) != n:
         raise FormatError(f"{what} has {len(rows)} rows, expected {n}")
-    return tuple(_parse_set(row, n, f"{what} row {i}") for i, row in enumerate(rows))
+    return tuple(_parse_set(row, n, "{} row {}", what, i) for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,8 +346,7 @@ def load_frame(data) -> Frame | GeneralFrame:
     alg = data["algebra"]
     if not isinstance(alg, list):
         raise FormatError("algebra must be a list of set-bitstrings")
-    return GeneralFrame(frame, tuple(_parse_set(s, n, f"algebra set {s!r}")
-                                     for s in alg))
+    return GeneralFrame(frame, tuple(_parse_set(s, n, "algebra set {!r}", s) for s in alg))
 
 
 def load_valuation(data, n: int) -> dict[int, int]:

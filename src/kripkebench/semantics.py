@@ -386,6 +386,12 @@ class _Plan:
 _plan = lru_cache(maxsize=1024)(_Plan)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` without its masked-array check, which imports numpy.ma."""
+    a = np.sort(a, axis=None)
+    return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
+
+
 def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                        lists: Mapping[int, np.ndarray] = {},
                        collect: bool = False) -> Witness | np.ndarray | None:
@@ -446,7 +452,7 @@ def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                 (-1,) + (1,) * (k - 1 - a))
             res = _walk(program, leaves, cell_full, pre)
             if collect:
-                seen.append(np.unique(res))
+                seen.append(_distinct(res))
                 continue
             if batch is not None:  # one block: a verdict per frame; a value
                 # with no modal step has no frame axis, as all frames agree
@@ -459,7 +465,7 @@ def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                 return Witness(
                     tuple((v, int(x[i])) for v, x, i in zip(occurring, axes, index)),
                     _least_missing_world(int(res.flat[bad[0]]), full))
-    return np.unique(np.concatenate(seen)) if collect else None
+    return _distinct(np.concatenate(seen)) if collect else None
 
 
 def _factored(g: Frame | GeneralFrame, plan: _Plan) -> tuple[_Plan, dict]:

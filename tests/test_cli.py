@@ -99,6 +99,17 @@ def test_light_commands_load_only_what_they_run(tmp_path):
     assert done.stdout == "[]\n", done.stderr
 
 
+def test_collecting_searches_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call; C1's searches collect
+    # reachable extensions without it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", "import sys; from kripkebench.checks import "
+                           "run_check; print(run_check('C1').status, 'numpy.ma' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout == "pass False\n", done.stderr
+
+
 def test_pmorph(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from kripkebench.algebra import beta_formula
-from kripkebench.checks import beta_corpus
+from kripkebench.checks import PROFILE_ROWS, beta_corpus
 from kripkebench.constructions import chain, lift
 from kripkebench import formulas as F
 from kripkebench.errors import ArityMismatch, FormulaSyntaxError, UnknownName
@@ -164,9 +164,32 @@ _SIBLING = "(" + "p0 & " * 10
     # unrecognised input after a syntax error, and after a repeat
     "p0 p1 (p0 & p1) @",
     "(p0 & p1) & (p0 & p1) ) é",
+    # a stray character after a repeat the parser jumped
+    "(p0 & p1) & (p0 & p1) @",
+    # a p with no digits, and a modality no token knows
+    "p",
+    "p0 & p",
+    "<3>p0",
+    # unrecognised input past the nesting limit
+    pytest.param("(" * 400 + "p0" + ")" * 400 + " @", id="400 levels, then @"),
 ])
 def test_parse_memo_corners(text):
     assert_parsers_agree(text)
+
+
+def test_successful_parse_never_looks_for_unrecognised_input(monkeypatch):
+    # a parse that succeeds has read each character as a token or jumped
+    # over a repeat of text it read, so only a failed parse runs _VALID
+    def spy(text):
+        raise AssertionError("_VALID ran")
+
+    monkeypatch.setattr(F, "_VALID", spy)
+    wanted = [named_formula("bh", [4, "*"])]
+    wanted += [named_formula(name, list(args)) for _, (name, args) in PROFILE_ROWS]
+    for f in wanted:
+        assert parse(print_formula(f)) is f
+    with pytest.raises(AssertionError, match="_VALID ran"):
+        parse("p0 p1")
 
 
 def _second_parse_peak(text):
@@ -480,8 +503,13 @@ def test_parser_depth():
     # a parenthesis costs three interpreter frames, so about 330 levels parse
     body = "<1>p0 -> <1>p0 -> p1"
     assert parse("(" * 250 + body + ")" * 250) is parse(body)
+    deep = "(" * 400 + "p0" + ")" * 400
     with pytest.raises(FormulaSyntaxError, match="^nesting too deep") as e:
-        parse("(" * 400 + "p0" + ")" * 400)
+        parse(deep)
     assert e.value.found == "(" and 0 < e.value.offset < 400
+    # unrecognised input is reported ahead of the nesting error
+    with pytest.raises(FormulaSyntaxError, match="^unrecognised input") as e:
+        parse(deep + " @")
+    assert e.value.found == "@" and e.value.offset == len(deep) + 1
     with pytest.raises(FormulaSyntaxError, match="^nesting too deep"):
         parse(" -> ".join(["p0"] * 2000))

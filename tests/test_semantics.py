@@ -1053,3 +1053,15 @@ def test_c4_walks_the_kept_first_masks_of_its_lone_parts(monkeypatch):
     assert sum(walked) == 4591 == sum(len(_kept_coordinates(part, 1))
                                       for part, _, _ in searches)
     assert {part.n for part, _, _ in searches} == {9}
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64", object])
+def test_distinct_is_np_unique(dtype):
+    # five values from 0 to the largest the dtype holds, so larger arrays repeat some
+    top = (1 << 70) if dtype is object else np.iinfo(dtype).max
+    pool, rng = [top, 0, 1, top // 3, top - 1], random.Random(str(dtype))
+    for shape in ((0,), (1,), (7,), (5, 1, 3), (40, 6)):
+        values = [rng.choice(pool) for _ in range(int(np.prod(shape)))]
+        a = np.array(values, dtype=dtype).reshape(shape)
+        got, want = S._distinct(a), np.unique(a)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
