@@ -37,7 +37,11 @@ def _read_options(args) -> None:
         if isinstance(text, str):  # given on the command line; defaults are ints
             if not re.fullmatch(r"[+-]?[0-9]+", text):
                 raise FormatError(f"{flag} must be an integer, got {text!r}")
-            setattr(args, dest, int(text))
+            try:
+                setattr(args, dest, int(text))
+            except ValueError:  # more digits than the interpreter converts
+                raise FormatError(f"{flag} has more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
     for dest, (name, choices) in _CHOICE_OPTIONS.items():
         value = getattr(args, dest, None)
         if value is not None and value not in choices:

@@ -19,9 +19,11 @@ hash-consing", 2006): a constructor looks its class and fields up in one
 table of weak references and returns the live node with those fields if
 there is one, so structurally equal formulas are one object.  ``==`` is
 ``is``, ``hash`` is O(1), neither recurses, and ``depth`` (the modal
-depth) is recorded when a node is built.  A node that nothing else holds
-is freed, and its death callback removes its own table entry.  Nodes are
-immutable; copying or unpickling one returns the interned node.
+depth) is recorded when a node is built.  A new node is recorded with one
+atomic ``setdefault``, and the lock is taken only when an entry was there
+first.  A node that nothing else holds is freed, and its death callback
+removes its own table entry under the lock.  Nodes are immutable; copying
+or unpickling one returns the interned node.
 
 A formula is a DAG of distinct subformulas.  ``nodes(f)`` lists each of
 them once, children before parents and ``f`` last.  Every walk over a
@@ -41,6 +43,7 @@ unless it sits only inside repeats of parsed groups.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 import weakref
 from functools import partial
@@ -50,7 +53,8 @@ from typing import Mapping, NoReturn
 from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
 
 # (class, *fields) -> weak reference to the one live node with those fields;
-# children are fields, and a child's hash and == are its identity
+# children are fields, and a child's hash and == are its identity, so a key
+# is hashed and compared without Python code and ``setdefault`` is atomic
 _table: dict[tuple, _Ref] = {}
 _lock = threading.RLock()
 
@@ -60,25 +64,34 @@ class _Ref(weakref.ref):
 
 
 def _forget(ref: _Ref) -> None:
-    """Death callback: drop the node's entry, unless a newer node has it."""
-    if _table.get(ref.key) is ref:
-        del _table[ref.key]
+    """Death callback: drop the node's entry, unless a newer node has it;
+    under the lock, so that ``_make`` cannot replace it in between."""
+    with _lock:
+        if _table.get(ref.key) is ref:
+            del _table[ref.key]
 
 
 def _make(key: tuple, depth: int) -> Formula:
-    """The node for ``key``, built and recorded unless another thread
-    recorded it first; constructors call it when their lookup misses."""
-    with _lock:
-        ref = _table.get(key)
-        node = ref and ref()
-        if node is None:
-            cls = key[0]
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, key[1:]):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "depth", depth)
-            ref = _table[key] = _Ref(node, _forget)
-            ref.key = key
+    """The node for ``key``; constructors call it when their lookup misses.
+    One ``setdefault`` records a new node without the lock; only if an
+    entry was there first does it lock, to return that entry's live node or
+    put its own in a dead one's place."""
+    cls = key[0]
+    node = _new(cls)
+    _set_depth(node, depth)
+    if len(key) > 1:
+        cls._set_first(node, key[1])
+        if len(key) > 2:
+            cls._set_second(node, key[2])
+    ref = _Ref(node, _forget)
+    ref.key = key
+    if _table.setdefault(key, ref) is not ref:
+        with _lock:
+            other = _table.get(key)
+            live = other and other()
+            if live is not None:
+                return live
+            _table[key] = ref
     return node
 
 
@@ -194,6 +207,13 @@ class Imp(_Binary):
 class Iff(_Binary):
     __slots__ = ()
 
+
+# _make sets a node's fields through its slots' descriptors, one call each
+_new, _set_depth = object.__new__, Formula.depth.__set__
+Var._set_first = Var.index.__set__
+_Unary._set_first = _Unary.child.__set__
+_Modal._set_first, _Modal._set_second = _Modal.mod.__set__, _Modal.child.__set__
+_Binary._set_first, _Binary._set_second = _Binary.left.__set__, _Binary.right.__set__
 
 _BINARY = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
@@ -412,9 +432,13 @@ class _Parser:
             self.tok, self.pos = m[1], m.end()
         tok = self.tok
         if tok[:1] == "p" and tok[1:]:
+            try:
+                f = Var(int(tok[1:]))
+            except ValueError:  # more digits than the interpreter converts
+                self.fail(_ATOM_EXPECTED, "variable index of more than "
+                          f"{sys.get_int_max_str_digits()} digits")
             m = _SCAN(self.text, self.pos)
             self.tok, self.pos = m[1], m.end()
-            f = Var(int(tok[1:]))
         else:
             f = self.atom()
         while builders:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -309,7 +310,8 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 def decode_json(data):
     """The document of JSON text or bytes (in any encoding ``json.loads``
     reads); any other value is taken as already decoded.  Malformed JSON,
-    and an object that repeats a key, raise FormatError."""
+    JSON nested past the recursion limit and an object that repeats a key
+    raise FormatError."""
     if isinstance(data, (str, bytes, bytearray)):
         try:
             if not isinstance(data, str):
@@ -317,6 +319,8 @@ def decode_json(data):
             return _DECODER.decode(data)
         except ValueError as e:  # also undecodable bytes
             raise FormatError(f"invalid JSON: {e}") from None
+        except RecursionError:
+            raise FormatError("invalid JSON: nested too deep") from None
     return data
 
 
@@ -358,7 +362,11 @@ def load_valuation(data, n: int) -> dict[int, int]:
         if not isinstance(bstr, str) or len(bstr) != n:
             raise FormatError(f"valuation of {key} must be a bitstring of "
                               f"length {n}, got {bstr!r}")
-        index = int(key[1:])
+        try:
+            index = int(key[1:])
+        except ValueError:  # more digits than the interpreter converts
+            raise FormatError(f"valuation key {key[:12]}... has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
         if index in out:
             raise FormatError(f"valuation key {key!r} names variable p{index} again")
         out[index] = bits_of(bstr)

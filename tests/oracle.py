@@ -43,6 +43,7 @@ library's block system and evaluator.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
@@ -253,7 +254,7 @@ class _ReferenceParser:
         return f
 
     def atom(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "false":
             self.advance()
             return Bot()
@@ -261,6 +262,11 @@ class _ReferenceParser:
             self.advance()
             return Top()
         if kind == "var":
+            limit = sys.get_int_max_str_digits()
+            if limit and len(text) - 1 > limit:
+                raise FormulaSyntaxError(
+                    f"variable index of more than {limit} digits",
+                    _byte_offset(self.text, pos), _ATOM_EXPECTED, text)
             self.advance()
             return Var(int(text[1:]))
         if kind == "lpar":

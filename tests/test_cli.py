@@ -382,6 +382,29 @@ def test_bad_valuations_exit_2(tmp_path, capsys):
             assert code == 2 and out == "" and err.startswith("error:"), (text, argv)
 
 
+def test_inputs_past_the_interpreters_limits_exit_2(tmp_path, capsys):
+    # a 5000-digit variable index, option and valuation key (int() converts
+    # at most 4300 digits) and a frame nested 1000 deep (the JSON decoder
+    # recurses) are malformed input, not a crash or the exit 1 of "refuted"
+    digits, limit = "1" * 5000, sys.get_int_max_str_digits()
+    frame, deep, val = tmp_path / "f.json", tmp_path / "deep.json", tmp_path / "v.json"
+    frame.write_bytes(store_frame(univ_chain(2)))
+    deep.write_text("[" * 1000 + "]" * 1000)
+    val.write_text(f'{{"p{digits}": "10"}}')
+    for argv, message in (
+            (("valid", "--frame", str(frame), "--formula", "p" + digits),
+             f"variable index of more than {limit} digits at byte 0"),
+            (("build", "chain", "-m", digits), f"-m has more than {limit} digits"),
+            (("build", "chain", "-m", "-" + digits), f"-m has more than {limit} digits"),
+            (("blocks", "--frame", str(frame), "--valuation", str(val)),
+             f"valuation key p11111111111... has more than {limit} digits"),
+            (("valid", "--frame", str(deep), "--formula", "p0"),
+             "invalid JSON: nested too deep")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}"), argv
+        assert err.count("\n") == 1
+
+
 def test_repeated_frame_keys_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"
     frame.write_text('{"n": 2, "r1": ["11", "01"], "r2": ["11", "11"], "r2": ["10", "01"]}')

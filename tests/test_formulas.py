@@ -172,6 +172,9 @@ _SIBLING = "(" + "p0 & " * 10
     "<3>p0",
     # unrecognised input past the nesting limit
     pytest.param("(" * 400 + "p0" + ")" * 400 + " @", id="400 levels, then @"),
+    # a variable index of more digits than int() converts
+    pytest.param("p" + "1" * 4301, id="p<4301 digits>"),
+    pytest.param("p" + "1" * 5000 + " & p0", id="p<5000 digits> & p0"),
 ])
 def test_parse_memo_corners(text):
     assert_parsers_agree(text)
@@ -439,6 +442,66 @@ def test_concurrent_construction_gives_one_node():
     assert all(len(out) == 300 for out in results)
     for made in zip(*results):
         assert all(m is made[0] for m in made)
+
+
+def test_construction_replaces_a_dead_entry_once(monkeypatch):
+    # a dead node's entry whose death callback has not run yet: four
+    # threads that all missed the lookup must agree on one new node, and
+    # the table must hold that node's entry in the dead one's place
+    key = (Var, 4324)
+    dead = F._Ref(Var(4324))
+    dead.key = key
+    gc.collect()
+    assert dead() is None and key not in F._table
+    F._table[key] = dead
+    barrier = threading.Barrier(4)
+
+    class Waiting(F._Ref):  # each thread records only once all have missed
+        __slots__ = ()
+
+        def __new__(cls, node, callback):
+            barrier.wait(timeout=10)
+            return super().__new__(cls, node, callback)
+
+    monkeypatch.setattr(F, "_Ref", Waiting)
+    made = []
+    threads = [threading.Thread(target=lambda: made.append(Var(4324))) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and len(made) == 4
+    assert all(m is made[0] for m in made)
+    assert F._table[key]() is made[0] and Var(4324) is made[0]
+
+
+def test_death_callback_keeps_a_replacement_made_during_it(monkeypatch):
+    # the callback checks and deletes under the lock, so a construction that
+    # replaces the dead entry between the two waits for it; without the lock
+    # the callback would delete the new node's entry
+    key = (Var, 4325)
+    dead = F._Ref(Var(4325))
+    dead.key = key
+    checked, replaced = threading.Event(), threading.Event()
+
+    class Table(dict):  # the callback pauses between its check and its delete
+        def get(self, k, default=None):
+            found = dict.get(self, k, default)
+            if found is dead and not checked.is_set():
+                checked.set()
+                replaced.wait(timeout=0.5)
+            return found
+
+    monkeypatch.setattr(F, "_table", Table(F._table))
+    F._table[key] = dead
+    callback = threading.Thread(target=F._forget, args=(dead,))
+    callback.start()
+    assert checked.wait(timeout=10)
+    f = Var(4325)
+    replaced.set()
+    callback.join(timeout=10)
+    assert not callback.is_alive()
+    assert F._table[key]() is f and Var(4325) is f
 
 
 def test_print_memory_follows_the_output():

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from kripkebench.algebra import generated_subalgebra
@@ -171,7 +171,29 @@ valuation_documents = st.dictionaries(
     st.text(alphabet="01", max_size=5) | json_values, max_size=4)
 
 
+def _size_extremes(test):
+    """The test with explicit documents at the interpreter's limits: JSON
+    nested 900, 1000 and 5000 levels deep (the decoder recurses, and the
+    limit is 1000 frames), and digit strings of 4300 and 5000 characters in
+    keys, values and "n" (``int`` converts at most 4300 digits)."""
+    docs = []
+    for depth in (900, 1000, 5000):
+        nest = "[" * depth + "]" * depth
+        docs += [nest, '{"n": ' * depth + "1" + "}" * depth,
+                 '{"n": 1, "r1": [' + nest + '], "r2": ["1"]}', '{"p0": ' + nest + "}"]
+    for digits in ("1" * 4300, "1" * 5000):
+        docs += [{"p" + digits: "10"}, {"p0": digits}, {"n": digits, "r1": [], "r2": []},
+                 '{"n": ' + digits + ', "r1": [], "r2": []}', '{"p0": ' + digits + "}",
+                 "[" + digits + "]"]
+    for doc in docs:
+        for as_text in (False, True):
+            test = example(doc=doc, frame_doc=doc, valuation_doc=doc, map_doc=doc,
+                           n=2, as_text=as_text)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
+@_size_extremes
 @given(json_values, frame_documents(), valuation_documents,
        st.lists(st.integers() | json_values, max_size=5), st.integers(0, 4),
        st.booleans())
