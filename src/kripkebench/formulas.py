@@ -87,8 +87,11 @@ def _make(key: tuple, depth: int) -> Formula:
     ref.key = key
     if _table.setdefault(key, ref) is not ref:
         with _lock:
-            other = _table.get(key)
-            live = other and other()
+            # ``setdefault`` again, not ``get``: entries go only under the
+            # lock, so no unlocked ``setdefault`` gets in before the store
+            # below, and a dead entry found here stays until it is replaced
+            other = _table.setdefault(key, ref)
+            live = other()
             if live is not None:
                 return live
             _table[key] = ref

@@ -504,6 +504,46 @@ def test_death_callback_keeps_a_replacement_made_during_it(monkeypatch):
     assert F._table[key]() is f and Var(4325) is f
 
 
+def test_locked_recording_keeps_a_node_made_meanwhile(monkeypatch):
+    # a construction locks because it found a dead entry, which its death
+    # callback removes before the lock is taken; while the construction
+    # holds the lock and has found the key free, another thread builds the
+    # key without the lock: both must get one node, and the table must
+    # refer to it
+    key = (Var, 4326)
+    dead = F._Ref(Var(4326))
+    dead.key = key
+    gc.collect()
+    assert dead() is None and key not in F._table
+    made = []
+
+    class Table(dict):
+        def _meanwhile(self, k, found):
+            if k == key and found is None and F._lock._is_owned() and not made:
+                other = threading.Thread(target=lambda: made.append(Var(4326)))
+                other.start()
+                other.join(timeout=10)
+
+        def get(self, k, default=None):
+            found = dict.get(self, k, default)
+            self._meanwhile(k, found)
+            return found
+
+        def setdefault(self, k, value):
+            found = dict.get(self, k)
+            entry = dict.setdefault(self, k, value)
+            if entry is dead:
+                F._forget(dead)  # the callback runs before the lock is taken
+            self._meanwhile(k, found)
+            return entry
+
+    monkeypatch.setattr(F, "_table", Table(F._table))
+    F._table[key] = dead
+    f = Var(4326)
+    assert len(made) == 1 and made[0] is f
+    assert F._table[key]() is f and Var(4326) is f
+
+
 def test_print_memory_follows_the_output():
     f = conj([Var(i) for i in range(3000)])
     tracemalloc.start()
