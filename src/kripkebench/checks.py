@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from random import Random
 from typing import Callable
 
@@ -618,10 +617,6 @@ def run_all(seed: int = DEFAULT_SEED,
 def report_json(records: list[CheckRecord]) -> bytes:
     doc = [r.to_json_dict() for r in records]
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
-def claims_text() -> str:
-    return resources.files("kripkebench").joinpath("data/claims.md").read_text("utf-8")
 
 
 # --- axiom profiler --------------------------------------------------------

@@ -79,6 +79,15 @@ def size_text(size: int) -> str:
     return hex(size)
 
 
+def value_text(value) -> str:
+    """``repr(value)``, or a stand-in where Python writes none: for an int
+    of more than 4300 digits (or a value holding one) or deep nesting."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"a value of type {type(value).__name__} too large to print"
+
+
 class CapExceeded(KripkebenchError):
     """A closure or count grew past the configured cap.
 

@@ -50,7 +50,7 @@ from functools import partial
 from inspect import signature
 from typing import Mapping, NoReturn
 
-from .errors import ArityMismatch, FormulaSyntaxError, UnknownName
+from .errors import ArityMismatch, FormulaSyntaxError, UnknownName, value_text
 
 # (class, *fields) -> weak reference to the one live node with those fields;
 # children are fields, and a child's hash and == are its identity, so a key
@@ -386,6 +386,9 @@ _PREFIX_OPS = {"~": Not, "<v>": dia_v, "<*>": dia_star, "[v]": box_v, "[*]": box
 # right operand of & is a unary formula
 _INFIX = {"<->": (1, 1, Iff), "->": (2, 2, Imp), "|": (3, 4, Or), "&": (4, None, And)}
 
+# the nodes of p0 to p15 by token, which the parser reads without int() or construction
+_FIRST_VARS = {f"p{i}": Var(i) for i in range(16)}
+
 _ATOM_EXPECTED = frozenset({"false", "true", "var", "~", "<i>", "[i]", "("})
 _INFIX_EXPECTED = frozenset({"&", "|", "->", "<->", ")", "end"})
 
@@ -434,16 +437,18 @@ class _Parser:
             m = _SCAN(self.text, self.pos)
             self.tok, self.pos = m[1], m.end()
         tok = self.tok
-        if tok[:1] == "p" and tok[1:]:
+        f = _FIRST_VARS.get(tok)
+        if f is None and tok[:1] == "p" and tok[1:]:
             try:
                 f = Var(int(tok[1:]))
             except ValueError:  # more digits than the interpreter converts
                 self.fail(_ATOM_EXPECTED, "variable index of more than "
                           f"{sys.get_int_max_str_digits()} digits")
+        if f is None:
+            f = self.atom()
+        else:
             m = _SCAN(self.text, self.pos)
             self.tok, self.pos = m[1], m.end()
-        else:
-            f = self.atom()
         while builders:
             f = builders.pop()(f)
         return f
@@ -512,19 +517,25 @@ Q = Var(1)
 def _modality(tok, allowed=("1", "2", "v", "*")):
     """The diamond and box builders of a modality parameter: one of
     ``allowed``, where 1 and 2 may also be ints."""
-    text = str(tok) if type(tok) in (int, str) else None
+    text = tok if type(tok) is str else str(tok) if type(tok) is int and tok in (1, 2) else None
     if text not in allowed:
-        raise ArityMismatch(f"modality must be one of {', '.join(allowed)}; got {tok!r}")
+        raise ArityMismatch(f"modality must be one of {', '.join(allowed)}; "
+                            f"got {value_text(tok)}")
     return _PREFIX_OPS[f"<{text}>"], _PREFIX_OPS[f"[{text}]"]
 
 
 def _count(value, what: str) -> int:
     """A nonnegative registry count: an int (not a bool) or a string of
-    decimal digits."""
-    if (type(value) is int and value >= 0
-            or type(value) is str and value.isascii() and value.isdigit()):
-        return int(value)
-    raise ArityMismatch(f"{what} must be a nonnegative integer; got {value!r}")
+    decimal digits that ``int()`` converts."""
+    if type(value) is str and value.isascii() and value.isdigit():
+        try:
+            value = int(value)
+        except ValueError:  # more digits than the interpreter converts
+            digits = sys.get_int_max_str_digits()
+            raise ArityMismatch(f"{what} has more than {digits} digits") from None
+    if type(value) is int and value >= 0:
+        return value
+    raise ArityMismatch(f"{what} must be a nonnegative integer; got {value_text(value)}")
 
 
 def _bh(n, tok):

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyRestriction, FormatError, UnknownProperty
+from .errors import EmptyRestriction, FormatError, UnknownProperty, value_text
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +180,8 @@ class Frame:
         return (1 << self.n) - 1
 
     def relation(self, mod: int) -> tuple[int, ...]:
-        return self.r1 if mod == 1 else self.r2
+        """r1, r2, or for mod 0 the reflexive-transitive closure of r1 | r2."""
+        return self.r1 if mod == 1 else self.r2 if mod == 2 else rt_closure(self.union(), self.n)
 
     def union(self) -> tuple[int, ...]:
         return union_rows(self.r1, self.r2)
@@ -193,10 +194,6 @@ class UniFrame(NamedTuple):
     rows: tuple[int, ...]
 
 
-def uniframe(n: int, rows) -> UniFrame:
-    return UniFrame(n, _parse_rows(rows, n, "rows"))
-
-
 def _parse_set(s, n: int, what: str, *args) -> int:
     """A world-set given as a bitstring of length n or as an integer mask.
     An error names it ``what.format(*args)``, formatted only when raised."""
@@ -205,7 +202,8 @@ def _parse_set(s, n: int, what: str, *args) -> int:
             raise FormatError(f"{what.format(*args)} has length {len(s)}, expected {n}")
         return bits_of(s)
     if not isinstance(s, int) or isinstance(s, bool):
-        raise FormatError(f"{what.format(*args)} must be a bitstring or an integer, got {s!r}")
+        raise FormatError(f"{what.format(*args)} must be a bitstring or an integer, "
+                          f"got {value_text(s)}")
     if s < 0 or s >> n:
         raise FormatError(f"{what.format(*args)} out of range for {n} worlds")
     return s
@@ -213,8 +211,10 @@ def _parse_set(s, n: int, what: str, *args) -> int:
 
 def _parse_rows(rows, n: int, what: str) -> tuple[int, ...]:
     if len(rows) != n:
-        raise FormatError(f"{what} has {len(rows)} rows, expected {n}")
-    return tuple(_parse_set(row, n, "{} row {}", what, i) for i, row in enumerate(rows))
+        raise FormatError(f"{what} has {len(rows)} rows, expected {value_text(n)}")
+    # a bitstring row of length n is read here, any other row by _parse_set
+    return tuple([bits_of(row) if type(row) is str and len(row) == n
+                  else _parse_set(row, n, "{} row {}", what, i) for i, row in enumerate(rows)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,18 +275,6 @@ def all_unions(atoms: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def full_algebra(n: int) -> tuple[int, ...]:
-    """Every subset of n worlds, in bitstring order."""
-    return all_unions(diagonal(n))
-
-
-def as_general(f: Frame) -> GeneralFrame:
-    """A Kripke frame seen as the general frame over its full powerset."""
-    if f.n > 16:
-        raise FormatError("full powerset algebra only materialised for n <= 16")
-    return GeneralFrame(f, full_algebra(f.n))
-
-
 def kripke_of(g: Frame | GeneralFrame) -> Frame:
     return g.frame if isinstance(g, GeneralFrame) else g
 
@@ -338,7 +326,7 @@ def load_frame(data) -> Frame | GeneralFrame:
     data = _json_object(data, "frame")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
-        raise FormatError(f"frame JSON needs an integer field 'n', got {n!r}")
+        raise FormatError(f"frame JSON needs an integer field 'n', got {value_text(n)}")
     if n < 0:
         raise FormatError("world count must be nonnegative")
     for key in ("r1", "r2"):
@@ -350,7 +338,8 @@ def load_frame(data) -> Frame | GeneralFrame:
     alg = data["algebra"]
     if not isinstance(alg, list):
         raise FormatError("algebra must be a list of set-bitstrings")
-    return GeneralFrame(frame, tuple(_parse_set(s, n, "algebra set {!r}", s) for s in alg))
+    return GeneralFrame(frame, tuple(_parse_set(s, n, "algebra set {}", i)
+                                     for i, s in enumerate(alg)))
 
 
 def load_valuation(data, n: int) -> dict[int, int]:
@@ -361,7 +350,7 @@ def load_valuation(data, n: int) -> dict[int, int]:
             raise FormatError(f"valuation key {key!r} is not a variable")
         if not isinstance(bstr, str) or len(bstr) != n:
             raise FormatError(f"valuation of {key} must be a bitstring of "
-                              f"length {n}, got {bstr!r}")
+                              f"length {n}, got {value_text(bstr)}")
         try:
             index = int(key[1:])
         except ValueError:  # more digits than the interpreter converts
@@ -399,10 +388,6 @@ class SkeletonInfo:
     order: tuple[int, ...]           # cluster id -> mask of clusters above or equal
     height: int
     depth: tuple[int, ...]           # world -> height of its generated subframe
-
-    @property
-    def cluster_count(self) -> int:
-        return len(self.clusters)
 
 
 def analyze(f: Frame) -> SkeletonInfo:
@@ -509,7 +494,7 @@ def _as_mask(Y, n: int) -> int:
     worlds = list(Y)
     for w in worlds:
         if type(w) is not int or not 0 <= w < n:
-            raise FormatError(f"world-set entry {w!r} is not one of the {n} worlds")
+            raise FormatError(f"world-set entry {value_text(w)} is not one of the {n} worlds")
     return mask_of(worlds)
 
 
@@ -537,22 +522,3 @@ def restriction(g: GeneralFrame, Y) -> GeneralFrame:
                     bitstring(mask, g.n))
     return restrict_general(g, mask)
 
-
-def generated_subframe(g: Frame | GeneralFrame, Y):
-    """Restriction to the (r1|r2)-reachability image of Y.  Returns the
-    subframe (same kind as the input) and the reachable set as a mask over
-    the original worlds."""
-    frame = kripke_of(g)
-    mask = _as_mask(Y, frame.n)
-    if mask == 0:
-        raise EmptyRestriction("cannot generate from the empty set")
-    reach_rows = rt_closure(frame.union(), frame.n)
-    reach = 0
-    for b in worlds_of(mask):
-        reach |= reach_rows[b]
-    if isinstance(g, GeneralFrame):
-        # A reachability-closed restriction is always a general frame, so no
-        # admissibility warning applies; closure is still re-verified.
-        return restrict_general(g, reach), reach
-    sub, _ = restrict_frame(frame, reach)
-    return sub, reach

@@ -165,14 +165,6 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
     return None
 
 
-def union_pmorphism(f1: WorldMap, f2: WorldMap) -> WorldMap:
-    """Combine p-morphisms of the summands into a map on the renumbered sum.
-    The combined map is the same for every sum kind (both, 1, 2) and for the
-    tense sum.  Inputs are assumed surjective, so target sizes are max + 1."""
-    offset = max(f1) + 1
-    return tuple(f1) + tuple(offset + d for d in f2)
-
-
 def tack_collapse(kind, m: int, mprime: int | None = None
                   ) -> tuple[Frame, Frame, WorldMap]:
     """The collapse map onto a tack frame, with its source and target.

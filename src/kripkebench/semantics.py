@@ -7,17 +7,19 @@ values with ``^``, ``&``, ``|`` and a preimage function, so it runs on a
 single model (int world masks) and on the search (numpy arrays of masks).
 Search cells are the narrowest unsigned type that holds n bits (``uint8``
 up to 8 worlds, then 16, 32 and 64 bits, Python ints above), and up to 16
-worlds a preimage is one ``take`` from a table indexed by the mask.
+worlds a preimage is one ``take`` from a table indexed by the mask, each
+modality's table fetched once per search.
 
 ``valid`` and ``refutes_witness`` read a plan built once per formula and
-cached (``_Plan``): the node order, the occurring variables and, on the
-first search that needs them, the modal regions.  A region is a part of
-the formula that is a function of one node's value, its base, and holds
-a modal step.  A search over more than one block on at most 16 worlds
-walks each region once over every mask of its base into a table, and
-each block evaluates the region with one ``take``, so verdicts and least
-witnesses stay bit for bit those of the plain node order.  A one-block
-search runs the plain order: tables would cost more than the block.
+cached (``_Plan``): the node order, the occurring variables and
+modalities and, on the first search that needs them, the modal regions.
+A region is a part of the formula that is a function of one node's
+value, its base, and holds a modal step.  A search over more than one
+block on at most 16 worlds walks each region once over every mask of its
+base into a table, and each block evaluates the region with one ``take``,
+so verdicts and least witnesses stay bit for bit those of the plain node
+order.  A one-block search lays out no blocks: it walks the plain order
+once, every axis whole, as tables would cost more than the block.
 
 Validity is brute force over valuations, enumerated only over the
 variables occurring in the formula; a variable-free formula is decided by
@@ -27,7 +29,8 @@ order.  In the search, occurring variable j is broadcast axis j, so a
 subformula is only materialised over the axes of the variables it mentions.
 The assignment space is walked block by block in C order, which puts the
 lowest variable in the most significant position; the first falsifying
-cell is therefore the lexicographically least witness.
+cell of the first block that has one (an ``argmax``) is therefore the
+lexicographically least witness.
 
 A formula is valid on a frame iff it is valid on every point-generated
 subframe, and for a general frame on every such subframe with the
@@ -184,7 +187,7 @@ def _preimage_fn(frame: Frame, image: Callable) -> Callable:
     def pre(mod: int, x):
         rows = relations.get(mod)
         if rows is None:
-            rows = relations[0] = rt_closure(frame.union(), frame.n)
+            rows = relations[0] = frame.relation(0)
         return image(rows, x)
 
     return pre
@@ -221,9 +224,10 @@ def _cell_dtype(n: int) -> np.dtype:
 @lru_cache(maxsize=16)
 def _all_sets(n: int) -> np.ndarray:
     """Every subset of n worlds as ``_cell_dtype(n)`` masks, in bitstring
-    order (that of ``frames.full_algebra``): each world doubles the sets so
-    far, the last one, world 0, most significant.  Cached read-only; the
-    arrays for distinct n sum to under twice the largest."""
+    order (that of ``frames.all_unions`` of the singletons): each world
+    doubles the sets so far, the last one, world 0, most significant.
+    Cached read-only; the arrays for distinct n sum to under twice the
+    largest."""
     dtype = _cell_dtype(n)
     sets = np.zeros(1 << n, dtype)
     size = 1
@@ -250,11 +254,8 @@ def _preimage_table(rows: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def _array_image(n: int) -> Callable:
-    """Preimage of arrays of ``_cell_dtype(n)`` masks: a ``take`` gather from
-    the table up to 16 worlds (cheaper than fancy indexing), a row-wise OR
-    over world rows above that."""
-    if n <= 16:
-        return lambda rows, x: _preimage_table(rows, n).take(x)
+    """Preimage of arrays of ``_cell_dtype(n)`` masks over n > 16 worlds,
+    where a table would be too large: a row-wise OR over world rows."""
     dtype = _cell_dtype(n)
     cell = dtype.type
 
@@ -320,12 +321,14 @@ def _children(g: Formula) -> tuple:
 
 class _Plan:
     """What every search of one formula shares: its node order, its
-    occurring variables and, built on the first search that needs them, its
-    fused program and its split."""
+    occurring variables, the modalities it reads and, built on the first
+    search that needs them, its fused program and its split."""
 
     def __init__(self, f: Formula):
         self.order = nodes(f)
         self.occurring = sorted({g.index for g in self.order if type(g) is Var})
+        self.mods = {g.mod if type(g) in (Dia, Box) else 0 for g in self.order
+                     if type(g) in (Dia, Box, ReachDia, ReachBox)}
 
     @cached_property
     def fused(self) -> list:
@@ -392,6 +395,23 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[:1], a[1:][a[1:] != a[:-1]]))
 
 
+def _blocks(occurring: list[int], axes: list, leaves: dict):
+    """(head, lo, leaves) of each block of a space above one block, in C
+    order: the axes before the cut one are fixed at ``head``, the cut one
+    takes ``step`` values from ``lo`` on, the later ones are whole."""
+    k, sizes = len(axes), list(map(len, axes))
+    a, tail = k - 1, 1
+    while a and tail * sizes[a] <= _BLOCK:
+        tail *= sizes[a]
+        a -= 1
+    step = max(1, _BLOCK // tail)
+    for head in iproduct(*map(range, sizes[:a])):
+        for lo in range(0, sizes[a], step):
+            block = {**leaves, **{v: x[i] for v, x, i in zip(occurring, axes, head)}}
+            block[occurring[a]] = axes[a][lo:lo + step].reshape((-1,) + (1,) * (k - 1 - a))
+            yield head, lo, block
+
+
 def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                        lists: Mapping[int, np.ndarray] = {},
                        collect: bool = False) -> Witness | np.ndarray | None:
@@ -400,7 +420,10 @@ def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
     extensions.  Variable v ranges over ``lists[v]``, an array of
     ``_cell_dtype(n)`` masks, when given, and over every candidate set
     otherwise; the caller checks size.  For a batch (a list of frames, see
-    the module docstring) it is the array of the frames' verdicts."""
+    the module docstring) it is the array of the frames' verdicts.  A
+    space of at most ``_BLOCK`` cells is one walk with every axis whole; a
+    larger one is walked block by block (``_blocks``), and the first
+    refuted cell of the first block that has one is the least witness."""
     batch = g if isinstance(g, list) else None
     frame = kripke_of(g) if batch is None else batch[0]
     n, full = frame.n, frame.full
@@ -417,54 +440,48 @@ def _search_refutation(g: Frame | GeneralFrame | list[Frame], plan: _Plan,
                 else _all_sets(n))
     axes = [lists.get(v, cand_arr) for v in occurring] if lists else [cand_arr] * k
     sizes = list(map(len, axes))
-    cell_full = dtype.type(full)
-    if batch is None:
+    cell_full = np.array(full, dtype)  # 0-d: cheaper in ``full ^ x`` than a scalar
+    if n > 16:
         pre = _preimage_fn(frame, _array_image(n))
-    else:  # frame i of the batch reads its tables from entry i << n on
-        offsets = (np.arange(len(batch)) << n).reshape((-1,) + (1,) * k)
-        tables = {}
+    elif batch is None:  # each table fetched once, then one ``take`` per preimage
+        tables = {mod: _preimage_table(frame.relation(mod), n) for mod in plan.mods}
 
         def pre(mod: int, x):
-            if mod not in tables:
-                tables[mod] = _preimage_tables([h.relation(mod) if mod else rt_closure(
-                    h.union(), n) for h in batch], n)
+            return tables[mod].take(x)
+    else:  # frame i of the batch reads its tables from entry i << n on
+        offsets = (np.arange(len(batch)) << n).reshape((-1,) + (1,) * k)
+        tables = {mod: _preimage_tables([h.relation(mod) for h in batch], n)
+                  for mod in plan.mods}
+
+        def pre(mod: int, x):
             return tables[mod].take(offsets + x)
-    program = plan.order
-    if n <= 16 and prod(sizes) > _BLOCK:
-        masks = np.arange(1 << n, dtype=dtype)
-        program = [h._replace(table=_walk(h.region, {}, cell_full, pre, {h.base: masks}))
-                   if type(h) is _Gather else h for h in plan.fused]
-    # Axes before `a` are fixed per block, axis `a` is cut into ranges of
-    # `step` values and the later axes, `tail` cells, are whole.
-    a, tail = k - 1, 1
-    while a and tail * sizes[a] <= _BLOCK:
-        tail *= sizes[a]
-        a -= 1
-    step = max(1, _BLOCK // tail)
-    whole = {v: x.reshape((-1,) + (1,) * (k - 1 - j))
-             for j, (v, x) in enumerate(zip(occurring, axes)) if j > a}
+    leaves = {v: x.reshape((-1,) + (1,) * (k - 1 - j))
+              for j, (v, x) in enumerate(zip(occurring, axes))}
+    program, blocks = plan.order, [((), 0, leaves)]
+    if prod(sizes) > _BLOCK:
+        blocks = _blocks(occurring, axes, leaves)
+        if n <= 16:
+            masks = np.arange(1 << n, dtype=dtype)
+            program = [h._replace(table=_walk(h.region, {}, cell_full, pre, {h.base: masks}))
+                       if type(h) is _Gather else h for h in plan.fused]
     seen = []
-    for head in iproduct(*map(range, sizes[:a])):
-        for lo in range(0, sizes[a], step):
-            leaves = dict(whole)
-            leaves.update((v, x[i]) for v, x, i in zip(occurring, axes, head))
-            leaves[occurring[a]] = axes[a][lo:lo + step].reshape(
-                (-1,) + (1,) * (k - 1 - a))
-            res = _walk(program, leaves, cell_full, pre)
-            if collect:
-                seen.append(_distinct(res))
-                continue
-            if batch is not None:  # one block: a verdict per frame; a value
-                # with no modal step has no frame axis, as all frames agree
-                res = np.broadcast_to(res, (len(batch), *sizes))
-                return (res == cell_full).reshape(len(batch), -1).all(1)
-            bad = np.flatnonzero(res != cell_full)
-            if bad.size:
-                cell = np.unravel_index(bad[0], res.shape)
-                index = head + (lo + int(cell[0]),) + tuple(map(int, cell[1:]))
-                return Witness(
-                    tuple((v, int(x[i])) for v, x, i in zip(occurring, axes, index)),
-                    _least_missing_world(int(res.flat[bad[0]]), full))
+    for head, lo, block in blocks:
+        res = _walk(program, block, cell_full, pre)
+        if collect:
+            seen.append(_distinct(res))
+            continue
+        if batch is not None:  # one block: a verdict per frame; a value
+            # with no modal step has no frame axis, as all frames agree
+            res = np.broadcast_to(res, (len(batch), *sizes))
+            return (res == cell_full).reshape(len(batch), -1).all(1)
+        flat = res.ravel()
+        bad = flat != cell_full
+        i = int(bad.argmax())  # the first refuted cell, if there is one
+        if bad[i]:  # the block's axes are the cut one, then the whole ones
+            cell = np.unravel_index(i, res.shape)
+            index = head + (lo + cell[0],) + cell[1:]
+            return Witness(tuple((v, int(x[j])) for v, x, j in zip(occurring, axes, index)),
+                           _least_missing_world(int(flat[i]), full))
     return _distinct(np.concatenate(seen)) if collect else None
 
 

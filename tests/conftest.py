@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
                                   ReachBox, ReachDia, Top, Var)
-from kripkebench.frames import Frame
+from kripkebench.errors import FormatError
+from kripkebench.frames import (Frame, GeneralFrame, UniFrame, _parse_rows, all_unions,
+                                diagonal)
 
 
 def formulas(max_depth: int = 8, max_vars: int = 4, reach: bool = False):
@@ -57,3 +59,28 @@ def disjoint_union(*parts: Frame) -> Frame:
         r2 += [row << shift for row in f.r2]
         shift += f.n
     return Frame(shift, tuple(r1), tuple(r2))
+
+
+def full_algebra(n: int) -> tuple[int, ...]:
+    """Every subset of n worlds, in bitstring order."""
+    return all_unions(diagonal(n))
+
+
+def as_general(f: Frame) -> GeneralFrame:
+    """A Kripke frame seen as the general frame over its full powerset."""
+    if f.n > 16:
+        raise FormatError("full powerset algebra only materialised for n <= 16")
+    return GeneralFrame(f, full_algebra(f.n))
+
+
+def uniframe(n: int, rows) -> UniFrame:
+    """A unimodal frame from rows in frame JSON's form."""
+    return UniFrame(n, _parse_rows(rows, n, "rows"))
+
+
+def union_pmorphism(f1: tuple, f2: tuple) -> tuple:
+    """Combine p-morphisms of the summands into a map on the renumbered sum.
+    The combined map is the same for every sum kind (both, 1, 2) and for the
+    tense sum.  Inputs are assumed surjective, so target sizes are max + 1."""
+    offset = max(f1) + 1
+    return tuple(f1) + tuple(offset + d for d in f2)

@@ -49,14 +49,15 @@ from itertools import permutations, product as iproduct
 
 from kripkebench.algebra import (DefinabilityCertificate, _refinements,
                                  block_system)
-from kripkebench.errors import (FormatError, FormulaSyntaxError, NotDefinable,
-                                NotPretransitive)
+from kripkebench.errors import (EmptyRestriction, FormatError, FormulaSyntaxError,
+                                NotDefinable, NotPretransitive)
 from kripkebench.formulas import (And, Bot, Box, Dia, Iff, Imp, Not, Or,
                                   ReachBox, ReachDia, Top, Var, box_star,
                                   box_v, conj, dia_star, dia_v, disj)
-from kripkebench.frames import (GeneralFrame, bitstring, compose_rows,
-                                diagonal, generated_subframe, pull, pull_rows,
-                                rt_closure, union_rows, worlds_of)
+from kripkebench.frames import (GeneralFrame, _as_mask, bitstring, compose_rows,
+                                diagonal, kripke_of, pull, pull_rows,
+                                restrict_frame, restrict_general, rt_closure,
+                                union_rows, worlds_of)
 from kripkebench.semantics import Model, eval_formula
 
 
@@ -493,6 +494,24 @@ def keyed_preorders(n: int) -> tuple[tuple[int, ...], ...]:
                     seen.add(key)
                     out.append(rows)
     return tuple(out)
+
+
+def generated_subframe(g, Y):
+    """Restriction to the (r1|r2)-reachability image of Y (a bitstring, an
+    int mask or an iterable of worlds).  Returns the subframe (same kind as
+    the input) and the reachable set as a mask over the original worlds."""
+    frame = kripke_of(g)
+    mask = _as_mask(Y, frame.n)
+    if mask == 0:
+        raise EmptyRestriction("cannot generate from the empty set")
+    reach_rows = rt_closure(frame.union(), frame.n)
+    reach = 0
+    for b in worlds_of(mask):
+        reach |= reach_rows[b]
+    if isinstance(g, GeneralFrame):
+        # a reachability-closed restriction is always a general frame
+        return restrict_general(g, reach), reach
+    return restrict_frame(frame, reach)[0], reach
 
 
 def reference_beta_formula(m, r):

@@ -20,12 +20,11 @@ from kripkebench.enumeration import (_kept_coordinates, _packed_ranks,
 from kripkebench.errors import (BudgetExceeded, CapExceeded, FormatError,
                                 NotDefinable, NotPretransitive, size_text)
 from kripkebench.formulas import Top
-from kripkebench.frames import (Frame, as_general, preimage, pull, pull_rows,
-                                worlds_of)
+from kripkebench.frames import Frame, preimage, pull, pull_rows, worlds_of
 from kripkebench.morphisms import blow_up
 from kripkebench.semantics import Model, eval_formula
 
-from conftest import disjoint_union, frames
+from conftest import as_general, disjoint_union, frames
 from oracle import (atoms_of, automorphisms, free_count_by_refinement,
                     reference_beta_formula)
 

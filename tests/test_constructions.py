@@ -101,7 +101,7 @@ def test_product_of_preorders_satisfies_com_cr():
 def test_tack_structure(kind, m):
     sk = analyze(tack(kind, m))
     assert sk.height == 2
-    assert sk.cluster_count == 2
+    assert len(sk.clusters) == 2
 
 
 def test_ordered_sum_associative():
@@ -136,5 +136,5 @@ def test_lift_has_diagonal_second_relation():
 def test_rect_is_com_cluster(a, b):
     f = rect(a, b)
     sk = analyze(f)
-    assert sk.cluster_count == 1 and sk.height == 1
+    assert len(sk.clusters) == 1 and sk.height == 1
     assert frame_property(f, "com") and frame_property(f, "cr")

@@ -277,6 +277,18 @@ def test_named_formula_errors():
     assert named_formula("rp", ["2", "v"]) is named_formula("rp", [2, "v"])
 
 
+def test_registry_counts_past_the_conversion_limit():
+    # int() converts at most 4300 digits, and repr() writes no longer int
+    with pytest.raises(ArityMismatch, match="bh height has more than 4300 digits"):
+        named_formula("bh", ["1" * 5000, "1"])
+    with pytest.raises(ArityMismatch, match="too large to print"):
+        named_formula("bh", [-10 ** 5000, "1"])
+    with pytest.raises(ArityMismatch, match="too large to print"):
+        named_formula("mck", [10 ** 5000])
+    with pytest.raises(ArityMismatch, match="modality must be one of .* too large to print"):
+        named_formula("bh", ["1", 10 ** 5000])
+
+
 def test_swap_modalities():
     assert swap_modalities(parse("<1>[2]p0")) == parse("<2>[1]p0")
     f = named_formula("match2_ax")

@@ -12,14 +12,12 @@ from kripkebench.constructions import (chain, cluster, lift, lintgrz,
                                        tack, tack_pre, tense_sum)
 from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import named_formula
-from kripkebench.frames import (Frame, as_general, GeneralFrame, kripke_of,
-                                pull_rows)
+from kripkebench.frames import Frame, GeneralFrame, kripke_of, pull_rows
 from kripkebench.morphisms import (blow_up, check_pmorphism, find_pmorphism,
-                                   load_worldmap, store_worldmap,
-                                   tack_collapse, union_pmorphism)
+                                   load_worldmap, store_worldmap, tack_collapse)
 from kripkebench.semantics import valid
 
-from conftest import frames
+from conftest import as_general, frames, union_pmorphism
 
 
 def oracle_first(g, h):

@@ -18,14 +18,14 @@ from kripkebench.errors import BudgetExceeded, FormatError
 from kripkebench.formulas import (And, Bot, Dia, Not, Or, ReachBox, ReachDia,
                                   Top, Var, dia_star, named_formula, parse,
                                   variables)
-from kripkebench.frames import (Frame, GeneralFrame, UniFrame, as_general,
-                                frame_property, full_algebra, generated_subframe,
+from kripkebench.frames import (Frame, GeneralFrame, UniFrame, frame_property,
                                 kripke_of, pull, rt_closure)
 from kripkebench.semantics import (Model, eval_formula, refutes_witness, valid,
                                    valid_each)
 
 import oracle
-from conftest import disjoint_union, formulas, frames
+from conftest import as_general, disjoint_union, formulas, frames, full_algebra
+from oracle import generated_subframe
 
 
 def test_eval_examples():
@@ -162,6 +162,58 @@ def test_witness_sixteen_variables_on_singleton():
     assert w.valuation == tuple((v, 1) for v in range(16))
     assert w.world == 0
     assert (w.valuation, w.world) == oracle.least_witness(g, f)
+
+
+def _marked_chain(n: int) -> Frame:
+    # a reflexive chain whose root alone has an r2-successor
+    return Frame(n, lift(chain(n)).r1, (1,) + (0,) * (n - 1))
+
+
+def _star(n: int, loop: int) -> Frame:
+    # world 0 r1-sees the others, and itself when loop is 1; no other edge
+    return Frame(n, ((1 << n) - 2 + loop,) + (0,) * (n - 1), (0,) * n)
+
+
+@pytest.mark.parametrize("g, text", [
+    # one variable: 2^14 cells are one block, 2^15 two
+    (lift(chain(14)), "<1>p0 -> p0"),
+    (lift(chain(15)), "<1>p0 -> p0"),
+    # refuted only where p0 holds at the root: the first cell of the upper
+    # half of the space, and a first block without a refuted cell
+    (_marked_chain(14), "p0 -> [2]false"),
+    (_marked_chain(15), "p0 -> [2]false"),
+    # refuted only where p0 holds at every successor of the root: the last
+    # cell of the only block, and the last cell of the first of two
+    (_star(14, 1), "[1]p0 -> [1]false"),
+    (_star(15, 0), "[1]p0 -> [1]false"),
+    # two variables: 2^14 cells on 7 worlds, four blocks on 8
+    (lift(chain(7)), "(<1>p0 & <1>p1) -> <1>(p0 & p1)"),
+    (lift(chain(8)), "(<1>p0 & <1>p1) -> <1>(p0 & p1)"),
+    (_marked_chain(7), "~(p0 & p1 & <2>true)"),
+    (_marked_chain(8), "~(p0 & p1 & <2>true)"),
+    # a general frame, three variables over 16 and 32 sets: 2^12 and 2^15 cells
+    (GeneralFrame(_marked_chain(4), full_algebra(4)), "~(p0 & p1 & p2 & <2>true)"),
+    (GeneralFrame(_marked_chain(5), full_algebra(5)), "~(p0 & p1 & p2 & <2>true)"),
+    # roots constant along some axes, which broadcast against them
+    (lift(chain(14)), "p0 & false"),
+    (lift(chain(15)), "p0 & false"),
+    (lift(chain(7)), "p0 & (p1 | ~p1)"),
+    (lift(chain(8)), "p0 & (p1 | ~p1)"),
+    (lift(chain(8)), "(p1 | ~p1) -> [1]p0"),
+], ids=lambda x: x if isinstance(x, str) else f"{type(x).__name__}{kripke_of(x).n}")
+def test_least_witness_at_the_block_boundary(g, text):
+    phi = parse(text)
+    assert _pair(refutes_witness(g, phi, budget=1 << 23)) == oracle.least_witness(g, phi)
+
+
+@pytest.mark.parametrize("n, text", [(14, "p0 | ~p0"), (15, "p0 | ~p0"),
+                                     (7, "(p1 & ~p1) | p0 | ~p0"),
+                                     (8, "(p1 & ~p1) | p0 | ~p0")])
+def test_valid_at_the_block_boundary(n, text):
+    # no block has a refuted cell: one block at 2^14 cells, several above
+    g, phi = lift(chain(n)), parse(text)
+    assert refutes_witness(g, phi, budget=1 << 23) is None
+    assert valid(g, phi, budget=1 << 23)
 
 
 def test_pinned_witnesses_on_large_frames():

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 from random import Random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import kripkebench.semantics as S
 from kripkebench.checks import (CHECKS, C7_FROZEN, DEFAULT_SEED, ProfileRow,
                                 _correspondence_corpus, axiom_profile,
-                                claims_text, report_json, run_check)
+                                report_json, run_check)
 from kripkebench.constructions import rect, singleton, tack
 from kripkebench.errors import UnknownCheck
 
@@ -70,7 +71,7 @@ def test_meta_records():
 
 
 def test_anchors_against_claims_file():
-    text = claims_text()
+    text = resources.files("kripkebench").joinpath("data/claims.md").read_text("utf-8")
     for cid, definition in CHECKS.items():
         assert definition.anchor in text, cid
 
