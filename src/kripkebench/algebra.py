@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, CapExceeded, FormatError,
-                     NotDefinable, NotPretransitive)
+                     NotDefinable, NotPretransitive, value_text)
 from .enumeration import _kept_coordinates, _packed_ranks
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
@@ -54,20 +54,16 @@ from .semantics import Model, eval_formula
 
 @dataclass(frozen=True)
 class SetAlgebra:
-    """A verified set algebra with designated generators."""
+    """A verified set algebra."""
 
     n: int
     elements: tuple[int, ...]        # sorted in bitstring order
-    generators: tuple[int, ...]      # indices into elements
 
     def __post_init__(self):
         index = set(self.elements)
         full = (1 << self.n) - 1
         if 0 not in index or full not in index:
             raise FormatError("set algebra must contain the empty and full sets")
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 # --- partition refinement ---------------------------------------------------
@@ -126,11 +122,7 @@ def generated_subalgebra(frame: Frame, gens: Sequence[int | str],
     size = 1 << len(atoms)
     if size > cap:
         raise CapExceeded(size, cap)
-    # element index bits name atoms, the first atom most significant
-    top = len(atoms) - 1
-    positions = tuple(sum(1 << top - j for j, a in enumerate(atoms) if a & g)
-                      for g in gens)
-    return SetAlgebra(frame.n, all_unions(atoms), positions)
+    return SetAlgebra(frame.n, all_unions(atoms))
 
 
 # --- block systems --------------------------------------------------------
@@ -142,8 +134,6 @@ class BlockSystem:
 
     n: int
     layers: tuple[tuple[int, ...], ...]    # layer -> blocks (masks)
-    tree: dict[int, tuple[int, ...]]       # block mask -> immediate sub-blocks
-    depth_index: dict[int, int]            # block mask -> least layer
     stabilization: int | None              # first i with layer i+1 == layer i
 
     @property
@@ -180,20 +170,7 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
             del layers[stabilization + 1:]
             break
         layers.append(nxt)
-    depth_index: dict[int, int] = {}
-    for i, layer in enumerate(layers):
-        for b in layer:
-            depth_index.setdefault(b, i)
-    tree: dict[int, list[int]] = {b: [] for b in depth_index}
-    for i in range(len(layers) - 1):
-        for child in layers[i + 1]:
-            if depth_index[child] != i + 1:
-                continue
-            parent = next(b for b in layers[i] if child & ~b == 0)
-            tree[parent].append(child)
-    return BlockSystem(frame.n, tuple(layers),
-                       {b: tuple(c) for b, c in tree.items()},
-                       depth_index, stabilization)
+    return BlockSystem(frame.n, tuple(layers), stabilization)
 
 
 # --- free-algebra counting -------------------------------------------------
@@ -301,8 +278,8 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
     still counts every coordinate.  Raises CapExceeded carrying the exact
     count when it is larger than ``cap``.
     """
-    if k < 0:
-        raise FormatError("k must be nonnegative")
+    if type(k) is not int or k < 0:
+        raise FormatError(f"k must be a nonnegative int, got {value_text(k)}")
     total_coords = sum((1 << f.n) ** k for f in frames)
     if total_coords > budget:
         raise BudgetExceeded(total_coords, budget, "coordinates")

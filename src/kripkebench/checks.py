@@ -32,7 +32,6 @@ DEFAULT_SEED = 1729
 class CheckRecord:
     id: str
     anchor: str
-    description: str
     params: dict
     status: str                  # "pass" | "fail" | "meta-not-verifiable"
     transcript: tuple[str, ...]
@@ -593,12 +592,12 @@ def run_check(check_id: str, params: dict | None = None,
         transcript = [f"meta - not desk-verifiable: {definition.meta_reason}"]
         if definition.run is not None:
             definition.run(merged, Random(seed), transcript)
-        return CheckRecord(check_id, definition.anchor, definition.description,
-                           merged, "meta-not-verifiable", tuple(transcript))
+        return CheckRecord(check_id, definition.anchor, merged,
+                           "meta-not-verifiable", tuple(transcript))
     out: list[str] = []
     ok = definition.run(merged, Random(seed), out)
-    return CheckRecord(check_id, definition.anchor, definition.description,
-                       merged, "pass" if ok else "fail", tuple(out))
+    return CheckRecord(check_id, definition.anchor, merged,
+                       "pass" if ok else "fail", tuple(out))
 
 
 def _check_order(check_id: str) -> tuple:
@@ -621,24 +620,19 @@ def report_json(records: list[CheckRecord]) -> bytes:
 
 # --- axiom profiler --------------------------------------------------------
 
-PROFILE_ROWS: tuple[tuple[str, tuple], ...] = (
-    ("bh(1,1)", ("bh", (1, 1))), ("bh(1,2)", ("bh", (1, 2))),
-    ("bh(1,v)", ("bh", (1, "v"))), ("bh(1,*)", ("bh", (1, "*"))),
-    ("bh(2,*)", ("bh", (2, "*"))),
-    ("rp(1,v)", ("rp", (1, "v"))), ("rp(2,v)", ("rp", (2, "v"))),
-    ("com", ("com", ())), ("chr", ("chr", ())),
-    ("presym(1)", ("presym", (1,))), ("presym(2)", ("presym", (2,))),
-    ("presym", ("presym", ())), ("conv", ("conv", ())), ("dd", ("dd", ())),
-    ("mck(1)", ("mck", (1,))), ("mck(2)", ("mck", (2,))),
-    ("mck(*)", ("mck", ("*",))),
-    ("dot3(1)", ("dot3", (1,))), ("dot3(2)", ("dot3", (2,))),
-    ("sym2", ("sym2", ())), ("match2_ax", ("match2_ax", ())),
-    ("match12_ax", ("match12_ax", ())), ("cas", ("cas", ())),
-    ("u_incl", ("u_incl", ())),
-    ("triv_ax(1)", ("triv_ax", (1,))), ("triv_ax(2)", ("triv_ax", (2,))),
-    ("s4_ax(1)", ("s4_ax", (1,))), ("s4_ax(2)", ("s4_ax", (2,))),
-    ("s5_ax(1)", ("s5_ax", (1,))), ("s5_ax(2)", ("s5_ax", (2,))),
-)
+# (label, (name, args)): the label is the name with its arguments, if any
+PROFILE_ROWS: tuple[tuple[str, tuple], ...] = tuple(
+    (f"{name}({','.join(map(str, args))})" if args else name, (name, args))
+    for name, args in (
+        ("bh", (1, 1)), ("bh", (1, 2)), ("bh", (1, "v")), ("bh", (1, "*")),
+        ("bh", (2, "*")), ("rp", (1, "v")), ("rp", (2, "v")),
+        ("com", ()), ("chr", ()), ("presym", (1,)), ("presym", (2,)),
+        ("presym", ()), ("conv", ()), ("dd", ()),
+        ("mck", (1,)), ("mck", (2,)), ("mck", ("*",)),
+        ("dot3", (1,)), ("dot3", (2,)), ("sym2", ()), ("match2_ax", ()),
+        ("match12_ax", ()), ("cas", ()), ("u_incl", ()),
+        ("triv_ax", (1,)), ("triv_ax", (2,)), ("s4_ax", (1,)), ("s4_ax", (2,)),
+        ("s5_ax", (1,)), ("s5_ax", (2,))))
 
 
 @dataclass(frozen=True)

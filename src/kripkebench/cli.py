@@ -20,13 +20,48 @@ from .frames import (Frame, UniFrame, bitstring, kripke_of, load_frame,
                      load_valuation, store_frame)
 
 
+def _read_frame(path: str):
+    return load_frame(Path(path).read_bytes())
+
+
+def _operands(args) -> tuple:
+    if args.left is None or args.right is None:
+        raise KripkebenchError(f"{args.family} needs --left and --right")
+    return _read_frame(args.left), _read_frame(args.right)
+
+
+def _product(args) -> Frame:
+    left, right = _operands(args)
+    for f in (left, right):
+        if not isinstance(f, Frame):
+            raise KripkebenchError("product factors must be Kripke frames")
+    return C.product(UniFrame(left.n, left.r1), UniFrame(right.n, right.r1))
+
+
+# The frame families of ``build``, each built from the parsed arguments
+# (attributes kind, axis, m, a, b, left and right).
+FAMILIES = {
+    "tack": lambda args: C.tack(args.kind, args.m),
+    "match": lambda args: C.match_frame(args.axis, args.kind, args.m),
+    "rect": lambda args: C.rect(args.a, args.b),
+    "lintgrz": lambda args: C.lintgrz(args.m),
+    "univchain": lambda args: C.univ_chain(args.m),
+    "singleton": lambda args: C.singleton(),
+    "chain": lambda args: C.lift(C.chain(args.m)),
+    "cluster": lambda args: C.lift(C.cluster(args.m)),
+    "tackpre": lambda args: C.lift(C.tack_pre(args.m)),
+    "product": _product,
+    "sum": lambda args: C.ordered_sum(*map(kripke_of, _operands(args)), args.kind),
+    "tensesum": lambda args: C.tense_sum(*map(kripke_of, _operands(args))),
+}
+
 # Integer options, and options with a fixed set of values (name, values), by
 # destination.  argparse hands them over unchecked, so that a malformed one
 # is an ``error:`` line like every other malformed input.
 _INTEGER_OPTIONS = {"m": "-m", "a": "-a", "b": "-b", "budget": "--budget",
                     "k": "-k", "cap": "--cap", "max_layers": "--max-layers",
                     "r": "-r", "seed": "--seed", "axis": "--axis"}
-_CHOICE_OPTIONS = {"family": ("family", (*C.FAMILIES, "product", "sum", "tensesum")),
+_CHOICE_OPTIONS = {"family": ("family", tuple(FAMILIES)),
                    "kind": ("--kind", C.SUM_KINDS), "axis": ("--axis", (1, 2)),
                    "action": ("action", ("check", "find"))}
 
@@ -49,8 +84,11 @@ def _read_options(args) -> None:
                               f"{', '.join(map(str, choices))}, got {value!r}")
 
 
-def _read_frame(path: str):
-    return load_frame(Path(path).read_bytes())
+def _read_model(args):
+    """The model of ``--frame`` valued by ``--valuation``."""
+    from .semantics import Model
+    g = _read_frame(args.frame)
+    return Model(g, load_valuation(Path(args.valuation).read_bytes(), kripke_of(g).n))
 
 
 def _emit(data: bytes, out_path: str | None):
@@ -64,24 +102,7 @@ def _emit(data: bytes, out_path: str | None):
 
 
 def _cmd_build(args) -> int:
-    name = args.family
-    if name in C.FAMILIES:
-        frame = C.FAMILIES[name](args)
-    elif args.left is None or args.right is None:
-        raise KripkebenchError(f"{name} needs --left and --right")
-    elif name == "product":
-        left, right = _read_frame(args.left), _read_frame(args.right)
-        for f in (left, right):
-            if not isinstance(f, Frame):
-                raise KripkebenchError("product factors must be Kripke frames")
-        frame = C.product(UniFrame(left.n, left.r1), UniFrame(right.n, right.r1))
-    elif name == "sum":
-        frame = C.ordered_sum(kripke_of(_read_frame(args.left)),
-                              kripke_of(_read_frame(args.right)), args.kind)
-    else:
-        frame = C.tense_sum(kripke_of(_read_frame(args.left)),
-                            kripke_of(_read_frame(args.right)))
-    _emit(store_frame(frame), args.output)
+    _emit(store_frame(FAMILIES[args.family](args)), args.output)
     return 0
 
 
@@ -112,8 +133,7 @@ def _cmd_pmorph(args) -> int:
     g, h = _read_frame(args.src), _read_frame(args.dst)
     if args.action == "check":
         if not args.map:
-            print("pmorph check needs --map", file=sys.stderr)
-            return 2
+            raise KripkebenchError("pmorph check needs --map")
         with open(args.map, "rb") as fh:
             mapping = load_worldmap(fh.read())
         violation = check_pmorphism(g, h, mapping)
@@ -136,7 +156,10 @@ def _cmd_pmorph(args) -> int:
 
 def _cmd_freealg(args) -> int:
     from .algebra import free_algebra_count
-    frames = [kripke_of(_read_frame(p)) for p in args.frames.split(",")]
+    paths = args.frames.split(",")
+    if "" in paths:
+        raise FormatError(f"--frames names an empty path in {args.frames!r}")
+    frames = [kripke_of(_read_frame(p)) for p in paths]
     try:
         count = free_algebra_count(frames, args.k, cap=args.cap,
                                    budget=args.budget)
@@ -153,15 +176,12 @@ def _cmd_freealg(args) -> int:
 
 def _cmd_blocks(args) -> int:
     from .algebra import block_system
-    from .semantics import Model
-    g = _read_frame(args.frame)
-    frame = kripke_of(g)
-    model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
+    model = _read_model(args)
     system = block_system(model, args.max_layers)
+    n = model.kripke.n
     doc = {
-        "n": frame.n,
-        "layers": [[bitstring(b, frame.n) for b in layer]
-                   for layer in system.layers],
+        "n": n,
+        "layers": [[bitstring(b, n) for b in layer] for layer in system.layers],
         "stabilization": system.stabilization,
     }
     print(json.dumps(doc))
@@ -171,11 +191,7 @@ def _cmd_blocks(args) -> int:
 def _cmd_beta(args) -> int:
     from .algebra import beta_formula
     from .formulas import print_formula
-    from .semantics import Model
-    g = _read_frame(args.frame)
-    frame = kripke_of(g)
-    model = Model(g, load_valuation(Path(args.valuation).read_bytes(), frame.n))
-    cert = beta_formula(model, args.r)
+    cert = beta_formula(_read_model(args), args.r)
     doc = {
         "world": cert.world,
         "beta": print_formula(cert.beta),

@@ -139,17 +139,3 @@ def lift(u: UniFrame) -> Frame:
     """Unimodal frame as (X, R, diagonal)."""
     return Frame(u.n, u.rows, diagonal(u.n), spec=FrameSpec("lift", (u.n,)))
 
-
-# Named frame families, each built from parsed command-line arguments
-# (attributes kind, axis, m, a, b).
-FAMILIES = {
-    "tack": lambda args: tack(args.kind, args.m),
-    "match": lambda args: match_frame(args.axis, args.kind, args.m),
-    "rect": lambda args: rect(args.a, args.b),
-    "lintgrz": lambda args: lintgrz(args.m),
-    "univchain": lambda args: univ_chain(args.m),
-    "singleton": lambda args: singleton(),
-    "chain": lambda args: lift(chain(args.m)),
-    "cluster": lambda args: lift(cluster(args.m)),
-    "tackpre": lambda args: lift(tack_pre(args.m)),
-}

@@ -46,7 +46,7 @@ import re
 import sys
 import threading
 import weakref
-from functools import partial
+from functools import partial, reduce
 from inspect import signature
 from typing import Mapping, NoReturn
 
@@ -238,26 +238,22 @@ def box_star(f: Formula) -> Formula:
     return Not(dia_star(Not(f)))
 
 
+def _left_fold(node, parts, empty) -> Formula:
+    """``parts`` joined from the left by the binary ``node``; ``empty()``
+    when there are none."""
+    parts = iter(parts)
+    first = next(parts, None)
+    return empty() if first is None else reduce(node, parts, first)
+
+
 def conj(parts) -> Formula:
     """Left-folded conjunction; empty input gives true."""
-    parts = list(parts)
-    if not parts:
-        return Top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return _left_fold(And, parts, Top)
 
 
 def disj(parts) -> Formula:
     """Left-folded disjunction; empty input gives false."""
-    parts = list(parts)
-    if not parts:
-        return Bot()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return _left_fold(Or, parts, Bot)
 
 
 # number of children of each node kind, read as child, or left then right

@@ -90,7 +90,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .enumeration import _kept_coordinates
-from .errors import DEFAULT_BUDGET, BudgetExceeded, FormatError
+from .errors import DEFAULT_BUDGET, BudgetExceeded, FormatError, value_text
 from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
                        Or, ReachBox, ReachDia, Top, Var, _rebuild, nodes)
 from .frames import (Frame, GeneralFrame, kripke_of, preimage, restrict_frame,
@@ -113,10 +113,12 @@ class Model:
     def __post_init__(self):
         full = kripke_of(self.frame).full
         for v, mask in self.valuation.items():
-            if v < 0:
-                raise FormatError(f"variable index {v} is negative")
-            if mask < 0 or mask & ~full:
-                raise FormatError(f"valuation of p{v} is out of range")
+            if type(v) is not int or v < 0:
+                raise FormatError(f"variable index must be a nonnegative int, "
+                                  f"got {value_text(v)}")
+            if type(mask) is not int or mask < 0 or mask & ~full:
+                raise FormatError(f"valuation of p{v} must be an int mask within "
+                                  f"the frame, got {value_text(mask)}")
         if isinstance(self.frame, GeneralFrame):
             admissible = set(self.frame.algebra)
             for v, mask in self.valuation.items():

@@ -1,6 +1,7 @@
 """Independent test oracles for formula walks, formula parsing, formula
 evaluation, refutation search, subalgebra atoms, free-algebra counts,
-canonical keys, poset enumeration and the rp frame condition.
+canonical keys, poset enumeration and the rp frame condition, and the
+block tree of a block system's layers.
 
 The formula walks here recurse over the formula as a tree, visiting a
 shared subformula once per occurrence; the library loops over its node
@@ -361,6 +362,22 @@ def atoms_of(alg) -> tuple[int, ...]:
     atoms = [m for m in nonempty
              if not any(o and o != m and o & ~m == 0 for o in nonempty)]
     return tuple(sorted(atoms, key=lambda m: (m & -m).bit_length()))
+
+
+def block_tree(layers) -> tuple[dict[int, tuple[int, ...]], dict[int, int]]:
+    """The block tree of a block system's ``layers`` (each block's
+    immediate sub-blocks: the blocks that first appear one layer below it
+    and lie inside it) and each block's least layer."""
+    least: dict[int, int] = {}
+    for i, layer in enumerate(layers):
+        for b in layer:
+            least.setdefault(b, i)
+    tree: dict[int, list[int]] = {b: [] for b in least}
+    for i in range(1, len(layers)):
+        for c in layers[i]:
+            if least[c] == i:
+                tree[next(b for b in layers[i - 1] if c & ~b == 0)].append(c)
+    return {b: tuple(c) for b, c in tree.items()}, least
 
 
 def free_count_by_refinement(frames, k) -> int:

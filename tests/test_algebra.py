@@ -25,8 +25,8 @@ from kripkebench.morphisms import blow_up
 from kripkebench.semantics import Model, eval_formula
 
 from conftest import as_general, disjoint_union, frames
-from oracle import (atoms_of, automorphisms, free_count_by_refinement,
-                    reference_beta_formula)
+from oracle import (atoms_of, automorphisms, block_tree,
+                    free_count_by_refinement, reference_beta_formula)
 
 
 def naive_closure(frame, gens):
@@ -46,19 +46,22 @@ def naive_closure(frame, gens):
 
 
 def test_generated_subalgebra_examples():
-    assert len(generated_subalgebra(singleton(), [])) == 2
-    assert len(generated_subalgebra(univ_chain(2), [0b01])) == 4
+    assert len(generated_subalgebra(singleton(), []).elements) == 2
+    assert len(generated_subalgebra(univ_chain(2), [0b01]).elements) == 4
     alg = generated_subalgebra(rect(2, 2), [0b0011])  # one row
     assert set(alg.elements) == naive_closure(rect(2, 2), [0b0011])
-    assert [alg.elements[i] for i in alg.generators] == [0b0011]
+    assert 0b0011 in alg.elements
 
 
 def test_generated_subalgebra_reads_generators_as_world_sets():
-    # the bitstring 01 is world 1, and a generator that is no world-set fails
+    # the bitstring 100 is world 0: with no edges, {0} and {2} generate
+    # different algebras
+    edgeless = Frame(3, (0,) * 3, (0,) * 3)
+    alg = generated_subalgebra(edgeless, ["100"])
+    assert 0b001 in alg.elements and 0b100 not in alg.elements
+    assert alg == generated_subalgebra(edgeless, [0b001])
+    # a generator that is no world-set fails
     f = lift(chain(2))
-    alg = generated_subalgebra(f, ["01"])
-    assert [alg.elements[i] for i in alg.generators] == [0b10]
-    assert alg == generated_subalgebra(f, [0b10])
     for gen in ("011", "2", True, 1.0, -1, 0b100):
         with pytest.raises(FormatError):
             generated_subalgebra(f, [gen])
@@ -86,6 +89,12 @@ def test_free_algebra_count_examples():
     counts = [free_algebra_count([tack("both", m)], 1, cap=1 << 200)
               for m in (1, 2, 3)]
     assert counts[0] < counts[1] < counts[2]
+
+
+@pytest.mark.parametrize("k", [-1, 1.0, "1", True, None])
+def test_free_algebra_count_k_is_a_nonnegative_int(k):
+    with pytest.raises(FormatError, match="k must be a nonnegative int"):
+        free_algebra_count([singleton()], k)
 
 
 def test_free_algebra_count_against_naive_oracle():
@@ -355,11 +364,12 @@ def test_beta_on_irreflexive_dead_end_models():
 def test_block_tree():
     bs = block_system(Model(univ_chain(3), {0: 0b001, 1: 0b010}))
     assert bs.stabilized == (0b001, 0b010, 0b100)
+    tree, least = block_tree(bs.layers)
     root = 0b111
-    assert set(bs.tree[root]) == {0b001, 0b010, 0b100}
-    assert bs.depth_index[root] == 0
+    assert set(tree[root]) == {0b001, 0b010, 0b100}
+    assert least[root] == 0
     for b in (0b001, 0b010, 0b100):
-        assert bs.depth_index[b] == 1
+        assert least[b] == 1
 
 
 def coarsest_bisimulation(frame, valuation):
@@ -409,9 +419,11 @@ def test_block_layer_invariants(f):
             assert sum(1 for p in earlier if b & ~p == 0) == 1
         # and the later layer partitions the worlds
         assert sum(b.bit_count() for b in later) == f.n
-    for block, children in bs.tree.items():
+    for block, children in block_tree(bs.layers)[0].items():
         for c in children:
             assert c & ~block == 0 and c != block
+        # a block that splits splits into blocks of one layer
+        assert not children or sum(children) == block
 
 
 def test_blocks_equal_bisimulation_and_atoms():

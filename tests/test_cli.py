@@ -135,6 +135,10 @@ def test_pmorph(tmp_path, capsys):
                        "--to", str(b), "--budget", "1")
     assert code == 2 and "needs 8 candidate maps, budget is 1" in err
 
+    code, out, err = run(capsys, "pmorph", "check", "--from", str(a),
+                         "--to", str(b))
+    assert (code, out, err) == (2, "", "error: pmorph check needs --map\n")
+
 
 def test_freealg_blocks_beta(tmp_path, capsys):
     frame = tmp_path / "f.json"
@@ -249,6 +253,18 @@ def test_choice_options_share_one_error_shape(tmp_path, capsys):
     assert code == 0 and text == "ok\n"
 
 
+def test_freealg_empty_paths_exit_2(tmp_path, capsys, monkeypatch):
+    # an empty path would read the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("f.json").write_bytes(store_frame(lift(chain(2))))
+    for frames in ("f.json,", ",", "", ",f.json", "f.json,,f.json"):
+        code, out, err = run(capsys, "freealg", "--frames", frames, "-k", "1")
+        assert (code, out) == (2, ""), frames
+        assert err == f"error: --frames names an empty path in {frames!r}\n"
+    code, out, _ = run(capsys, "freealg", "--frames", "f.json,f.json", "-k", "1")
+    assert (code, out) == (0, "16\n")
+
+
 def test_freealg_cap_and_budget_exit_2(tmp_path, capsys):
     frame = tmp_path / "f.json"
     frame.write_bytes(store_frame(tack("both", 2)))
@@ -336,7 +352,7 @@ def test_cli_error_handling(tmp_path, capsys):
 
 
 def test_build_families_match_constructors(capsys):
-    from kripkebench import constructions as C
+    from kripkebench.cli import FAMILIES
     expected = {
         "tack": C.tack("1", 2), "match": C.match_frame(2, "1", 2),
         "rect": C.rect(2, 3), "lintgrz": C.lintgrz(2),
@@ -344,7 +360,7 @@ def test_build_families_match_constructors(capsys):
         "chain": C.lift(C.chain(2)), "cluster": C.lift(C.cluster(2)),
         "tackpre": C.lift(C.tack_pre(2)),
     }
-    assert set(expected) == set(C.FAMILIES)
+    assert set(expected) | {"product", "sum", "tensesum"} == set(FAMILIES)
     for name, frame in expected.items():
         code, text, _ = run(capsys, "build", name, "--kind", "1", "--axis",
                             "2", "-m", "2", "-a", "2", "-b", "3")

@@ -44,6 +44,12 @@ def test_model_admissibility():
     with pytest.raises(FormatError, match="admissible"):
         Model(g, {0: 0b01})
     Model(g, {0: 0b11})  # fine
+    # variable indices and masks are ints, not bools, floats or strings
+    f = lift(chain(2))
+    for valuation in ({"p0": 1}, {0: 1.0}, {0: "01"}, {True: 1}, {0: True},
+                      {-1: 1}, {0: 0b100}, {0: -1}):
+        with pytest.raises(FormatError):
+            Model(f, valuation)
 
 
 def test_valid_examples():

@@ -5,9 +5,9 @@ from random import Random
 import pytest
 
 import kripkebench.semantics as S
-from kripkebench.checks import (CHECKS, C7_FROZEN, DEFAULT_SEED, ProfileRow,
-                                _correspondence_corpus, axiom_profile,
-                                report_json, run_check)
+from kripkebench.checks import (CHECKS, C7_FROZEN, DEFAULT_SEED, PROFILE_ROWS,
+                                ProfileRow, _correspondence_corpus,
+                                axiom_profile, report_json, run_check)
 from kripkebench.constructions import rect, singleton, tack
 from kripkebench.errors import UnknownCheck
 
@@ -112,3 +112,15 @@ def test_profile_row_order_is_stable():
     a = [r.label for r in axiom_profile(singleton())]
     b = [r.label for r in axiom_profile(tack("both", 1))]
     assert a == b
+
+
+def test_profile_labels_are_pinned():
+    # the labels derived from each row's name and arguments, in row order
+    assert [label for label, _ in PROFILE_ROWS] == [
+        "bh(1,1)", "bh(1,2)", "bh(1,v)", "bh(1,*)", "bh(2,*)", "rp(1,v)",
+        "rp(2,v)", "com", "chr", "presym(1)", "presym(2)", "presym", "conv",
+        "dd", "mck(1)", "mck(2)", "mck(*)", "dot3(1)", "dot3(2)", "sym2",
+        "match2_ax", "match12_ax", "cas", "u_incl", "triv_ax(1)",
+        "triv_ax(2)", "s4_ax(1)", "s4_ax(2)", "s5_ax(1)", "s5_ax(2)"]
+    assert [r.label for r in axiom_profile(singleton())] == \
+        [label for label, _ in PROFILE_ROWS]
