@@ -42,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (DEFAULT_BUDGET, BudgetExceeded, CapExceeded, FormatError,
-                     NotDefinable, NotPretransitive, value_text)
+                     NotDefinable, NotPretransitive, check_int, value_text)
 from .enumeration import _kept_coordinates, _packed_ranks
 from .formulas import (And, Box, Dia, Formula, Imp, Not, Top, Var, box_star,
                        conj, disj)
@@ -115,6 +115,7 @@ def generated_subalgebra(frame: Frame, gens: Sequence[int | str],
     listed directly in bitstring order.  Raises CapExceeded carrying the
     exact size when it is larger than ``cap``.
     """
+    check_int(cap, "cap")
     gens = [_parse_set(g, frame.n, "generator {}", i) for i, g in enumerate(gens)]
     for types in _model_refinements(frame, gens):
         pass
@@ -280,6 +281,8 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
     """
     if type(k) is not int or k < 0:
         raise FormatError(f"k must be a nonnegative int, got {value_text(k)}")
+    check_int(cap, "cap")
+    check_int(budget, "budget")
     total_coords = sum((1 << f.n) ** k for f in frames)
     if total_coords > budget:
         raise BudgetExceeded(total_coords, budget, "coordinates")

@@ -1,15 +1,17 @@
 """The check registry, the axiom profiler, and the report machinery.
 
-Each check record carries the mathematical claim it exercises (``anchor``),
-the parameters it ran with, a pass/fail/meta status, and a transcript from
-which the verdict can be re-derived.  Reports are deterministic: fixed
-default seed, sorted iteration orders, no timestamps.
+Each check record carries the mathematical claim it exercises (``anchor``,
+its line in the claims register ``data/claims.md``), the parameters it ran
+with, a pass/fail/meta status, and a transcript from which the verdict can
+be re-derived.  Reports are deterministic: fixed default seed, sorted
+iteration orders, no timestamps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 from random import Random
 from typing import Callable
 
@@ -17,7 +19,7 @@ from . import constructions as C
 from .algebra import beta_formula, free_algebra_count, generated_subalgebra
 from .enumeration import (all_bimodal_frames, all_preorders, linear_preorders,
                           random_frame, random_preorder, random_valuation)
-from .errors import BudgetExceeded, UnknownCheck
+from .errors import BudgetExceeded, FormatError, UnknownCheck, check_int
 from .formulas import (Formula, Imp, P, dia_v, named_formula, print_formula,
                        swap_modalities)
 from .frames import (Frame, GeneralFrame, analyze, bitstring, frame_property,
@@ -49,7 +51,6 @@ class CheckRecord:
 @dataclass(frozen=True)
 class CheckDef:
     anchor: str
-    description: str
     params: dict = field(default_factory=dict)
     run: Callable[[dict, Random, list[str]], bool] | None = None
     meta_reason: str | None = None
@@ -208,6 +209,7 @@ def _c5(params, rng, out):
 
 def _c6(params, rng, out):
     ok = True
+    check_int(params["budget"], "budget")
     for m in range(1, params["max_m"] + 1):
         for kind in ("both", "1", "2"):
             src, tgt, f = tack_collapse(kind, m)
@@ -454,130 +456,53 @@ def _c16(params, rng, out):
 
 _META_REASON = "requires infinite frames or non-finitary arguments; no executable content"
 
-CHECKS: dict[str, CheckDef] = {
-    "C1": CheckDef(
-        "A preorder validates the height axiom bh_n exactly when its height is at most n.",
-        "Exhaustive preorders up to isomorphism, lifted to bimodal frames; "
-        "semantic validity of bh(k,1) compared with the skeleton height.",
-        {"max_n": 5, "max_k": 4, "budget": 1 << 24}, _c1),
-    "C2": CheckDef(
-        "The chain-collapse axiom rp_m over the joint diamond, the commutation "
-        "axiom, the confluence axiom, and the converse axioms are valid exactly "
-        "on frames satisfying their first-order conditions.",
-        "Correspondence suite over a corpus: exhaustive bimodal frames n <= 2 "
-        "up to isomorphism, seeded samples at n = 3 and 4, structured families.",
-        {"max_m": 2, "sample_3": 120, "sample_4": 50, "budget": 1 << 23}, _c2),
-    "C3": CheckDef(
-        "Products of preorders satisfy commutation and confluence, first-order "
-        "and semantically.",
-        "Exhaustive preorder pairs with <= 2 worlds plus seeded pairs <= 4 worlds.",
-        {"max_n": 4, "samples": 30, "budget": 1 << 22}, _c3),
-    "C4": CheckDef(
-        "The presymmetry axiom is valid on every product of two preorders.",
-        "All pairs of preorders with <= 3 worlds each, up to isomorphism.",
-        {"max_n": 3, "budget": 1 << 23}, _c4),
-    "C5": CheckDef(
-        "On the two-chain with universal second relation, presym_1 is refuted, "
-        "and the valuation p={0}, q={0,1} falsifies it at world 0.",
-        "Direct evaluation of the designated witness plus the search witness.",
-        {"budget": 1 << 20}, _c5),
-    "C6": CheckDef(
-        "Collapse maps from products of cluster-plus-top preorders (restricted "
-        "to a bare cluster factor for the one-sided kinds) onto tack frames "
-        "are p-morphisms.",
-        "The finitized collapse maps for m <= 3 and all three sum kinds, "
-        "verified clause by clause.",
-        {"max_m": 3, "budget": 1 << 20}, _c6),
-    "C7": CheckDef(
-        "The validity matrix of the distinguishing formulas over the three "
-        "tacks and the square separates the four families: only the square "
-        "validates bh(1,*), and only the two-sided tack validates both "
-        "one-sided McKinsey formulas.",
-        "4x5 validity matrix over {tack(both,3), tack(1,3), tack(2,3), "
-        "rect(3,3)}, compared against the frozen golden matrix.",
-        {"budget": 1 << 22}, _c7),
-    "C8": CheckDef(
-        "The chained-box collapse axiom cas is valid on products of preorders.",
-        "All pairs of preorders with <= 3 worlds each, up to isomorphism.",
-        {"max_n": 3, "budget": 1 << 22}, _c8),
-    "C9": CheckDef(
-        "Rooted tense frames with linear preorder relations commute, are "
-        "confluent, and their union relation is already reflexive-transitive.",
-        "All linear preorders up to isomorphism, paired with their converses.",
-        {"max_n": 5, "budget": 1 << 20}, _c9),
-    "C10": CheckDef(
-        "The frames (n,<=,>=) are tense frames over linear posets, validate "
-        "the converse axioms, and have a reflexive-transitive union relation.",
-        "Frame-side conditions plus conv validity for n <= 5.",
-        {"max_n": 5, "budget": 1 << 20}, _c10),
-    "C11": CheckDef(
-        "The frames (m,<=,univ) validate downward directedness, the inclusion "
-        "of the first diamond in the second, and the S5 axioms for the second "
-        "modality.",
-        "Direct validity runs for m <= 5.",
-        {"max_m": 5, "budget": 1 << 22}, _c11),
-    "C12": CheckDef(
-        "Match frames validate their axiom list: downward directedness, "
-        "presymmetry for the cluster modality, joint transitivity, joint "
-        "height two, joint McKinsey, plus the per-kind axioms (symmetry; the "
-        "cluster-return axiom; McKinsey for the second modality with the "
-        "split axiom).",
-        "All three kinds, both axes, m <= 4; an axis-2 family checks the "
-        "modality swaps of the exchanged kind's list. Note: the dd rows fail "
-        "on the two families whose top hangs on the cluster modality alone "
-        "(axis 1 kind 2, axis 2 kind 1); a two-world countermodel exists, so "
-        "this check is expected to report fail.",
-        {"max_m": 4, "budget": 1 << 23}, _c12),
-    "C13": CheckDef(
-        "On finite chains with valuations, the restriction algebra of every "
-        "singleton cluster has exactly two elements.",
-        "Lifted chains m <= 5 with seeded valuations; restriction via the "
-        "generated subalgebra.",
-        {"max_m": 5}, _c13),
-    "C14": CheckDef(
-        "For each corpus model, the point-definability formula beta(r) "
-        "evaluates to exactly {r}.",
-        "Ten fixed models; certificates built from the layered block system "
-        "and verified by direct evaluation.",
-        {}, _c14),
-    "C15": CheckDef(
-        "One-generator formula counts over the two-sided tacks grow strictly "
-        "with the cluster size (exploratory; no external number is pinned).",
-        "Free-algebra counts for tack(both,m), m <= 3, with a large cap.",
-        {"max_m": 3, "cap": 1 << 200, "budget": 1 << 20}, _c15),
-    "C16": CheckDef(
-        "Transcription note on the product definition's first-relation clause.",
-        "Meta record; the standard product relation is implemented.",
-        {}, _c16, meta_reason="transcription divergence note, not a runnable check"),
-    "M1": CheckDef(
-        "Canonical frames built from maximal consistent sets.",
-        "Meta record.", {}, None, _META_REASON),
-    "M2": CheckDef(
-        "An infinite canonical general frame has an infinite point-generated "
-        "subframe.", "Meta record.", {}, None, _META_REASON),
-    "M3": CheckDef(
-        "A non-locally-tabular pretransitive logic of finite height has a "
-        "definable infinite cluster in some canonical frame.",
-        "Meta record.", {}, None, _META_REASON),
-    "M4": CheckDef(
-        "Classification of the four maximal non-locally-tabular logics above "
-        "products with Noetherian skeletons, and the induced local-tabularity "
-        "criterion.", "Meta record.", {}, None, _META_REASON),
-    "M5": CheckDef(
-        "Every non-locally-tabular extension of the linear tense logic is "
-        "contained in the logic of the tense chains.",
-        "Meta record.", {}, None, _META_REASON),
-    "M6": CheckDef(
-        "The six match logics are maximal among non-locally-tabular logics.",
-        "Meta record.", {}, None, _META_REASON),
-    "M7": CheckDef(
-        "Completeness of the commutator axiomatizations for the products of "
-        "the preorder and equivalence logics.",
-        "Meta record.", {}, None, _META_REASON),
-    "M8": CheckDef(
-        "The tack logics coincide with the logics of single tacks over an "
-        "infinite rectangle.", "Meta record.", {}, None, _META_REASON),
+# params and body of each runnable check, by id; C16 also has a meta reason
+_BODIES = {
+    "C1": ({"max_n": 5, "max_k": 4, "budget": 1 << 24}, _c1),
+    "C2": ({"max_m": 2, "sample_3": 120, "sample_4": 50, "budget": 1 << 23}, _c2),
+    "C3": ({"max_n": 4, "samples": 30, "budget": 1 << 22}, _c3),
+    "C4": ({"max_n": 3, "budget": 1 << 23}, _c4),
+    "C5": ({"budget": 1 << 20}, _c5),
+    "C6": ({"max_m": 3, "budget": 1 << 20}, _c6),
+    "C7": ({"budget": 1 << 22}, _c7),
+    "C8": ({"max_n": 3, "budget": 1 << 22}, _c8),
+    "C9": ({"max_n": 5, "budget": 1 << 20}, _c9),
+    "C10": ({"max_n": 5, "budget": 1 << 20}, _c10),
+    "C11": ({"max_m": 5, "budget": 1 << 22}, _c11),
+    "C12": ({"max_m": 4, "budget": 1 << 23}, _c12),
+    "C13": ({"max_m": 5}, _c13),
+    "C14": ({}, _c14),
+    "C15": ({"max_m": 3, "cap": 1 << 200, "budget": 1 << 20}, _c15),
+    "C16": ({}, _c16, "transcription divergence note, not a runnable check"),
 }
+
+
+def _registry(text: str) -> dict[str, CheckDef]:
+    """One check per ``- <id>: <claim>`` line of the claims register ``text``,
+    in its order, anchored on the claim: under "Runnable checks" with params
+    and body from ``_BODIES``, under "Meta records" as a meta record."""
+    checks, section = {}, ""
+    for line in text.splitlines():
+        if line.startswith("## "):
+            section = line[3:]
+        elif line.startswith("- "):
+            cid, _, claim = line[2:].partition(": ")
+            if cid in checks:
+                raise FormatError(f"claims register repeats {cid}")
+            if section == "Runnable checks":
+                if cid not in _BODIES:
+                    raise FormatError(f"claims register: runnable {cid} has no body")
+                checks[cid] = CheckDef(claim, *_BODIES[cid])
+            elif section.startswith("Meta records"):
+                checks[cid] = CheckDef(claim, meta_reason=_META_REASON)
+    for cid in _BODIES:
+        if cid not in checks or checks[cid].run is None:
+            raise FormatError(f"claims register has no runnable line for {cid}")
+    return checks
+
+
+CHECKS: dict[str, CheckDef] = _registry(
+    resources.files(__package__).joinpath("data/claims.md").read_text("utf-8"))
 
 
 def run_check(check_id: str, params: dict | None = None,
@@ -585,32 +510,18 @@ def run_check(check_id: str, params: dict | None = None,
     definition = CHECKS.get(check_id)
     if definition is None:
         raise UnknownCheck(f"unknown check id {check_id!r}")
-    merged = dict(definition.params)
-    if params:
-        merged.update(params)
-    if definition.meta_reason is not None:
-        transcript = [f"meta - not desk-verifiable: {definition.meta_reason}"]
-        if definition.run is not None:
-            definition.run(merged, Random(seed), transcript)
-        return CheckRecord(check_id, definition.anchor, merged,
-                           "meta-not-verifiable", tuple(transcript))
-    out: list[str] = []
-    ok = definition.run(merged, Random(seed), out)
-    return CheckRecord(check_id, definition.anchor, merged,
-                       "pass" if ok else "fail", tuple(out))
-
-
-def _check_order(check_id: str) -> tuple:
-    return (check_id[0], int(check_id[1:]))
+    merged = {**definition.params, **(params or {})}
+    meta = definition.meta_reason is not None
+    out = [f"meta - not desk-verifiable: {definition.meta_reason}"] if meta else []
+    ok = definition.run is None or definition.run(merged, Random(seed), out)
+    status = "meta-not-verifiable" if meta else "pass" if ok else "fail"
+    return CheckRecord(check_id, definition.anchor, merged, status, tuple(out))
 
 
 def run_all(seed: int = DEFAULT_SEED,
             params: dict[str, dict] | None = None) -> list[CheckRecord]:
-    records = []
-    for check_id in sorted(CHECKS, key=_check_order):
-        override = (params or {}).get(check_id)
-        records.append(run_check(check_id, override, seed=seed))
-    return records
+    return [run_check(check_id, (params or {}).get(check_id), seed=seed)
+            for check_id in CHECKS]
 
 
 def report_json(records: list[CheckRecord]) -> bytes:

@@ -88,6 +88,12 @@ def value_text(value) -> str:
         return f"a value of type {type(value).__name__} too large to print"
 
 
+def check_int(value, name: str) -> None:
+    """Raise a FormatError naming ``name`` unless ``value`` is an int, not a bool."""
+    if type(value) is not int:
+        raise FormatError(f"{name} must be an int, got {value_text(value)}")
+
+
 class CapExceeded(KripkebenchError):
     """A closure or count grew past the configured cap.
 

@@ -20,7 +20,7 @@ from functools import reduce
 from operator import or_
 
 from .constructions import _kind, cluster, product, tack, tack_pre
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, check_int
 from .frames import (Frame, GeneralFrame, analyze, bitstring, decode_json,
                      fibers, kripke_of, pull, pull_rows, transpose_rows,
                      worlds_of)
@@ -97,6 +97,7 @@ def find_pmorphism(g: Frame | GeneralFrame, h: Frame | GeneralFrame,
     pruned only when it cannot extend to a p-morphism, so the first map is
     the one plain backtracking finds.  The raw candidate space |h| ** |g|
     must fit the budget."""
+    check_int(budget, "budget")
     src, tgt = kripke_of(g), kripke_of(h)
     ns, nt = src.n, tgt.n
     if ns == 0 or nt == 0:  # only the empty map onto the empty frame

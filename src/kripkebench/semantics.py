@@ -90,7 +90,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .enumeration import _kept_coordinates
-from .errors import DEFAULT_BUDGET, BudgetExceeded, FormatError, value_text
+from .errors import DEFAULT_BUDGET, BudgetExceeded, FormatError, check_int, value_text
 from .formulas import (_ARITY, And, Bot, Box, Dia, Formula, Iff, Imp, Not,
                        Or, ReachBox, ReachDia, Top, Var, _rebuild, nodes)
 from .frames import (Frame, GeneralFrame, kripke_of, preimage, restrict_frame,
@@ -285,6 +285,7 @@ def _check_size(parts: list, k: int, budget: int) -> None:
     """Refuse a search over ``parts`` before it starts: past 24 worlds for a
     powerset, or when its valuation x world cells, summed over the parts,
     exceed the budget."""
+    check_int(budget, "budget")
     needed = 0
     for g in parts:
         n = kripke_of(g).n

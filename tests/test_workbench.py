@@ -1,15 +1,20 @@
 import json
+import re
 from importlib import resources
 from random import Random
 
 import pytest
 
 import kripkebench.semantics as S
-from kripkebench.checks import (CHECKS, C7_FROZEN, DEFAULT_SEED, PROFILE_ROWS,
-                                ProfileRow, _correspondence_corpus,
-                                axiom_profile, report_json, run_check)
-from kripkebench.constructions import rect, singleton, tack
-from kripkebench.errors import UnknownCheck
+from kripkebench.algebra import free_algebra_count, generated_subalgebra
+from kripkebench.checks import (_META_REASON, CHECKS, C7_FROZEN, DEFAULT_SEED,
+                                PROFILE_ROWS, ProfileRow, _correspondence_corpus,
+                                _registry, axiom_profile, report_json, run_check)
+from kripkebench.constructions import rect, singleton, tack, univ_chain
+from kripkebench.errors import FormatError, UnknownCheck
+from kripkebench.formulas import parse
+from kripkebench.morphisms import find_pmorphism
+from kripkebench.semantics import check_size, refutes_witness, valid, valid_each
 
 
 def test_unknown_check():
@@ -70,10 +75,66 @@ def test_meta_records():
         assert rec.transcript and rec.transcript[0].startswith("meta")
 
 
-def test_anchors_against_claims_file():
-    text = resources.files("kripkebench").joinpath("data/claims.md").read_text("utf-8")
-    for cid, definition in CHECKS.items():
-        assert definition.anchor in text, cid
+REGISTER = resources.files("kripkebench").joinpath("data/claims.md").read_text("utf-8")
+
+
+def _register_ids(text: str) -> list[str]:
+    return re.findall(r"^- (\w+):", text, re.M)
+
+
+def test_registry_follows_claims_register():
+    lines = re.findall(r"^- (\w+): (.*)$", REGISTER, re.M)
+    assert list(CHECKS) == [f"C{i}" for i in range(1, 17)] + [f"M{i}" for i in range(1, 9)]
+    assert [(cid, check.anchor) for cid, check in CHECKS.items()] == lines
+
+
+def test_only_runnable_checks_have_bodies():
+    runnable, meta = REGISTER.split("## Runnable checks")[1].split("## Meta records")
+    assert _register_ids(runnable) == [cid for cid, c in CHECKS.items() if c.run]
+    for cid in _register_ids(meta):
+        assert CHECKS[cid].run is None and CHECKS[cid].meta_reason == _META_REASON
+
+
+C5_LINE = next(line + "\n" for line in REGISTER.splitlines() if line.startswith("- C5:"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (REGISTER.replace("- C2:", "- C1:"), "repeats C1"),
+    (REGISTER.replace("- M3:", "- M1:"), "repeats M1"),
+    (REGISTER.replace(C5_LINE, ""), "no runnable line for C5"),
+    (REGISTER.replace(C5_LINE, "") + C5_LINE, "no runnable line for C5"),
+    (REGISTER.replace(C5_LINE, C5_LINE + "- C17: A claim without a body.\n"),
+     "runnable C17 has no body"),
+], ids=["repeated-check", "repeated-meta", "missing-line", "body-under-meta", "no-body"])
+def test_malformed_register_raises(text, message):
+    assert text != REGISTER
+    with pytest.raises(FormatError, match=message):
+        _registry(text)
+
+
+_TWO = univ_chain(2)
+_PHI = parse("[1]p0 -> p0")
+# (the argument's name, a call passing the value as that argument)
+INT_ARGUMENTS = {
+    "valid": ("budget", lambda v: valid(_TWO, _PHI, budget=v)),
+    "valid_each": ("budget", lambda v: valid_each([_TWO], [_PHI], budget=v)),
+    "check_size": ("budget", lambda v: check_size(_TWO, _PHI, budget=v)),
+    "refutes_witness": ("budget", lambda v: refutes_witness(_TWO, _PHI, budget=v)),
+    "free_algebra_count-budget": ("budget",
+                                  lambda v: free_algebra_count([_TWO], 1, budget=v)),
+    "free_algebra_count-cap": ("cap", lambda v: free_algebra_count([_TWO], 1, cap=v)),
+    "generated_subalgebra-cap": ("cap", lambda v: generated_subalgebra(_TWO, [1], cap=v)),
+    "find_pmorphism": ("budget", lambda v: find_pmorphism(_TWO, _TWO, budget=v)),
+    "C6": ("budget", lambda v: run_check("C6", {"max_m": 1, "budget": v})),
+}
+
+
+@pytest.mark.parametrize("value", ["9", 1.5, None, True])
+@pytest.mark.parametrize("entry", list(INT_ARGUMENTS))
+def test_budgets_and_caps_are_ints(entry, value):
+    name, call = INT_ARGUMENTS[entry]
+    with pytest.raises(FormatError, match=f"^{name} must be an int, got "):
+        call(value)
 
 
 def test_report_schema():
