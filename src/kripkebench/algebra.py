@@ -153,9 +153,8 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
     variables, layer 1 equals layer 0 even when layer 2 still splits
     successor-free worlds.  ``max_layers`` is None or a nonnegative int.
     """
-    if max_layers is not None and (type(max_layers) is not int or max_layers < 0):
-        raise FormatError(
-            f"max_layers must be a nonnegative int or None, got {max_layers!r}")
+    if max_layers is not None:
+        check_int(max_layers, "max_layers", 0)
     frame = m.kripke
     if frame.n < 1:
         raise FormatError("block systems need at least one world")
@@ -176,11 +175,11 @@ def block_system(m: Model, max_layers: int | None = None) -> BlockSystem:
 
 # --- free-algebra counting -------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _sorting_network(width: int) -> tuple[tuple[int, int], ...]:
     """Comparators (i, j), i < j, of Batcher's odd-even merge network on
     ``width`` slots (Knuth's merge exchange): the one on the next power of
-    two without the comparators past ``width``, as +inf slots never move."""
+    two without the comparators past ``width``, as +inf slots never move.
+    Not cached: it takes microseconds, next to the sort's numpy passes."""
     pairs, top = [], 1 << (width - 1).bit_length() >> 1
     p = top
     while p:
@@ -279,8 +278,7 @@ def free_algebra_count(frames: Sequence[Frame], k: int,
     still counts every coordinate.  Raises CapExceeded carrying the exact
     count when it is larger than ``cap``.
     """
-    if type(k) is not int or k < 0:
-        raise FormatError(f"k must be a nonnegative int, got {value_text(k)}")
+    check_int(k, "k", 0)
     check_int(cap, "cap")
     check_int(budget, "budget")
     total_coords = sum((1 << f.n) ** k for f in frames)
@@ -442,11 +440,10 @@ def beta_formula(m: Model, r: int) -> DefinabilityCertificate:
     beta = alpha(r) & γ is the intersection of its children's extensions,
     which is what evaluating beta whole computes.
     """
-    if type(r) is not int:
-        raise FormatError(f"world must be an int, got {r!r}")
+    check_int(r, "world", 0)
     frame = m.kripke
-    if not 0 <= r < frame.n:
-        raise FormatError(f"world {r} out of range")
+    if r >= frame.n:
+        raise FormatError(f"world {value_text(r)} out of range")
     reach_rows, two_transitive = _reachability(frame)
     if not two_transitive:
         raise NotPretransitive(

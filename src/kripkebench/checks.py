@@ -138,8 +138,8 @@ def _c2(params, rng, out):
 
 
 def _preorder_pairs(rng, max_n, count):
-    pairs = [(a, b) for a in all_preorders(1) + all_preorders(2)
-             for b in all_preorders(1) + all_preorders(2)]
+    small = all_preorders(1) + all_preorders(2)
+    pairs = [(a, b) for a in small for b in small]
     for _ in range(count):
         pairs.append((random_preorder(rng, rng.randint(1, max_n)),
                       random_preorder(rng, rng.randint(1, max_n))))

@@ -6,7 +6,7 @@ Disjoint unions renumber left-operand-first; products number world
 
 from __future__ import annotations
 
-from .errors import FormatError, NotTense
+from .errors import FormatError, NotTense, check_int
 from .frames import (Frame, FrameSpec, UniFrame, diagonal, fibers,
                      frame_property, full_rows, pull_rows, transpose_rows)
 
@@ -23,15 +23,13 @@ def _kind(kind) -> str:
 
 def cluster(m: int) -> UniFrame:
     """The m-element cluster (m, universal relation)."""
-    if m < 1:
-        raise FormatError("a cluster needs at least one world")
+    check_int(m, "cluster size", 1)
     return UniFrame(m, full_rows(m))
 
 
 def chain(m: int) -> UniFrame:
     """The m-element chain (m, <=)."""
-    if m < 1:
-        raise FormatError("a chain needs at least one world")
+    check_int(m, "chain length", 1)
     full = (1 << m) - 1
     return UniFrame(m, tuple((full >> i) << i for i in range(m)))
 
@@ -39,8 +37,7 @@ def chain(m: int) -> UniFrame:
 def tack_pre(m: int) -> UniFrame:
     """Preorder on m+1 worlds with a R b iff a < m or b = m: an m-cluster
     with a reflexive top point (finite surrogate of the tack preorder)."""
-    if m < 1:
-        raise FormatError("tack_pre needs a nonempty cluster")
+    check_int(m, "cluster size", 1)
     full = (1 << (m + 1)) - 1
     rows = tuple(full if a < m else 1 << m for a in range(m + 1))
     return UniFrame(m + 1, rows)

@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import FormatError, check_int
 from .frames import (Frame, UniFrame, mask_of, pull_rows, rt_closure,
                      transpose_rows, twins, worlds_of)
 
@@ -351,7 +352,8 @@ def _poset_group(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     ``automorphism_generators`` closed under composition.  The enumeration
     keeps the least candidate of each orbit of this group: a missing map
     would keep duplicate classes and a map that is no automorphism would
-    lose classes, so a generator that is none raises."""
+    lose classes, so a generator that is none raises.  Unbounded, as its
+    keys are finite: its callers pass only posets of ``_posets`` tables."""
     k = len(rows)
     generators = automorphism_generators((rows,), k)
     for g in generators:
@@ -384,7 +386,8 @@ def _posets(k: int) -> tuple[tuple[int, ...], ...]:
     first-seen k-poset grows from a prefix that was not itself first seen.
     ``_children`` leaves out the children that the keys would drop as
     repeating an earlier child of the same parent.  The cached calls for
-    smaller tables nest at most k deep."""
+    smaller tables nest at most k deep.  Unbounded, as its keys are
+    finite: the k up to the largest n asked of ``all_preorders``."""
     if k == 0:
         return ((),)
     return tuple(iso_distinct(_children(_posets(k - 1)),
@@ -426,7 +429,6 @@ def _compositions(n: int, k: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def all_preorders(n: int) -> tuple[UniFrame, ...]:
     """All preorders on n worlds, one per isomorphism class: each poset P
     of each table blown up by each composition s of n with s∘g >= s for
@@ -437,9 +439,11 @@ def all_preorders(n: int) -> tuple[UniFrame, ...]:
     (P, s') are isomorphic exactly when s' = s∘g for some g in Aut(P).
     Compositions come in ascending order, so the least of each orbit is the
     first of its class, which keying every candidate would keep.  Over
-    k = n points the only composition is all ones."""
+    k = n points the only composition is all ones.  Not cached: each call
+    builds its frames anew from the cached ``_posets`` tables."""
+    check_int(n, "n")
     if n < 1:
-        raise ValueError("need at least one world")
+        raise FormatError("need at least one world")
     out = []
     for k in range(1, n + 1):
         for poset in _posets(k):
@@ -452,8 +456,9 @@ def all_preorders(n: int) -> tuple[UniFrame, ...]:
 def linear_preorders(n: int) -> tuple[UniFrame, ...]:
     """Linear preorders (chains of clusters) on n worlds, up to isomorphism:
     one per composition of n."""
+    check_int(n, "n")
     if n < 1:
-        raise ValueError("need at least one world")
+        raise FormatError("need at least one world")
     out = []
     for k in range(1, n + 1):
         for sizes in _compositions(n, k):
@@ -465,8 +470,9 @@ def linear_preorders(n: int) -> tuple[UniFrame, ...]:
 def all_bimodal_frames(n: int) -> tuple[Frame, ...]:
     """All bimodal frames on n worlds up to isomorphism (n <= 2 only; the
     labelled space grows as 2^(2 n^2))."""
-    if not 1 <= n <= 2:
-        raise ValueError("exhaustive bimodal enumeration is provided for n <= 2")
+    check_int(n, "n", 1)
+    if n > 2:
+        raise FormatError("exhaustive bimodal enumeration is provided for n <= 2")
     relations = [tuple(bits >> (i * n) & ((1 << n) - 1) for i in range(n))
                  for bits in range(1 << (n * n))]
     return tuple(iso_distinct(Frame(n, r1, r2)

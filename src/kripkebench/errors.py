@@ -88,10 +88,12 @@ def value_text(value) -> str:
         return f"a value of type {type(value).__name__} too large to print"
 
 
-def check_int(value, name: str) -> None:
-    """Raise a FormatError naming ``name`` unless ``value`` is an int, not a bool."""
-    if type(value) is not int:
-        raise FormatError(f"{name} must be an int, got {value_text(value)}")
+def check_int(value, name: str, least: int | None = None) -> None:
+    """Raise a FormatError naming ``name`` unless ``value`` is an int, not a
+    bool, and at least ``least`` (None, 0 or 1) when that is given."""
+    if type(value) is not int or least is not None and value < least:
+        kind = {None: "an int", 0: "a nonnegative int", 1: "a positive int"}[least]
+        raise FormatError(f"{name} must be {kind}, got {value_text(value)}")
 
 
 class CapExceeded(KripkebenchError):

@@ -521,17 +521,19 @@ def _modality(tok, allowed=("1", "2", "v", "*")):
 
 
 def _count(value, what: str) -> int:
-    """A nonnegative registry count: an int (not a bool) or a string of
-    decimal digits that ``int()`` converts."""
+    """A registry count of at most 64: an int (not a bool) or a string of
+    decimal digits that ``int()`` converts.  A count c gives a formula over
+    at least c variables, 2^c valuations on a single world, so no search
+    gets past 64; and ``rp(c)`` has about c^3 nodes (277,285 at 64)."""
     if type(value) is str and value.isascii() and value.isdigit():
         try:
             value = int(value)
         except ValueError:  # more digits than the interpreter converts
             digits = sys.get_int_max_str_digits()
             raise ArityMismatch(f"{what} has more than {digits} digits") from None
-    if type(value) is int and value >= 0:
+    if type(value) is int and 0 <= value <= 64:
         return value
-    raise ArityMismatch(f"{what} must be a nonnegative integer; got {value_text(value)}")
+    raise ArityMismatch(f"{what} must be an integer from 0 to 64; got {value_text(value)}")
 
 
 def _bh(n, tok):

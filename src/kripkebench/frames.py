@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyRestriction, FormatError, UnknownProperty, value_text
+from .errors import EmptyRestriction, FormatError, UnknownProperty, check_int, value_text
 
 log = logging.getLogger(__name__)
 
@@ -165,14 +165,14 @@ class Frame:
     spec: FrameSpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise FormatError("world count must be nonnegative")
-        full = (1 << self.n) - 1
+        check_int(self.n, "world count", 0)
         for name, rows in (("r1", self.r1), ("r2", self.r2)):
             if len(rows) != self.n:
-                raise FormatError(f"{name} has {len(rows)} rows, expected {self.n}")
+                raise FormatError(f"{name} has {len(rows)} rows, expected {value_text(self.n)}")
+            full = (1 << self.n) - 1  # only once n is known to be small
             for i, row in enumerate(rows):
-                if row & ~full:
+                if type(row) is not int or row & ~full:
+                    check_int(row, f"{name} row {i}")
                     raise FormatError(f"{name} row {i} mentions worlds beyond {self.n}")
 
     @property

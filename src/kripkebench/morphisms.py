@@ -178,8 +178,10 @@ def tack_collapse(kind, m: int, mprime: int | None = None
     the top point collapse onto the target top.
     """
     kind = _kind(kind)
+    check_int(m, "cluster size", 1)
     mp = m if mprime is None else mprime
-    if not 1 <= mp <= m:
+    check_int(mp, "target size", 1)
+    if mp > m:
         raise FormatError("target size must satisfy 1 <= m' <= m")
     if kind == "both":
         left, right = tack_pre(m), tack_pre(m)

@@ -37,9 +37,10 @@ subframe, and for a general frame on every such subframe with the
 restricted algebra.  Above one block, ``valid`` therefore searches each
 distinct maximal subframe generated by a single world, stopping at the
 first refuted one; below that one walk covers the whole frame and the
-split would only add cost.  ``refutes_witness`` always searches the whole
-frame: its lexicographically least witness is not the least witness of
-any one part.  The budget and the 24-world limit of the powerset apply
+split would only add cost.  The parts are built on each call: the caches
+here hold masks, tables and plans, never a frame.  ``refutes_witness``
+always searches the whole frame: its lexicographically least witness is
+not the least witness of any one part.  The budget and the 24-world limit of the powerset apply
 before any search, to the sum of valuation x world cells over all parts
 searched and to each part's world count.
 
@@ -113,9 +114,7 @@ class Model:
     def __post_init__(self):
         full = kripke_of(self.frame).full
         for v, mask in self.valuation.items():
-            if type(v) is not int or v < 0:
-                raise FormatError(f"variable index must be a nonnegative int, "
-                                  f"got {value_text(v)}")
+            check_int(v, "variable index", 0)
             if type(mask) is not int or mask < 0 or mask & ~full:
                 raise FormatError(f"valuation of p{v} must be an int mask within "
                                   f"the frame, got {value_text(mask)}")
@@ -296,25 +295,18 @@ def _check_size(parts: list, k: int, budget: int) -> None:
         raise BudgetExceeded(needed, budget, unit="cells (valuations times worlds)")
 
 
-@lru_cache(maxsize=1024)
-def _split(g: Frame | GeneralFrame) -> tuple | None:
-    """The maximal parts of ``g`` when it is not rooted, else None, so that a
-    rooted frame's parts are the frame itself and not an equal one."""
+def _maximal_parts(g: Frame | GeneralFrame) -> list:
+    """The subframes generated by single worlds that no other one contains,
+    in order of their least generating world; ``[g]`` when ``g`` is rooted.
+    Not cached, so no part carries an equal frame's ``spec``."""
     frame = kripke_of(g)
     cones = list(dict.fromkeys(rt_closure(frame.union(), frame.n)))
     tops = [m for m in cones if not any(m != o and m & o == m for o in cones)]
     if len(tops) == 1:
-        return None
+        return [g]
     if isinstance(g, GeneralFrame):
-        return tuple(restrict_general(g, m) for m in tops)
-    return tuple(restrict_frame(g, m)[0] for m in tops)
-
-
-def _maximal_parts(g: Frame | GeneralFrame) -> list:
-    """The subframes generated by single worlds that no other one contains,
-    in order of their least generating world; ``[g]`` when ``g`` is rooted."""
-    parts = _split(g)
-    return [g] if parts is None else list(parts)
+        return [restrict_general(g, m) for m in tops]
+    return [restrict_frame(g, m)[0] for m in tops]
 
 
 def _children(g: Formula) -> tuple:
@@ -561,6 +553,7 @@ def valid_each(frames: list, formulas: list,
     search.  For each formula, each distinct part of the frames is decided
     once: the batched ones in one walk per batch, the others alone, when a
     frame first needs them (see the module docstring)."""
+    check_int(budget, "budget")
     parts = [[check_size(g, f, budget) for f in formulas] for g in frames]
     columns = [_column([row[j] for row in parts], _plan(f))
                for j, f in enumerate(formulas)]

@@ -451,6 +451,9 @@ def test_beta_examples():
 
     with pytest.raises(NotDefinable):
         beta_formula(Model(rect(2, 2), {0: 0}), 1)
+    for r in (4, 10 ** 5000):  # the second has more digits than str() writes
+        with pytest.raises(FormatError, match="^world .* out of range$"):
+            beta_formula(Model(rect(2, 2), {0: 0}), r)
 
 
 def test_beta_alpha_defines_each_point():

@@ -289,6 +289,16 @@ def test_registry_counts_past_the_conversion_limit():
         named_formula("bh", ["1", 10 ** 5000])
 
 
+def test_registry_counts_are_bounded_before_any_node_is_built(monkeypatch):
+    # a count past 64 would only build a formula no search can walk
+    assert len(variables(named_formula("bh", [64, 1]))) == 64
+    monkeypatch.setattr(F, "_make", lambda *args: pytest.fail("a node was built"))
+    for name, params in (("rp", ["1" * 4300, "1"]), ("bh", [10 ** 6, 1]),
+                         ("bh", [65, "*"]), ("rp", ["65", "v"])):
+        with pytest.raises(ArityMismatch, match="from 0 to 64; got"):
+            named_formula(name, params)
+
+
 def test_swap_modalities():
     assert swap_modalities(parse("<1>[2]p0")) == parse("<2>[1]p0")
     f = named_formula("match2_ax")

@@ -6,15 +6,19 @@ from random import Random
 import pytest
 
 import kripkebench.semantics as S
-from kripkebench.algebra import free_algebra_count, generated_subalgebra
+from kripkebench.algebra import (beta_formula, block_system, free_algebra_count,
+                                 generated_subalgebra)
 from kripkebench.checks import (_META_REASON, CHECKS, C7_FROZEN, DEFAULT_SEED,
                                 PROFILE_ROWS, ProfileRow, _correspondence_corpus,
                                 _registry, axiom_profile, report_json, run_check)
-from kripkebench.constructions import rect, singleton, tack, univ_chain
+from kripkebench.constructions import (chain, cluster, rect, singleton, tack, tack_pre,
+                                       univ_chain)
+from kripkebench.enumeration import all_bimodal_frames, all_preorders, linear_preorders
 from kripkebench.errors import FormatError, UnknownCheck
 from kripkebench.formulas import parse
-from kripkebench.morphisms import find_pmorphism
-from kripkebench.semantics import check_size, refutes_witness, valid, valid_each
+from kripkebench.frames import Frame
+from kripkebench.morphisms import find_pmorphism, tack_collapse
+from kripkebench.semantics import Model, check_size, refutes_witness, valid, valid_each
 
 
 def test_unknown_check():
@@ -114,27 +118,68 @@ def test_malformed_register_raises(text, message):
 
 _TWO = univ_chain(2)
 _PHI = parse("[1]p0 -> p0")
-# (the argument's name, a call passing the value as that argument)
+_MODEL = Model(_TWO, {0: 0b10})
+# (the start of the error, which names the argument, and a call passing the
+# value as that argument)
 INT_ARGUMENTS = {
-    "valid": ("budget", lambda v: valid(_TWO, _PHI, budget=v)),
-    "valid_each": ("budget", lambda v: valid_each([_TWO], [_PHI], budget=v)),
-    "check_size": ("budget", lambda v: check_size(_TWO, _PHI, budget=v)),
-    "refutes_witness": ("budget", lambda v: refutes_witness(_TWO, _PHI, budget=v)),
-    "free_algebra_count-budget": ("budget",
+    "valid": ("budget must be an int", lambda v: valid(_TWO, _PHI, budget=v)),
+    "valid_each": ("budget must be an int",
+                   lambda v: valid_each([_TWO], [_PHI], budget=v)),
+    "valid_each-no-formula": ("budget must be an int",
+                              lambda v: valid_each([_TWO], [], budget=v)),
+    "valid_each-no-frame": ("budget must be an int", lambda v: valid_each([], [], budget=v)),
+    "check_size": ("budget must be an int", lambda v: check_size(_TWO, _PHI, budget=v)),
+    "refutes_witness": ("budget must be an int",
+                        lambda v: refutes_witness(_TWO, _PHI, budget=v)),
+    "free_algebra_count-budget": ("budget must be an int",
                                   lambda v: free_algebra_count([_TWO], 1, budget=v)),
-    "free_algebra_count-cap": ("cap", lambda v: free_algebra_count([_TWO], 1, cap=v)),
-    "generated_subalgebra-cap": ("cap", lambda v: generated_subalgebra(_TWO, [1], cap=v)),
-    "find_pmorphism": ("budget", lambda v: find_pmorphism(_TWO, _TWO, budget=v)),
-    "C6": ("budget", lambda v: run_check("C6", {"max_m": 1, "budget": v})),
+    "free_algebra_count-cap": ("cap must be an int",
+                               lambda v: free_algebra_count([_TWO], 1, cap=v)),
+    "free_algebra_count-k": ("k must be a nonnegative int",
+                             lambda v: free_algebra_count([_TWO], v)),
+    "generated_subalgebra-cap": ("cap must be an int",
+                                 lambda v: generated_subalgebra(_TWO, [1], cap=v)),
+    "block_system": ("max_layers must be a nonnegative int",
+                     lambda v: block_system(_MODEL, v)),
+    "beta_formula": ("world must be a nonnegative int", lambda v: beta_formula(_MODEL, v)),
+    "find_pmorphism": ("budget must be an int",
+                       lambda v: find_pmorphism(_TWO, _TWO, budget=v)),
+    "C6": ("budget must be an int", lambda v: run_check("C6", {"max_m": 1, "budget": v})),
+    "Model": ("variable index must be a nonnegative int", lambda v: Model(_TWO, {v: 1})),
+    "cluster": ("cluster size must be a positive int", cluster),
+    "chain": ("chain length must be a positive int", chain),
+    "tack_pre": ("cluster size must be a positive int", tack_pre),
+    "rect": ("cluster size must be a positive int", lambda v: rect(v, 2)),
+    "tack_collapse": ("cluster size must be a positive int",
+                      lambda v: tack_collapse("both", v)),
+    "tack_collapse-target": ("target size must be a positive int",
+                             lambda v: tack_collapse("both", 2, v)),
+    "Frame-n": ("world count must be a nonnegative int", lambda v: Frame(v, (), ())),
+    "Frame-row": ("r1 row 0 must be an int", lambda v: Frame(1, (v,), (1,))),
+    "all_preorders": ("n must be an int", all_preorders),
+    "linear_preorders": ("n must be an int", linear_preorders),
+    "all_bimodal_frames": ("n must be a positive int", all_bimodal_frames),
 }
 
 
-@pytest.mark.parametrize("value", ["9", 1.5, None, True])
-@pytest.mark.parametrize("entry", list(INT_ARGUMENTS))
+# None is the default of max_layers and of tack_collapse's target size
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in INT_ARGUMENTS for value in ("9", 1.5, None, True)
+    if value is not None or entry not in ("block_system", "tack_collapse-target")])
 def test_budgets_and_caps_are_ints(entry, value):
-    name, call = INT_ARGUMENTS[entry]
-    with pytest.raises(FormatError, match=f"^{name} must be an int, got "):
+    message, call = INT_ARGUMENTS[entry]
+    with pytest.raises(FormatError, match=f"^{message}, got "):
         call(value)
+
+
+@pytest.mark.parametrize("entry", [e for e, (message, _) in INT_ARGUMENTS.items()
+                                   if "nonnegative" in message or "positive" in message])
+def test_int_arguments_below_their_bound(entry):
+    # an int too large to write in decimal fails as a small one does
+    message, call = INT_ARGUMENTS[entry]
+    for value in [-1, -10 ** 5000] + [0] * ("positive" in message):
+        with pytest.raises(FormatError, match=f"^{message}, got "):
+            call(value)
 
 
 def test_report_schema():
